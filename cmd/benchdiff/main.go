@@ -21,8 +21,8 @@
 // compares the cold-over-incremental re-placement speedup (host speed
 // cancels), its absolute 3x floor, and the zero-full-rebuild property
 // of the delta patchers; the serve gate re-runs the in-process loadgen
-// sweep and compares the cached-over-cold speedup (5x absolute floor),
-// the deterministic cache hit counters, and the analysis cache's
+// sweep and compares the cached-over-cold speedup against the committed
+// ratio, the deterministic cache hit counters, and the analysis cache's
 // eviction bound; the tiered gate re-runs the static-vs-measured
 // re-placement comparison on the hostile suite and compares the
 // deterministic per-preset overheads, requiring the best preset's gain

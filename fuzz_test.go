@@ -34,6 +34,14 @@ func FuzzParse(f *testing.F) {
 	f.Add("main m\n\nfunc m(v0) {\nentry:\n\tret v0\n}")
 	f.Add("func f() {\ne:\n\tv0 = const 1\n\tbr v0, a, b ; 2 3\na:\n\tjmp b ; 1\nb:\n\tret\n}")
 	f.Add("func s(r3) entry=7 {\ne:\n\tsave 0, r3 !sr\n\tv0 = restore 0 !sr\n\tjmp x ; 0 !jb\nx:\n\tret v0\n}")
+	// The edge cases internal/irtext's TestParseQuirks pins.
+	f.Add("func f(v+0) {\ne:\n\tret v+0\n}\n")
+	f.Add("func f() {\n:\n\tjmp b1\n:\n\tret\n}\n")
+	f.Add("func f() {\ne:\n\tv0 = const 1\n\tbr v0, a, b ; 2\u00a03\na:\n\tret\nb:\n\tret\n}\n")
+	f.Add("func f(v0,) {\ne:\n\tret\n}\n")
+	f.Add("func f() {\ne:\n\tv0 = const 1\n\tbr v0, a, a\na:\n\tret\n}\n")
+	f.Add("func f() {\ne:\n\tjmp a\n\tret\na:\n\tret\n}\n")
+	f.Add("func f() {\ne:\n\tjmp a ; 1 2\na:\n\tret\n}\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := irtext.Parse(src)
 		if err != nil {

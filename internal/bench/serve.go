@@ -49,11 +49,12 @@ type ServeBench struct {
 // record. Absolute latency depends on the host, so the gate compares
 // host-independent quantities:
 //
-//   - cached resubmissions must run at least 5x faster than cold
-//     submissions (the floor the content cache is built to clear);
 //   - the cached-over-cold speedup must not regress more than
 //     thresholdPct percent below the committed ratio (both phases run
-//     on the same host in the same process, so host speed cancels);
+//     on the same host in the same process, so host speed cancels).
+//     There is no absolute floor on the ratio: a faster cold path
+//     lowers it without the cache getting any slower, so the committed
+//     record, regenerated when the cold path changes, is the baseline;
 //   - the cache counters are deterministic for a deduplicated corpus:
 //     every cached-phase request is a program-cache hit
 //     (Distinct*Dups) and every reordered function a function-cache
@@ -71,11 +72,6 @@ func CompareServe(committed, fresh *ServeBench, thresholdPct float64) []string {
 			committed.Suite, committed.Distinct, committed.Dups, committed.Workers,
 			fresh.Suite, fresh.Distinct, fresh.Dups, fresh.Workers))
 		return findings
-	}
-	if fresh.CachedSpeedup < 5 {
-		findings = append(findings, fmt.Sprintf(
-			"serve: cached resubmissions only %.2fx faster than cold, below the 5x floor",
-			fresh.CachedSpeedup))
 	}
 	if committed.CachedSpeedup > 0 {
 		floor := committed.CachedSpeedup * (1 - thresholdPct/100)

@@ -5,6 +5,8 @@
 package cfg
 
 import (
+	"slices"
+
 	"repro/internal/ir"
 )
 
@@ -19,15 +21,16 @@ type DomTree struct {
 	// Children[b.ID] lists blocks immediately dominated by b.
 	Children [][]*ir.Block
 	root     *ir.Block
-	// level[b.ID] is the depth of b in the dominator tree.
-	level []int
-	post  bool // true if this is a postdominator tree
+	// level[b.ID] is the depth of b in the dominator tree. pre[b.ID]
+	// and last[b.ID] bound b's subtree in a depth-first numbering of
+	// the tree, so a dominates b iff pre[a] <= pre[b] <= last[a].
+	level, pre, last []int32
+	post             bool // true if this is a postdominator tree
 }
 
 // Dominators computes the dominator tree of f rooted at the entry.
 func Dominators(f *ir.Func) *DomTree {
-	order := ReversePostorder(f)
-	return buildDomTree(f, f.Entry, order, false)
+	return buildDomTreeDir(f, f.Entry, ReversePostorder(f), false)
 }
 
 // Postdominators computes the postdominator tree of f. Functions with
@@ -64,36 +67,45 @@ func Postorder(f *ir.Func) []*ir.Block {
 }
 
 func reversePostorderFrom(f *ir.Func, root *ir.Block, reverse bool) []*ir.Block {
-	seen := make([]bool, len(f.Blocks))
-	var post []*ir.Block
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		seen[b.ID] = true
-		if reverse {
-			for _, e := range b.Preds {
-				if !seen[e.From.ID] {
-					dfs(e.From)
-				}
-			}
-		} else {
-			for _, e := range b.Succs {
-				if !seen[e.To.ID] {
-					dfs(e.To)
-				}
-			}
-		}
-		post = append(post, b)
-	}
-	dfs(root)
-	// Reverse in place.
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
+	post := postorder(root, reverse, make([]bool, len(f.Blocks)), make([]*ir.Block, 0, len(f.Blocks)))
+	slices.Reverse(post)
 	return post
 }
 
-func buildDomTree(f *ir.Func, root *ir.Block, order []*ir.Block, post bool) *DomTree {
-	return buildDomTreeDir(f, root, order, post)
+// postorder appends to post, in finishing order, the blocks a
+// depth-first walk from root reaches without entering a block already
+// seen, and marks them seen. It visits successors in list order, as the
+// recursive walk would; reverse walks predecessor edges instead.
+func postorder(root *ir.Block, reverse bool, seen []bool, post []*ir.Block) []*ir.Block {
+	type frame struct {
+		b    *ir.Block
+		next int // index of the next edge to follow
+	}
+	seen[root.ID] = true
+	stack := []frame{{b: root}}
+	for len(stack) > 0 {
+		fr := &stack[len(stack)-1]
+		edges := fr.b.Succs
+		if reverse {
+			edges = fr.b.Preds
+		}
+		if fr.next == len(edges) {
+			post = append(post, fr.b)
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		e := edges[fr.next]
+		fr.next++
+		w := e.To
+		if reverse {
+			w = e.From
+		}
+		if !seen[w.ID] {
+			seen[w.ID] = true
+			stack = append(stack, frame{b: w})
+		}
+	}
+	return post
 }
 
 // buildDomTreeDir runs the Cooper-Harvey-Kennedy iterative dominance
@@ -101,13 +113,7 @@ func buildDomTree(f *ir.Func, root *ir.Block, order []*ir.Block, post bool) *Dom
 // walked in reverse (predecessors become successors).
 func buildDomTreeDir(f *ir.Func, root *ir.Block, order []*ir.Block, post bool) *DomTree {
 	n := len(f.Blocks)
-	t := &DomTree{
-		IDom:     make([]*ir.Block, n),
-		Children: make([][]*ir.Block, n),
-		root:     root,
-		level:    make([]int, n),
-		post:     post,
-	}
+	t := &DomTree{IDom: make([]*ir.Block, n), root: root, post: post}
 	// rpoNum[b.ID] = position in order; lower = closer to root.
 	rpoNum := make([]int, n)
 	for i := range rpoNum {
@@ -136,8 +142,15 @@ func buildDomTreeDir(f *ir.Func, root *ir.Block, order []*ir.Block, post bool) *
 				continue
 			}
 			var newIDom *ir.Block
-			preds := predsDir(b, post)
-			for _, p := range preds {
+			edges := b.Preds
+			if post {
+				edges = b.Succs
+			}
+			for _, e := range edges {
+				p := e.From
+				if post {
+					p = e.To
+				}
 				if rpoNum[p.ID] < 0 || t.IDom[p.ID] == nil {
 					continue // unreachable or unprocessed
 				}
@@ -162,38 +175,20 @@ func buildDomTreeDir(f *ir.Func, root *ir.Block, order []*ir.Block, post bool) *
 // exit blocks by making each exit a root.
 func buildMultiRootPostdom(f *ir.Func, exits []*ir.Block) *DomTree {
 	n := len(f.Blocks)
-	t := &DomTree{
-		IDom:     make([]*ir.Block, n),
-		Children: make([][]*ir.Block, n),
-		level:    make([]int, n),
-		post:     true,
-	}
+	t := &DomTree{IDom: make([]*ir.Block, n), post: true}
 	if len(exits) == 0 {
 		t.finish(f)
 		return t
 	}
 	// Build a combined reverse-DFS order from all exits.
 	seen := make([]bool, n)
-	var postOrd []*ir.Block
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		seen[b.ID] = true
-		for _, e := range b.Preds {
-			if !seen[e.From.ID] {
-				dfs(e.From)
-			}
-		}
-		postOrd = append(postOrd, b)
-	}
+	order := make([]*ir.Block, 0, n)
 	for _, x := range exits {
 		if !seen[x.ID] {
-			dfs(x)
+			order = postorder(x, true, seen, order)
 		}
 	}
-	order := make([]*ir.Block, len(postOrd))
-	for i, b := range postOrd {
-		order[len(postOrd)-1-i] = b
-	}
+	slices.Reverse(order)
 	rpoNum := make([]int, n)
 	for i := range rpoNum {
 		rpoNum[i] = -1
@@ -276,56 +271,82 @@ func buildMultiRootPostdom(f *ir.Func, exits []*ir.Block) *DomTree {
 	return t
 }
 
-func predsDir(b *ir.Block, post bool) []*ir.Block {
-	var out []*ir.Block
-	if post {
-		for _, e := range b.Succs {
-			out = append(out, e.To)
-		}
-	} else {
-		for _, e := range b.Preds {
-			out = append(out, e.From)
+// finish derives Children, levels and subtree intervals from IDom.
+// Every node's children are carved, in layout order, from one slice; a
+// depth-first walk from each root, in layout order, numbers the
+// subtrees so that Dominates is an interval test.
+func (t *DomTree) finish(f *ir.Func) {
+	n := len(f.Blocks)
+	ints := make([]int32, 3*n)
+	t.level, t.pre, t.last = ints[:n:n], ints[n:2*n:2*n], ints[2*n:]
+
+	kids := t.last // child counts until the walk below numbers subtrees
+	total := 0
+	for _, b := range f.Blocks {
+		if d := t.IDom[b.ID]; d != nil {
+			kids[d.ID]++
+			total++
 		}
 	}
-	return out
-}
-
-// finish populates Children and level from IDom.
-func (t *DomTree) finish(f *ir.Func) {
+	slab := make([]*ir.Block, total)
+	t.Children = make([][]*ir.Block, n)
+	for id, k := range kids {
+		if k > 0 {
+			t.Children[id], slab = slab[:0:k], slab[k:]
+		}
+	}
 	for _, b := range f.Blocks {
 		if d := t.IDom[b.ID]; d != nil {
 			t.Children[d.ID] = append(t.Children[d.ID], b)
 		}
 	}
-	// Levels via BFS from roots (blocks with nil idom).
-	var queue []*ir.Block
-	for _, b := range f.Blocks {
-		if t.IDom[b.ID] == nil {
-			t.level[b.ID] = 0
-			queue = append(queue, b)
+
+	// buf holds the preorder from the front and the walk's stack at the
+	// back; no block is in both, so they never overlap.
+	buf := make([]*ir.Block, n)
+	numbered, top := 0, n
+	for _, r := range f.Blocks {
+		if t.IDom[r.ID] != nil {
+			continue
+		}
+		top--
+		buf[top] = r
+		for top < n {
+			b := buf[top]
+			top++
+			t.pre[b.ID] = int32(numbered)
+			buf[numbered] = b
+			numbered++
+			for _, c := range t.Children[b.ID] {
+				t.level[c.ID] = t.level[b.ID] + 1
+				top--
+				buf[top] = c
+			}
 		}
 	}
-	for len(queue) > 0 {
-		b := queue[0]
-		queue = queue[1:]
-		for _, c := range t.Children[b.ID] {
-			t.level[c.ID] = t.level[b.ID] + 1
-			queue = append(queue, c)
+	// A subtree's numbers run from its root's to those of its first
+	// child's subtree, which the stack visits last.
+	for i := numbered - 1; i >= 0; i-- {
+		b := buf[i]
+		t.last[b.ID] = t.pre[b.ID]
+		if c := t.Children[b.ID]; len(c) > 0 {
+			t.last[b.ID] = t.last[c[0].ID]
 		}
 	}
 }
 
 // Dominates reports whether a dominates b (reflexively). For a
-// postdominator tree this means "a postdominates b". Blocks whose
-// chains terminate at different roots are unrelated.
+// postdominator tree this means "a postdominates b". Blocks under
+// different roots are unrelated.
 func (t *DomTree) Dominates(a, b *ir.Block) bool {
-	for b != nil {
-		if a == b {
-			return true
-		}
-		b = t.IDom[b.ID]
+	if a == nil || b == nil {
+		return false
 	}
-	return false
+	if a == b {
+		return true
+	}
+	p := t.pre[b.ID]
+	return t.pre[a.ID] <= p && p <= t.last[a.ID]
 }
 
 // StrictlyDominates reports a dominates b and a != b.
@@ -334,4 +355,4 @@ func (t *DomTree) StrictlyDominates(a, b *ir.Block) bool {
 }
 
 // Level returns b's depth in the tree (0 for roots).
-func (t *DomTree) Level(b *ir.Block) int { return t.level[b.ID] }
+func (t *DomTree) Level(b *ir.Block) int { return int(t.level[b.ID]) }

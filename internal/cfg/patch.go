@@ -96,8 +96,6 @@ func (t *DomTree) PatchEdgeSplits(f *ir.Func, oldID map[*ir.Block]int, splits []
 	}
 
 	t.IDom = idom
-	t.Children = make([][]*ir.Block, n)
-	t.level = make([]int, n)
 	t.finish(f)
 	return true
 }

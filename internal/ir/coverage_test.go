@@ -205,3 +205,47 @@ func TestNewBlockAutoName(t *testing.T) {
 		t.Errorf("auto name = %q, want b0", b.Name)
 	}
 }
+
+// TestLinkEdgesMatchesAddEdge: LinkEdges leaves every block's Succs and
+// Preds in the order AddEdge calls would, edges already linked first.
+func TestLinkEdgesMatchesAddEdge(t *testing.T) {
+	type spec struct{ from, to int }
+	specs := []spec{{0, 1}, {0, 2}, {1, 2}, {2, 0}, {1, 1}, {2, 1}}
+	build := func(linkAll bool) *Func {
+		f := NewFunc("f")
+		for range 3 {
+			f.NewBlock("")
+		}
+		f.AddEdge(f.Blocks[2], f.Blocks[1], FallThrough, 9) // already linked
+		if !linkAll {
+			for _, s := range specs {
+				f.AddEdge(f.Blocks[s.from], f.Blocks[s.to], Jump, int64(s.to))
+			}
+			return f
+		}
+		edges := make([]Edge, len(specs))
+		for i, s := range specs {
+			edges[i] = Edge{From: f.Blocks[s.from], To: f.Blocks[s.to], Kind: Jump, Weight: int64(s.to)}
+		}
+		f.LinkEdges(edges)
+		return f
+	}
+	render := func(f *Func) string {
+		var b strings.Builder
+		for _, blk := range f.Blocks {
+			b.WriteString(blk.Name + " succs")
+			for _, e := range blk.Succs {
+				b.WriteString(" " + e.String())
+			}
+			b.WriteString(" preds")
+			for _, e := range blk.Preds {
+				b.WriteString(" " + e.String())
+			}
+			b.WriteString("\n")
+		}
+		return b.String()
+	}
+	if got, want := render(build(true)), render(build(false)); got != want {
+		t.Errorf("LinkEdges:\n%s\nAddEdge:\n%s", got, want)
+	}
+}

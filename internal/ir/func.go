@@ -70,6 +70,44 @@ func (f *Func) AddEdge(from, to *Block, kind EdgeKind, weight int64) *Edge {
 	return e
 }
 
+// LinkEdges links every edge in edges into its endpoints' Succs and
+// Preds, in order, as calling AddEdge for each would. Every block's
+// lists, with the edges already on them, move into one allocation
+// sized for all of them, so a caller that creates a function's edges
+// in one slice builds its edge lists from two allocations. Block IDs
+// must index f.Blocks.
+func (f *Func) LinkEdges(edges []Edge) {
+	if len(edges) == 0 {
+		return
+	}
+	nb := len(f.Blocks)
+	counts := make([]int, 2*nb)
+	succs, preds := counts[:nb], counts[nb:]
+	total := 2 * len(edges)
+	for i, b := range f.Blocks {
+		succs[i], preds[i] = len(b.Succs), len(b.Preds)
+		total += len(b.Succs) + len(b.Preds)
+	}
+	for i := range edges {
+		succs[edges[i].From.ID]++
+		preds[edges[i].To.ID]++
+	}
+	lists := make([]*Edge, total)
+	for i, b := range f.Blocks {
+		if k := succs[i]; k > 0 {
+			b.Succs, lists = append(lists[:0:k], b.Succs...), lists[k:]
+		}
+		if k := preds[i]; k > 0 {
+			b.Preds, lists = append(lists[:0:k], b.Preds...), lists[k:]
+		}
+	}
+	for i := range edges {
+		e := &edges[i]
+		e.From.Succs = append(e.From.Succs, e)
+		e.To.Preds = append(e.To.Preds, e)
+	}
+}
+
 // RemoveEdge unlinks e from both endpoint blocks.
 func (f *Func) RemoveEdge(e *Edge) {
 	e.From.Succs = removeEdge(e.From.Succs, e)

@@ -3,6 +3,7 @@ package irtext_test
 import (
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/irtext"
 )
@@ -18,5 +19,23 @@ func BenchmarkPrint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		printed = irtext.Print(p)
+	}
+}
+
+// parsed keeps BenchmarkParse's result live.
+var parsed *ir.Program
+
+// BenchmarkParse parses one irgen.Default program (seed 1), as the
+// service does for every request that misses its raw-text cache.
+func BenchmarkParse(b *testing.B) {
+	src := irtext.Print(irgen.Generate(1, irgen.Default()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := irtext.Parse(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		parsed = p
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
+	"sync"
 	"testing"
 
 	"repro/internal/ir"
@@ -38,34 +38,56 @@ const printGolden = "6c81fbb774990d8537730f555a78920daaa33bec20bcf3f138c04e329e3
 
 func TestPrintGolden(t *testing.T) {
 	h := sha256.New()
-	for _, fam := range goldenFamilies {
-		for seed := uint64(1); seed <= 30; seed++ {
-			fmt.Fprintf(h, "%s %d\n", fam.name, seed)
-			printStages(h, irgen.Generate(seed, fam.cfg))
+	for _, run := range goldenRuns() {
+		fmt.Fprintf(h, "%s %d\n", run.family, run.seed)
+		for _, text := range run.texts {
+			io.WriteString(h, text)
 		}
+		io.WriteString(h, run.failure)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != printGolden {
 		t.Fatalf("Print digest = %s, want %s", got, printGolden)
 	}
 }
 
-// printStages writes Print of p to h after each pipeline stage; a
-// stage that fails writes its error and ends the walk.
-func printStages(h hash.Hash, p *ir.Program) {
-	io.WriteString(h, irtext.Print(p))
+// goldenRun is one generated program's walk through printStages.
+type goldenRun struct {
+	family  string
+	seed    uint64
+	texts   []string // Print after each stage that succeeded
+	failure string   // the failing stage's error line, or ""
+}
+
+// goldenRuns walks every goldenFamilies program of seeds 1-30 through
+// printStages once per test binary; the print and parse goldens share
+// the result.
+var goldenRuns = sync.OnceValue(func() []goldenRun {
+	var runs []goldenRun
+	for _, fam := range goldenFamilies {
+		for seed := uint64(1); seed <= 30; seed++ {
+			run := goldenRun{family: fam.name, seed: seed}
+			run.texts, run.failure = printStages(irgen.Generate(seed, fam.cfg))
+			runs = append(runs, run)
+		}
+	}
+	return runs
+})
+
+// printStages returns Print of p after each pipeline stage: raw,
+// profiled, allocated and placed. A stage that fails ends the walk and
+// is reported as an error line.
+func printStages(p *ir.Program) (texts []string, failure string) {
+	texts = append(texts, irtext.Print(p))
 	if _, err := profile.CollectWithConfig(p, vm.Config{MaxSteps: 1 << 24}, 5); err != nil {
-		fmt.Fprintf(h, "profile: %v\n", err)
-		return
+		return texts, fmt.Sprintf("profile: %v\n", err)
 	}
-	io.WriteString(h, irtext.Print(p))
+	texts = append(texts, irtext.Print(p))
 	if _, err := regalloc.AllocateProgram(p, machine.PARISC()); err != nil {
-		fmt.Fprintf(h, "allocate: %v\n", err)
-		return
+		return texts, fmt.Sprintf("allocate: %v\n", err)
 	}
-	io.WriteString(h, irtext.Print(p))
+	texts = append(texts, irtext.Print(p))
 	if err := strategy.PlaceProgram(p, strategy.HierarchicalJump, 1); err != nil {
-		fmt.Fprintf(h, "place: %v\n", err)
-		return
+		return texts, fmt.Sprintf("place: %v\n", err)
 	}
-	io.WriteString(h, irtext.Print(p))
+	return append(texts, irtext.Print(p)), ""
 }

@@ -4,12 +4,21 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"repro/internal/ir"
 )
 
 // Parse reads a program in the textual IR format. The first function
 // is the program's main unless a "main NAME" directive appears.
+//
+// The parser builds each function from a few slab allocations:
+// instructions and blocks come from fixed-size chunks shared by the
+// whole program, every block's Instrs is a capped window of one
+// per-function pointer slice, and a function's edges and its Succs and
+// Preds lists are carved from one allocation each. Labels and branch
+// targets resolve through a per-function name map, so parse time is
+// linear in the number of blocks.
 func Parse(src string) (*ir.Program, error) {
 	p := &parser{prog: ir.NewProgram()}
 	if err := p.run(src); err != nil {
@@ -21,18 +30,51 @@ func Parse(src string) (*ir.Program, error) {
 	return p.prog, nil
 }
 
+// Slab chunk sizes: how many values one allocation holds.
+const (
+	instrChunk = 128
+	blockChunk = 32
+)
+
+// slab hands out values from fixed-size chunks, so one allocation
+// holds many of them. A chunk stays alive while any value in it does.
+type slab[T any] struct{ chunk []T }
+
+// next returns a pointer to a fresh zero value.
+func (s *slab[T]) next(size int) *T {
+	if len(s.chunk) == cap(s.chunk) {
+		s.chunk = make([]T, 0, size)
+	}
+	s.chunk = s.chunk[:len(s.chunk)+1]
+	return &s.chunk[len(s.chunk)-1]
+}
+
+// pendingEdge is a jmp or br target, recorded by name until the
+// function's closing brace, when every block exists.
 type pendingEdge struct {
 	from   *ir.Block
+	in     *ir.Instr // the branch; its Then or Else gets the target
+	isElse bool
 	target string
 	weight int64
+	to     *ir.Block // resolved at the closing brace
 }
 
 type parser struct {
 	prog *ir.Program
 	line int
 
+	instrs slab[ir.Instr]
+	blocks slab[ir.Block]
+
+	// The function being parsed. The buffers are reused from function
+	// to function; endFunc copies what the function keeps.
 	f       *ir.Func
 	cur     *ir.Block
+	byName  map[string]*ir.Block // first block of each name, as BlockByName finds it
+	layout  []*ir.Block
+	code    []*ir.Instr // instructions in layout order
+	starts  []int       // starts[i] indexes block i's first instruction in code
 	pending []pendingEdge
 	virtMax int
 }
@@ -42,46 +84,18 @@ func (p *parser) errf(format string, args ...any) error {
 }
 
 func (p *parser) run(src string) error {
-	for _, raw := range strings.Split(src, "\n") {
+	for rest := src; ; {
+		line := rest
+		i := strings.IndexByte(rest, '\n')
+		if i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		}
 		p.line++
-		line := raw
-		// Strip full-line comments that aren't terminator weights: the
-		// '; ' annotations are handled inside instruction parsing, so
-		// only '#' comments are stripped here.
-		if i := strings.Index(line, "#"); i >= 0 {
-			line = line[:i]
+		if err := p.parseLine(line); err != nil {
+			return err
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(line, "main "):
-			p.prog.Main = strings.TrimSpace(strings.TrimPrefix(line, "main "))
-		case strings.HasPrefix(line, "func "):
-			if err := p.startFunc(line); err != nil {
-				return err
-			}
-		case line == "}":
-			if err := p.endFunc(); err != nil {
-				return err
-			}
-		case strings.HasSuffix(line, ":"):
-			if p.f == nil {
-				return p.errf("label outside function")
-			}
-			name := strings.TrimSuffix(line, ":")
-			if p.f.BlockByName(name) != nil {
-				return p.errf("duplicate block %q", name)
-			}
-			p.cur = p.f.NewBlock(name)
-		default:
-			if p.f == nil || p.cur == nil {
-				return p.errf("instruction outside block")
-			}
-			if err := p.instr(line); err != nil {
-				return err
-			}
+		if i < 0 {
+			break
 		}
 	}
 	if p.f != nil {
@@ -90,13 +104,64 @@ func (p *parser) run(src string) error {
 	return nil
 }
 
+func (p *parser) parseLine(line string) error {
+	// Strip full-line comments that aren't terminator weights: the
+	// '; ' annotations are handled inside instruction parsing, so
+	// only '#' comments are stripped here.
+	if i := strings.IndexByte(line, '#'); i >= 0 {
+		line = line[:i]
+	}
+	line = strings.TrimSpace(line)
+	switch {
+	case line == "":
+	case strings.HasPrefix(line, "main "):
+		p.prog.Main = strings.TrimSpace(strings.TrimPrefix(line, "main "))
+	case strings.HasPrefix(line, "func "):
+		return p.startFunc(line)
+	case line == "}":
+		return p.endFunc()
+	case strings.HasSuffix(line, ":"):
+		if p.f == nil {
+			return p.errf("label outside function")
+		}
+		name := strings.TrimSuffix(line, ":")
+		if _, dup := p.byName[name]; dup {
+			return p.errf("duplicate block %q", name)
+		}
+		p.newBlock(name)
+	default:
+		if p.f == nil || p.cur == nil {
+			return p.errf("instruction outside block")
+		}
+		return p.instr(line)
+	}
+	return nil
+}
+
+// newBlock starts a block at the end of the current function's layout.
+// An empty name becomes b<ID>, as Func.NewBlock names it.
+func (p *parser) newBlock(name string) {
+	id := len(p.layout)
+	if name == "" {
+		name = "b" + strconv.Itoa(id)
+	}
+	b := p.blocks.next(blockChunk)
+	b.ID, b.Name, b.Func = id, name, p.f
+	if _, ok := p.byName[name]; !ok {
+		p.byName[name] = b
+	}
+	p.layout = append(p.layout, b)
+	p.starts = append(p.starts, len(p.code))
+	p.cur = b
+}
+
 func (p *parser) startFunc(line string) error {
 	if p.f != nil {
 		return p.errf("nested func")
 	}
 	rest := strings.TrimPrefix(line, "func ")
-	open := strings.Index(rest, "(")
-	close_ := strings.Index(rest, ")")
+	open := strings.IndexByte(rest, '(')
+	close_ := strings.IndexByte(rest, ')')
 	if open < 0 || close_ < open || !strings.HasSuffix(rest, "{") {
 		return p.errf("malformed func header %q", line)
 	}
@@ -106,15 +171,15 @@ func (p *parser) startFunc(line string) error {
 	}
 	p.f = ir.NewFunc(name)
 	p.virtMax = 0
-	params := strings.TrimSpace(rest[open+1 : close_])
-	if params != "" {
-		for _, ps := range strings.Split(params, ",") {
-			r, err := p.reg(strings.TrimSpace(ps))
-			if err != nil {
-				return err
-			}
-			p.f.Params = append(p.f.Params, r)
+	// A fresh map per function, because clearing a map costs its
+	// capacity, which the largest function so far would set.
+	p.byName = make(map[string]*ir.Block)
+	if params := strings.TrimSpace(rest[open+1 : close_]); params != "" {
+		regs, err := p.regList(params)
+		if err != nil {
+			return err
 		}
+		p.f.Params = regs
 	}
 	tail := strings.TrimSpace(rest[close_+1 : len(rest)-1])
 	if tail != "" {
@@ -134,31 +199,66 @@ func (p *parser) endFunc() error {
 	if p.f == nil {
 		return p.errf("unmatched }")
 	}
-	// Resolve pending edges now that all blocks exist.
-	for _, pe := range p.pending {
-		to := p.f.BlockByName(pe.target)
-		if to == nil {
-			return p.errf("func %s: branch to unknown block %q", p.f.Name, pe.target)
+	f := p.f
+	// Resolve every branch target first, so an unknown one is reported
+	// before anything is linked.
+	for i := range p.pending {
+		pe := &p.pending[i]
+		if pe.to = p.byName[pe.target]; pe.to == nil {
+			return p.errf("func %s: branch to unknown block %q", f.Name, pe.target)
 		}
-		// Patch terminator targets.
-		t := pe.from.Terminator()
-		if t != nil {
-			if t.Then != nil && t.Then.Name == pe.target && t.Then.Func == nil {
-				t.Then = to
-			}
-			if t.Else != nil && t.Else.Name == pe.target && t.Else.Func == nil {
-				t.Else = to
-			}
-		}
-		p.f.AddEdge(pe.from, to, ir.Jump, pe.weight)
 	}
-	p.pending = nil
-	p.f.NumVirt = p.virtMax
-	p.f.RenumberBlocks()
-	p.f.ClassifyEdges()
-	p.prog.Add(p.f)
+	if len(p.layout) > 0 {
+		f.Blocks = append(make([]*ir.Block, 0, len(p.layout)), p.layout...)
+		f.Entry = f.Blocks[0]
+	}
+	p.carveInstrs(f)
+	p.linkEdges(f)
+	f.NumVirt = p.virtMax
+	f.RenumberBlocks()
+	f.ClassifyEdges()
+	p.prog.Add(f)
 	p.f, p.cur = nil, nil
+	p.layout, p.code, p.starts, p.pending = p.layout[:0], p.code[:0], p.starts[:0], p.pending[:0]
 	return nil
+}
+
+// carveInstrs copies the function's instruction pointers into one
+// slice and gives each block its capped window of it, so an insertion
+// into one block reallocates that block's list instead of overwriting
+// the next block's.
+func (p *parser) carveInstrs(f *ir.Func) {
+	if len(p.code) == 0 {
+		return
+	}
+	code := append(make([]*ir.Instr, 0, len(p.code)), p.code...)
+	for i, b := range f.Blocks {
+		end := len(code)
+		if i+1 < len(p.starts) {
+			end = p.starts[i+1]
+		}
+		if start := p.starts[i]; start < end {
+			b.Instrs = code[start:end:end]
+		}
+	}
+}
+
+// linkEdges creates the function's edges in one allocation, links
+// them in source order, and points each branch at its resolved target.
+func (p *parser) linkEdges(f *ir.Func) {
+	if len(p.pending) == 0 {
+		return
+	}
+	edges := make([]ir.Edge, len(p.pending))
+	for i, pe := range p.pending {
+		edges[i] = ir.Edge{From: pe.from, To: pe.to, Kind: ir.Jump, Weight: pe.weight}
+		if pe.isElse {
+			pe.in.Else = pe.to
+		} else {
+			pe.in.Then = pe.to
+		}
+	}
+	f.LinkEdges(edges)
 }
 
 // reg parses rN or vN or _.
@@ -188,12 +288,37 @@ func (p *parser) reg(s string) (ir.Reg, error) {
 	return ir.NoReg, p.errf("bad register %q", s)
 }
 
+// regList parses a comma-separated register list.
+func (p *parser) regList(s string) ([]ir.Reg, error) {
+	regs := make([]ir.Reg, 0, strings.Count(s, ",")+1)
+	for more := true; more; {
+		var rs string
+		rs, s, more = strings.Cut(s, ",")
+		r, err := p.reg(strings.TrimSpace(rs))
+		if err != nil {
+			return nil, err
+		}
+		regs = append(regs, r)
+	}
+	return regs, nil
+}
+
 var binOps = map[string]ir.Op{
 	"add": ir.OpAdd, "sub": ir.OpSub, "mul": ir.OpMul, "div": ir.OpDiv,
 	"rem": ir.OpRem, "and": ir.OpAnd, "or": ir.OpOr, "xor": ir.OpXor,
 	"shl": ir.OpShl, "shr": ir.OpShr,
 	"cmpeq": ir.OpCmpEQ, "cmpne": ir.OpCmpNE, "cmplt": ir.OpCmpLT,
 	"cmple": ir.OpCmpLE, "cmpgt": ir.OpCmpGT, "cmpge": ir.OpCmpGE,
+}
+
+// emit appends in, with the given flags, to the current block and
+// returns its place in the instruction slab.
+func (p *parser) emit(in ir.Instr, flags ir.InstrFlags) *ir.Instr {
+	slot := p.instrs.next(instrChunk)
+	*slot = in
+	slot.Flags = flags
+	p.code = append(p.code, slot)
+	return slot
 }
 
 // instr parses one instruction line.
@@ -217,100 +342,94 @@ func (p *parser) instr(line string) error {
 		}
 		break
 	}
-	// Terminator weights after ';'.
-	var weights []int64
-	if i := strings.Index(line, ";"); i >= 0 {
-		for _, ws := range strings.Fields(line[i+1:]) {
-			w, err := strconv.ParseInt(ws, 10, 64)
+	// Terminator weights after ';'. Every field must parse; jmp reads
+	// the first and br the first two.
+	var weights int
+	var w [2]int64
+	if i := strings.IndexByte(line, ';'); i >= 0 {
+		for rest := line[i+1:]; ; {
+			var ws string
+			if ws, rest = nextField(rest); ws == "" {
+				break
+			}
+			n, err := strconv.ParseInt(ws, 10, 64)
 			if err != nil {
 				return p.errf("bad weight %q", ws)
 			}
-			weights = append(weights, w)
+			if weights < len(w) {
+				w[weights] = n
+			}
+			weights++
 		}
 		line = strings.TrimSpace(line[:i])
 	}
 
-	emit := func(in *ir.Instr) {
-		in.Flags = flags
-		p.cur.Append(in)
-	}
-
 	// Destination form: "X = rest".
 	if eq := strings.Index(line, " = "); eq >= 0 {
-		dstS := strings.TrimSpace(line[:eq])
-		rest := strings.TrimSpace(line[eq+3:])
-		dst, err := p.reg(dstS)
+		dst, err := p.reg(strings.TrimSpace(line[:eq]))
 		if err != nil {
 			return err
 		}
-		op, args := splitOp(rest)
-		switch {
-		case op == "const":
+		op, args := splitOp(strings.TrimSpace(line[eq+3:]))
+		switch op {
+		case "const":
 			n, err := strconv.ParseInt(args, 10, 64)
 			if err != nil {
 				return p.errf("bad const %q", args)
 			}
-			emit(&ir.Instr{Op: ir.OpConst, Dst: dst, Src1: ir.NoReg, Src2: ir.NoReg, Imm: n})
-		case op == "mov":
+			p.emit(ir.Instr{Op: ir.OpConst, Dst: dst, Src1: ir.NoReg, Src2: ir.NoReg, Imm: n}, flags)
+		case "mov", "neg", "not":
 			s, err := p.reg(args)
 			if err != nil {
 				return err
 			}
-			emit(&ir.Instr{Op: ir.OpMov, Dst: dst, Src1: s, Src2: ir.NoReg})
-		case op == "neg" || op == "not":
-			s, err := p.reg(args)
-			if err != nil {
-				return err
-			}
-			o := ir.OpNeg
-			if op == "not" {
+			o := ir.OpMov
+			switch op {
+			case "neg":
+				o = ir.OpNeg
+			case "not":
 				o = ir.OpNot
 			}
-			emit(&ir.Instr{Op: o, Dst: dst, Src1: s, Src2: ir.NoReg})
-		case op == "load":
+			p.emit(ir.Instr{Op: o, Dst: dst, Src1: s, Src2: ir.NoReg}, flags)
+		case "load":
 			base, off, err := p.addr(args)
 			if err != nil {
 				return err
 			}
-			emit(&ir.Instr{Op: ir.OpLoad, Dst: dst, Src1: base, Src2: ir.NoReg, Imm: off})
-		case op == "spill.ld":
+			p.emit(ir.Instr{Op: ir.OpLoad, Dst: dst, Src1: base, Src2: ir.NoReg, Imm: off}, flags)
+		case "spill.ld", "restore":
 			n, err := strconv.ParseInt(args, 10, 64)
 			if err != nil {
 				return p.errf("bad slot %q", args)
 			}
-			if int(n)+1 > p.f.SpillSlots {
-				p.f.SpillSlots = int(n) + 1
+			o, slots := ir.OpSpillLoad, &p.f.SpillSlots
+			if op == "restore" {
+				o, slots = ir.OpRestore, &p.f.SaveSlots
 			}
-			emit(&ir.Instr{Op: ir.OpSpillLoad, Dst: dst, Src1: ir.NoReg, Src2: ir.NoReg, Imm: n})
-		case op == "restore":
-			n, err := strconv.ParseInt(args, 10, 64)
-			if err != nil {
-				return p.errf("bad slot %q", args)
+			if int(n)+1 > *slots {
+				*slots = int(n) + 1
 			}
-			if int(n)+1 > p.f.SaveSlots {
-				p.f.SaveSlots = int(n) + 1
-			}
-			emit(&ir.Instr{Op: ir.OpRestore, Dst: dst, Src1: ir.NoReg, Src2: ir.NoReg, Imm: n})
-		case op == "call":
-			return p.call(dst, args, emit)
+			p.emit(ir.Instr{Op: o, Dst: dst, Src1: ir.NoReg, Src2: ir.NoReg, Imm: n}, flags)
+		case "call":
+			return p.call(dst, args, flags)
 		default:
 			o, ok := binOps[op]
 			if !ok {
 				return p.errf("unknown op %q", op)
 			}
-			parts := strings.Split(args, ",")
-			if len(parts) != 2 {
+			if strings.Count(args, ",") != 1 {
 				return p.errf("binary op needs 2 operands: %q", line)
 			}
-			a, err := p.reg(strings.TrimSpace(parts[0]))
+			as, bs, _ := strings.Cut(args, ",")
+			a, err := p.reg(strings.TrimSpace(as))
 			if err != nil {
 				return err
 			}
-			b, err := p.reg(strings.TrimSpace(parts[1]))
+			b, err := p.reg(strings.TrimSpace(bs))
 			if err != nil {
 				return err
 			}
-			emit(&ir.Instr{Op: o, Dst: dst, Src1: a, Src2: b})
+			p.emit(ir.Instr{Op: o, Dst: dst, Src1: a, Src2: b}, flags)
 		}
 		return nil
 	}
@@ -318,51 +437,44 @@ func (p *parser) instr(line string) error {
 	op, args := splitOp(line)
 	switch op {
 	case "nop":
-		emit(&ir.Instr{Op: ir.OpNop, Dst: ir.NoReg, Src1: ir.NoReg, Src2: ir.NoReg})
+		p.emit(ir.Instr{Op: ir.OpNop, Dst: ir.NoReg, Src1: ir.NoReg, Src2: ir.NoReg}, flags)
 	case "store":
-		parts := strings.Split(args, ",")
-		if len(parts) != 2 {
+		if strings.Count(args, ",") != 1 {
 			return p.errf("store needs addr, value: %q", line)
 		}
-		base, off, err := p.addr(strings.TrimSpace(parts[0]))
+		as, vs, _ := strings.Cut(args, ",")
+		base, off, err := p.addr(strings.TrimSpace(as))
 		if err != nil {
 			return err
 		}
-		v, err := p.reg(strings.TrimSpace(parts[1]))
+		v, err := p.reg(strings.TrimSpace(vs))
 		if err != nil {
 			return err
 		}
-		emit(&ir.Instr{Op: ir.OpStore, Dst: ir.NoReg, Src1: base, Src2: v, Imm: off})
+		p.emit(ir.Instr{Op: ir.OpStore, Dst: ir.NoReg, Src1: base, Src2: v, Imm: off}, flags)
 	case "spill.st", "save":
-		parts := strings.Split(args, ",")
-		if len(parts) != 2 {
+		if strings.Count(args, ",") != 1 {
 			return p.errf("%s needs slot, reg: %q", op, line)
 		}
-		n, err := strconv.ParseInt(strings.TrimSpace(parts[0]), 10, 64)
+		ns, rs, _ := strings.Cut(args, ",")
+		n, err := strconv.ParseInt(strings.TrimSpace(ns), 10, 64)
 		if err != nil {
-			return p.errf("bad slot %q", parts[0])
+			return p.errf("bad slot %q", ns)
 		}
-		r, err := p.reg(strings.TrimSpace(parts[1]))
+		r, err := p.reg(strings.TrimSpace(rs))
 		if err != nil {
 			return err
 		}
-		o := ir.OpSpillStore
+		o, slots := ir.OpSpillStore, &p.f.SpillSlots
 		if op == "save" {
-			o = ir.OpSave
-			if int(n)+1 > p.f.SaveSlots {
-				p.f.SaveSlots = int(n) + 1
-			}
-		} else {
-			if int(n)+1 > p.f.SpillSlots {
-				p.f.SpillSlots = int(n) + 1
-			}
+			o, slots = ir.OpSave, &p.f.SaveSlots
 		}
-		emit(&ir.Instr{Op: o, Dst: ir.NoReg, Src1: r, Src2: ir.NoReg, Imm: n})
+		if int(n)+1 > *slots {
+			*slots = int(n) + 1
+		}
+		p.emit(ir.Instr{Op: o, Dst: ir.NoReg, Src1: r, Src2: ir.NoReg, Imm: n}, flags)
 	case "call":
-		return p.call(ir.NoReg, args, func(in *ir.Instr) {
-			in.Flags = flags
-			p.cur.Append(in)
-		})
+		return p.call(ir.NoReg, args, flags)
 	case "ret":
 		src := ir.NoReg
 		if args != "" {
@@ -372,42 +484,27 @@ func (p *parser) instr(line string) error {
 			}
 			src = r
 		}
-		emit(&ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, Src1: src, Src2: ir.NoReg})
+		p.emit(ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, Src1: src, Src2: ir.NoReg}, flags)
 	case "jmp":
-		if len(weights) > 1 {
+		if weights > 1 {
 			return p.errf("jmp takes one weight")
 		}
-		var w int64
-		if len(weights) == 1 {
-			w = weights[0]
-		}
-		// Target may be defined later; use a placeholder block header.
-		ph := &ir.Block{Name: args}
-		emit(&ir.Instr{Op: ir.OpJmp, Dst: ir.NoReg, Src1: ir.NoReg, Src2: ir.NoReg, Then: ph})
-		p.pending = append(p.pending, pendingEdge{from: p.cur, target: args, weight: w})
+		in := p.emit(ir.Instr{Op: ir.OpJmp, Dst: ir.NoReg, Src1: ir.NoReg, Src2: ir.NoReg}, flags)
+		p.pending = append(p.pending, pendingEdge{from: p.cur, in: in, target: args, weight: w[0]})
 	case "br":
-		parts := strings.Split(args, ",")
-		if len(parts) != 3 {
+		if strings.Count(args, ",") != 2 {
 			return p.errf("br needs cond, then, else: %q", line)
 		}
-		c, err := p.reg(strings.TrimSpace(parts[0]))
+		cs, rest, _ := strings.Cut(args, ",")
+		ts, es, _ := strings.Cut(rest, ",")
+		c, err := p.reg(strings.TrimSpace(cs))
 		if err != nil {
 			return err
 		}
-		tn := strings.TrimSpace(parts[1])
-		en := strings.TrimSpace(parts[2])
-		var wt, we int64
-		if len(weights) >= 1 {
-			wt = weights[0]
-		}
-		if len(weights) >= 2 {
-			we = weights[1]
-		}
-		emit(&ir.Instr{Op: ir.OpBr, Dst: ir.NoReg, Src1: c, Src2: ir.NoReg,
-			Then: &ir.Block{Name: tn}, Else: &ir.Block{Name: en}})
+		in := p.emit(ir.Instr{Op: ir.OpBr, Dst: ir.NoReg, Src1: c, Src2: ir.NoReg}, flags)
 		p.pending = append(p.pending,
-			pendingEdge{from: p.cur, target: tn, weight: wt},
-			pendingEdge{from: p.cur, target: en, weight: we})
+			pendingEdge{from: p.cur, in: in, target: strings.TrimSpace(ts), weight: w[0]},
+			pendingEdge{from: p.cur, in: in, isElse: true, target: strings.TrimSpace(es), weight: w[1]})
 	default:
 		return p.errf("unknown instruction %q", line)
 	}
@@ -415,30 +512,26 @@ func (p *parser) instr(line string) error {
 }
 
 // call parses "name(a, b, ...)".
-func (p *parser) call(dst ir.Reg, args string, emit func(*ir.Instr)) error {
-	open := strings.Index(args, "(")
+func (p *parser) call(dst ir.Reg, args string, flags ir.InstrFlags) error {
+	open := strings.IndexByte(args, '(')
 	if open < 0 || !strings.HasSuffix(args, ")") {
 		return p.errf("malformed call %q", args)
 	}
-	name := strings.TrimSpace(args[:open])
-	in := &ir.Instr{Op: ir.OpCall, Dst: dst, Src1: ir.NoReg, Src2: ir.NoReg, Callee: name}
-	argList := strings.TrimSpace(args[open+1 : len(args)-1])
-	if argList != "" {
-		for _, as := range strings.Split(argList, ",") {
-			r, err := p.reg(strings.TrimSpace(as))
-			if err != nil {
-				return err
-			}
-			in.Args = append(in.Args, r)
+	in := ir.Instr{Op: ir.OpCall, Dst: dst, Src1: ir.NoReg, Src2: ir.NoReg, Callee: strings.TrimSpace(args[:open])}
+	if argList := strings.TrimSpace(args[open+1 : len(args)-1]); argList != "" {
+		regs, err := p.regList(argList)
+		if err != nil {
+			return err
 		}
+		in.Args = regs
 	}
-	emit(in)
+	p.emit(in, flags)
 	return nil
 }
 
 // addr parses "reg+off" or "reg".
 func (p *parser) addr(s string) (ir.Reg, int64, error) {
-	if i := strings.Index(s, "+"); i >= 0 {
+	if i := strings.IndexByte(s, '+'); i >= 0 {
 		r, err := p.reg(strings.TrimSpace(s[:i]))
 		if err != nil {
 			return ir.NoReg, 0, err
@@ -453,9 +546,31 @@ func (p *parser) addr(s string) (ir.Reg, int64, error) {
 	return r, 0, err
 }
 
+// splitOp splits s at its first space or tab into the mnemonic and
+// its trimmed operands.
 func splitOp(s string) (op, args string) {
-	if i := strings.IndexAny(s, " \t"); i >= 0 {
-		return s[:i], strings.TrimSpace(s[i+1:])
+	for i := 0; i < len(s); i++ {
+		if s[i] == ' ' || s[i] == '\t' {
+			return s[:i], strings.TrimSpace(s[i+1:])
+		}
 	}
 	return s, ""
 }
+
+// nextField returns the first field of s as strings.Fields splits it
+// (Unicode white space separates fields) and the text after it, or ""
+// when s holds no field.
+func nextField(s string) (field, rest string) {
+	start := strings.IndexFunc(s, isNotSpace)
+	if start < 0 {
+		return "", ""
+	}
+	s = s[start:]
+	end := strings.IndexFunc(s, unicode.IsSpace)
+	if end < 0 {
+		return s, ""
+	}
+	return s[:end], s[end:]
+}
+
+func isNotSpace(r rune) bool { return !unicode.IsSpace(r) }

@@ -87,6 +87,11 @@ func (b *Builder) Build() (*PST, error) {
 
 func (b *Builder) takeSnap() {
 	f := b.f
+	n := 0
+	for _, blk := range f.Blocks {
+		n += len(blk.Succs)
+	}
+	edges := make([]*ir.Edge, 0, n)
 	s := snapshot{
 		entry:  f.Entry,
 		blocks: append([]*ir.Block(nil), f.Blocks...),
@@ -96,7 +101,9 @@ func (b *Builder) takeSnap() {
 	}
 	for i, blk := range f.Blocks {
 		s.ids[i] = blk.ID
-		s.succs[i] = append([]*ir.Edge(nil), blk.Succs...)
+		start := len(edges)
+		edges = append(edges, blk.Succs...)
+		s.succs[i] = edges[start:len(edges):len(edges)]
 		s.exits[i] = blk.IsExit()
 	}
 	b.snap = s

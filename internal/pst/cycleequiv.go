@@ -8,8 +8,8 @@
 package pst
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/ir"
 )
@@ -44,23 +44,38 @@ type halfEdge struct {
 func buildAug(f *ir.Func) *augGraph {
 	n := len(f.Blocks)
 	g := &augGraph{f: f, n: n, start: n, end: n + 1}
-	add := func(e augEdge) {
-		idx := len(g.edges)
-		g.edges = append(g.edges, e)
-		_ = idx
+	m := 2 // START->entry and END->START
+	for _, b := range f.Blocks {
+		m += len(b.Succs)
+		if b.IsExit() {
+			m++
+		}
 	}
-	add(augEdge{from: g.start, to: f.Entry.ID, isEntry: true})
+	g.edges = make([]augEdge, 0, m)
+	g.edges = append(g.edges, augEdge{from: g.start, to: f.Entry.ID, isEntry: true})
 	for _, b := range f.Blocks {
 		for _, e := range b.Succs {
-			add(augEdge{from: e.From.ID, to: e.To.ID, real: e})
+			g.edges = append(g.edges, augEdge{from: e.From.ID, to: e.To.ID, real: e})
 		}
 		if b.IsExit() {
-			add(augEdge{from: b.ID, to: g.end, exitFrom: b})
+			g.edges = append(g.edges, augEdge{from: b.ID, to: g.end, exitFrom: b})
 		}
 	}
-	add(augEdge{from: g.end, to: g.start, isClose: true})
+	g.edges = append(g.edges, augEdge{from: g.end, to: g.start, isClose: true})
 
+	// Carve every node's incident edges from one slice, sized by degree.
+	deg := make([]int, n+2)
+	for _, e := range g.edges {
+		deg[e.from]++
+		if e.from != e.to {
+			deg[e.to]++
+		}
+	}
+	half := make([]halfEdge, 2*len(g.edges))
 	g.adj = make([][]halfEdge, n+2)
+	for v, d := range deg {
+		g.adj[v], half = half[:0:d], half[d:]
+	}
 	for i, e := range g.edges {
 		g.adj[e.from] = append(g.adj[e.from], halfEdge{edge: i, other: e.to})
 		if e.from != e.to {
@@ -108,32 +123,24 @@ func cycleEquivalence(g *augGraph) []sig {
 	nNodes := g.n + 2
 	nEdges := len(g.edges)
 
-	parent := make([]int, nNodes)     // parent node in DFS tree
-	parentEdge := make([]int, nNodes) // edge index to parent
-	order := make([]int, 0, nNodes)   // DFS preorder of nodes
-	state := make([]int, nNodes)      // 0 new, 1 open, 2 done
-	for i := range parent {
-		parent[i] = -1
-		parentEdge[i] = -1
-	}
-
-	isTree := make([]bool, nEdges)
-	isBack := make([]bool, nEdges)
+	ints := make([]int, 2*nNodes)
+	parent, parentEdge := ints[:nNodes], ints[nNodes:] // parent node and edge in the DFS tree
+	order := make([]int, 0, nNodes)                    // DFS preorder of nodes
+	marks := make([]bool, nNodes+nEdges)
+	visited, used := marks[:nNodes], marks[nNodes:]
 	rng := xorshift(0x5eed1234abcd9876)
-	hashes := make([]sig, nEdges)
 	acc := make([]sig, nNodes)
 	sigs := make([]sig, nEdges)
-	used := make([]bool, nEdges)
 
 	// Iterative DFS from START over the undirected multigraph.
 	type frame struct{ node, idx int }
-	stack := []frame{{g.start, 0}}
-	state[g.start] = 1
+	stack := make([]frame, 1, nNodes)
+	stack[0] = frame{g.start, 0}
+	visited[g.start] = true
 	order = append(order, g.start)
 	for len(stack) > 0 {
 		fr := &stack[len(stack)-1]
 		if fr.idx >= len(g.adj[fr.node]) {
-			state[fr.node] = 2
 			stack = stack[:len(stack)-1]
 			continue
 		}
@@ -146,114 +153,126 @@ func cycleEquivalence(g *augGraph) []sig {
 		e := g.edges[he.edge]
 		if e.from == e.to {
 			// Self-loop: unique singleton class.
-			hashes[he.edge] = sig{rng.next(), rng.next()}
-			sigs[he.edge] = hashes[he.edge]
+			sigs[he.edge] = sig{rng.next(), rng.next()}
 			continue
 		}
 		w := he.other
-		if state[w] == 0 {
-			isTree[he.edge] = true
-			parent[w] = fr.node
-			parentEdge[w] = he.edge
-			state[w] = 1
+		if !visited[w] {
+			parent[w], parentEdge[w] = fr.node, he.edge
+			visited[w] = true
 			order = append(order, w)
 			stack = append(stack, frame{w, 0})
 		} else {
 			// Backedge (to an ancestor or finished node; in undirected
 			// DFS all non-tree edges connect to ancestors).
-			isBack[he.edge] = true
 			h := sig{rng.next(), rng.next()}
-			hashes[he.edge] = h
 			sigs[he.edge] = h
 			acc[e.from].xor(h)
 			acc[e.to].xor(h)
 		}
 	}
 
-	// Subtree XOR aggregation in reverse preorder (children first).
-	sub := make([]sig, nNodes)
-	for i := range sub {
-		sub[i] = acc[i]
-	}
+	// Subtree XOR aggregation in reverse preorder (children first): the
+	// tree edge p-v carries the XOR of v's subtree.
 	for i := len(order) - 1; i >= 1; i-- {
 		v := order[i]
-		p := parent[v]
-		// Tree edge p-v carries the subtree XOR of v.
-		sigs[parentEdge[v]] = sub[v]
-		sub[p].xor(sub[v])
+		sigs[parentEdge[v]] = acc[v]
+		acc[parent[v]].xor(acc[v])
 	}
-
-	_ = isTree
-	_ = isBack
 	return sigs
 }
 
-// splitGraph builds the edge-split directed graph used to order edges
-// of one class by dominance and to decide region membership: every
+// splitGraph is the edge-split directed graph used to order edges of
+// one class by dominance and to decide region membership: every
 // augmented edge e: u->v (except END->START) becomes u -> node(e) -> v.
-// It is represented as a bare ir.Func so the cfg dominator code can
-// run on it.
+// It is a bare ir.Func, so the cfg dominator code can run on it, built
+// from slabs: one array of unnamed blocks, one of edges, and one of
+// successor and predecessor lists.
 type splitGraph struct {
 	g *ir.Func
-	// blockNode[b.ID] is the split-graph block for real block b.
-	blockNode []*ir.Block
-	// edgeNode[i] is the split-graph block for augmented edge i (nil
-	// for END->START).
-	edgeNode []*ir.Block
-	startN   *ir.Block
-	endN     *ir.Block
+	// nodes holds START, one node per real block in ID order, END, and
+	// one node per augmented edge in index order; END->START, the last
+	// augmented edge, has none.
+	nodes   []ir.Block
+	nblocks int
+	// ret is END's terminator, so cfg.Postdominators finds END as the
+	// graph's only exit.
+	ret  ir.Instr
+	code [1]*ir.Instr
+}
+
+// blockNode is the split-graph node of real block id.
+func (s *splitGraph) blockNode(id int) *ir.Block { return &s.nodes[1+id] }
+
+// edgeNode is the split-graph node of augmented edge i.
+func (s *splitGraph) edgeNode(i int) *ir.Block { return &s.nodes[s.nblocks+2+i] }
+
+// node is the split-graph node of augmented-graph node v.
+func (s *splitGraph) node(a *augGraph, v int) *ir.Block {
+	switch v {
+	case a.start:
+		return &s.nodes[0]
+	case a.end:
+		return &s.nodes[s.nblocks+1]
+	}
+	return s.blockNode(v)
 }
 
 func buildSplit(a *augGraph) *splitGraph {
-	s := &splitGraph{g: ir.NewFunc(a.f.Name + ".split")}
-	s.startN = s.g.NewBlock("START")
-	s.blockNode = make([]*ir.Block, a.n)
-	for _, b := range a.f.Blocks {
-		s.blockNode[b.ID] = s.g.NewBlock("n." + b.Name)
+	nEdges := len(a.edges) - 1 // every augmented edge but END->START
+	s := &splitGraph{nodes: make([]ir.Block, a.n+2+nEdges), nblocks: a.n}
+	s.g = &ir.Func{Blocks: make([]*ir.Block, len(s.nodes))}
+	for i := range s.nodes {
+		s.nodes[i].ID, s.nodes[i].Func = i, s.g
+		s.g.Blocks[i] = &s.nodes[i]
 	}
-	s.endN = s.g.NewBlock("END")
-	// END is the unique exit of the split graph; give it a ret so
-	// cfg.Postdominators can find it.
-	s.endN.Append(&ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, Src1: ir.NoReg, Src2: ir.NoReg})
-	node := func(i int) *ir.Block {
-		switch i {
-		case a.start:
-			return s.startN
-		case a.end:
-			return s.endN
-		default:
-			return s.blockNode[i]
-		}
+	s.g.Entry = &s.nodes[0]
+	s.ret = ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, Src1: ir.NoReg, Src2: ir.NoReg}
+	s.code[0] = &s.ret
+	s.nodes[a.n+1].Instrs = s.code[:]
+
+	edges := make([]ir.Edge, 2*nEdges)
+	for i, e := range a.edges[:nEdges] {
+		en := s.edgeNode(i)
+		edges[2*i] = ir.Edge{From: s.node(a, e.from), To: en, Kind: ir.Jump}
+		edges[2*i+1] = ir.Edge{From: en, To: s.node(a, e.to), Kind: ir.Jump}
 	}
-	s.edgeNode = make([]*ir.Block, len(a.edges))
-	for i, e := range a.edges {
-		if e.isClose {
-			continue
-		}
-		en := s.g.NewBlock(fmt.Sprintf("e%d", i))
-		s.edgeNode[i] = en
-		s.g.AddEdge(node(e.from), en, ir.Jump, 0)
-		s.g.AddEdge(en, node(e.to), ir.Jump, 0)
-	}
-	s.g.RenumberBlocks()
+	s.g.LinkEdges(edges)
 	return s
 }
 
-// classes groups augmented edge indices by signature, deterministic
-// order (by first edge index).
+// groupClasses groups augmented edge indices by signature: sorting the
+// indices by (signature, index) makes each class a run in index order,
+// and the classes are then ordered by their first edge.
 func groupClasses(sigs []sig) [][]int {
-	bySig := make(map[sig][]int)
-	var keys []sig
-	for i, s := range sigs {
-		if _, ok := bySig[s]; !ok {
-			keys = append(keys, s)
+	idx := make([]int, len(sigs))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(x, y int) int {
+		if c := cmp.Compare(sigs[x].a, sigs[y].a); c != 0 {
+			return c
 		}
-		bySig[s] = append(bySig[s], i)
+		if c := cmp.Compare(sigs[x].b, sigs[y].b); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	n := 0
+	for i := range idx {
+		if i == 0 || sigs[idx[i]] != sigs[idx[i-1]] {
+			n++
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return bySig[keys[i]][0] < bySig[keys[j]][0] })
-	out := make([][]int, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, bySig[k])
+	classes := make([][]int, 0, n)
+	for start := 0; start < len(idx); {
+		end := start + 1
+		for end < len(idx) && sigs[idx[end]] == sigs[idx[start]] {
+			end++
+		}
+		classes = append(classes, idx[start:end:end])
+		start = end
 	}
-	return out
+	slices.SortFunc(classes, func(x, y []int) int { return cmp.Compare(x[0], y[0]) })
+	return classes
 }

@@ -86,10 +86,10 @@ func (b *Builder) Patch(t *PST, oldID map[*ir.Block]int, splits []EdgeSplit) boo
 
 	oldNode := func(blk *ir.Block) *ir.Block {
 		id, ok := oldID[blk]
-		if !ok || id < 0 || id >= len(m.split.blockNode) {
+		if !ok || id < 0 || id >= m.split.nblocks {
 			return nil
 		}
-		return m.split.blockNode[id]
+		return m.split.blockNode(id)
 	}
 
 	// Validate every split against the memo before mutating anything.
@@ -145,10 +145,18 @@ func (b *Builder) Patch(t *PST, oldID map[*ir.Block]int, splits []EdgeSplit) boo
 
 	// 1. Re-index every region's membership to the post-edit block IDs
 	// (the member pointers in Blocks are unchanged, their IDs are not).
+	// Every bitset, the new regions' included, comes from one slab.
+	words := setWords(len(b.f.Blocks))
+	bits := make([]uint64, words*(len(t.Regions)+len(sis)))
+	newSet := func() []uint64 {
+		set := bits[:words:words]
+		bits = bits[words:]
+		return set
+	}
 	for _, r := range t.Regions {
-		r.in = make(map[int]bool, len(r.Blocks)+len(sis))
+		r.in = newSet()
 		for _, blk := range r.Blocks {
-			r.in[blk.ID] = true
+			r.add(blk.ID)
 		}
 	}
 
@@ -158,15 +166,15 @@ func (b *Builder) Patch(t *PST, oldID map[*ir.Block]int, splits []EdgeSplit) boo
 		if classSize[si.ie] != 1 || classClose[si.ie] {
 			continue
 		}
-		en := m.split.edgeNode[si.ie]
-		r := &Region{EntryEdge: si.s.FromEdge, ExitEdge: si.s.ToEdge, in: make(map[int]bool)}
+		en := m.split.edgeNode(si.ie)
+		r := &Region{EntryEdge: si.s.FromEdge, ExitEdge: si.s.ToEdge, in: newSet()}
 		for _, blk := range b.f.Blocks {
 			n := oldNode(blk)
 			if n == nil {
 				continue // an inserted block; placed in step 4
 			}
 			if m.dom.Dominates(en, n) && m.pdom.Dominates(en, n) {
-				r.in[blk.ID] = true
+				r.add(blk.ID)
 				r.Blocks = append(r.Blocks, blk)
 			}
 		}
@@ -195,10 +203,10 @@ func (b *Builder) Patch(t *PST, oldID map[*ir.Block]int, splits []EdgeSplit) boo
 	for _, si := range sis {
 		for _, r := range t.Regions {
 			bd := rb[r]
-			condA := bd.a == si.ie || m.dom.Dominates(m.split.edgeNode[bd.a], si.fromN)
-			condB := bd.b == -1 || bd.b == si.ie || m.pdom.Dominates(m.split.edgeNode[bd.b], si.toN)
+			condA := bd.a == si.ie || m.dom.Dominates(m.split.edgeNode(bd.a), si.fromN)
+			condB := bd.b == -1 || bd.b == si.ie || m.pdom.Dominates(m.split.edgeNode(bd.b), si.toN)
 			if condA && condB {
-				r.in[si.s.NewBlock.ID] = true
+				r.add(si.s.NewBlock.ID)
 				r.Blocks = append(r.Blocks, si.s.NewBlock)
 			}
 		}

@@ -1,8 +1,9 @@
 package pst
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/cfg"
@@ -33,20 +34,30 @@ type Region struct {
 	// Depth is 0 for the root, increasing inward.
 	Depth int
 
-	in map[int]bool // block IDs
+	in []uint64 // bitset over block IDs
 }
 
 // IsRoot reports whether the region is the whole procedure.
 func (r *Region) IsRoot() bool { return r.Parent == nil }
 
 // ContainsBlock reports whether b lies inside the region.
-func (r *Region) ContainsBlock(b *ir.Block) bool { return r.in[b.ID] }
+func (r *Region) ContainsBlock(b *ir.Block) bool { return r.has(b.ID) }
 
 // ContainsEdge reports whether both endpoints of e lie inside the
 // region (the region's own boundary edges are NOT contained).
 func (r *Region) ContainsEdge(e *ir.Edge) bool {
-	return r.in[e.From.ID] && r.in[e.To.ID]
+	return r.has(e.From.ID) && r.has(e.To.ID)
 }
+
+func (r *Region) has(id int) bool {
+	w := uint(id) / 64
+	return w < uint(len(r.in)) && r.in[w]&(1<<(uint(id)%64)) != 0
+}
+
+func (r *Region) add(id int) { r.in[id/64] |= 1 << (id % 64) }
+
+// setWords is the length of a membership bitset over n block IDs.
+func setWords(n int) int { return (n + 63) / 64 }
 
 // EntryWeight is the dynamic execution count of the region's entry
 // boundary.
@@ -173,11 +184,72 @@ func buildWith(f *ir.Func, mode Mode, in *internals) (*PST, error) {
 		}
 	}
 
+	// Regions, their bitsets and their block lists come from slabs
+	// sized for one region per class, refilled if Canonical mode needs
+	// more.
+	words := setWords(len(f.Blocks))
+	var slab []Region
+	var bits []uint64
+	var members []*ir.Block
+	// makeSpan builds the region between two chain positions; a to
+	// index of -1 means the virtual end (all procedure exits).
+	makeSpan := func(fromIdx, toIdx int) *Region {
+		first := a.edges[fromIdx]
+		if len(slab) == 0 {
+			slab = make([]Region, len(in.classes))
+			bits = make([]uint64, words*len(in.classes))
+		}
+		r := &slab[0]
+		slab = slab[1:]
+		r.in, bits = bits[:words:words], bits[words:]
+		if !first.isEntry {
+			r.EntryEdge = first.real
+		}
+		var xn *ir.Block
+		if toIdx >= 0 {
+			last := a.edges[toIdx]
+			if last.real != nil {
+				r.ExitEdge = last.real
+			} else {
+				r.ExitBlock = last.exitFrom
+			}
+			xn = split.edgeNode(toIdx)
+		}
+		// Membership: block x is in region (a,b) iff node(a)
+		// dominates x and node(b) postdominates x in the edge-split
+		// graph.
+		en := split.edgeNode(fromIdx)
+		n := 0
+		for _, b := range f.Blocks {
+			nb := split.blockNode(b.ID)
+			if dom.Dominates(en, nb) && (xn == nil || pdom.Dominates(xn, nb)) {
+				r.add(b.ID)
+				n++
+			}
+		}
+		if len(members) < n {
+			members = make([]*ir.Block, max(n, 4*len(f.Blocks)))
+		}
+		r.Blocks, members = members[:0:n], members[n:]
+		for _, b := range f.Blocks {
+			if r.has(b.ID) {
+				r.Blocks = append(r.Blocks, b)
+			}
+		}
+		return r
+	}
+
 	var regions []*Region
+	add := func(r *Region) {
+		if len(r.Blocks) > 0 {
+			regions = append(regions, r)
+		}
+	}
+	var edges []int // the current class's chain, reused
 	for _, class := range in.classes {
 		// Drop the END->START edge from the chain; it orders last.
 		hasClose := false
-		edges := class[:0:0]
+		edges = edges[:0]
 		for _, i := range class {
 			if i == closeIdx {
 				hasClose = true
@@ -189,61 +261,14 @@ func buildWith(f *ir.Func, mode Mode, in *internals) (*PST, error) {
 			continue
 		}
 		// Order the class chain by dominance of the split nodes.
-		sort.Slice(edges, func(x, y int) bool {
-			nx, ny := split.edgeNode[edges[x]], split.edgeNode[edges[y]]
-			return dom.Level(nx) < dom.Level(ny)
+		slices.SortFunc(edges, func(x, y int) int {
+			return cmp.Compare(dom.Level(split.edgeNode(x)), dom.Level(split.edgeNode(y)))
 		})
 		// Verify the chain is totally ordered (defensive: theory says
 		// it always is; a hash collision would break it).
-		ok := true
 		for i := 0; i+1 < len(edges); i++ {
-			if !dom.Dominates(split.edgeNode[edges[i]], split.edgeNode[edges[i+1]]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("pst.BuildMode(%s): cycle-equivalence class not chain-ordered (signature collision?)", f.Name)
-		}
-
-		// makeSpan builds the region between two chain positions; a to
-		// index of -1 means the virtual end (all procedure exits).
-		makeSpan := func(fromIdx, toIdx int) *Region {
-			first := a.edges[fromIdx]
-			r := &Region{in: make(map[int]bool)}
-			if !first.isEntry {
-				r.EntryEdge = first.real
-			}
-			var xn *ir.Block
-			if toIdx >= 0 {
-				last := a.edges[toIdx]
-				if last.real != nil {
-					r.ExitEdge = last.real
-				} else {
-					r.ExitBlock = last.exitFrom
-				}
-				xn = split.edgeNode[toIdx]
-			}
-			// Membership: block x is in region (a,b) iff node(a)
-			// dominates x and node(b) postdominates x in the edge-split
-			// graph.
-			en := split.edgeNode[fromIdx]
-			for _, b := range f.Blocks {
-				nb := split.blockNode[b.ID]
-				if !dom.Dominates(en, nb) {
-					continue
-				}
-				if xn != nil && !pdom.Dominates(xn, nb) {
-					continue
-				}
-				r.in[b.ID] = true
-				r.Blocks = append(r.Blocks, b)
-			}
-			return r
-		}
-		add := func(r *Region) {
-			if len(r.Blocks) > 0 {
-				regions = append(regions, r)
+			if !dom.Dominates(split.edgeNode(edges[i]), split.edgeNode(edges[i+1])) {
+				return nil, fmt.Errorf("pst.BuildMode(%s): cycle-equivalence class not chain-ordered (signature collision?)", f.Name)
 			}
 		}
 
@@ -285,68 +310,88 @@ func assemble(f *ir.Func, regions []*Region) (*Region, error) {
 	for _, r := range regions {
 		r.Parent = nil
 		r.Children = nil
-		sort.Slice(r.Blocks, func(i, j int) bool { return r.Blocks[i].ID < r.Blocks[j].ID })
+		slices.SortFunc(r.Blocks, func(x, y *ir.Block) int { return cmp.Compare(x.ID, y.ID) })
 	}
 	// Nesting: parent = smallest region strictly containing the child.
 	// The comparator is a total order (distinct regions with identical
 	// block sets differ in their boundaries), so the final region order
 	// does not depend on the order regions were discovered in.
-	sort.Slice(regions, func(i, j int) bool {
-		ri, rj := regions[i], regions[j]
-		if len(ri.Blocks) != len(rj.Blocks) {
-			return len(ri.Blocks) < len(rj.Blocks)
+	slices.SortFunc(regions, func(ri, rj *Region) int {
+		if c := cmp.Compare(len(ri.Blocks), len(rj.Blocks)); c != 0 {
+			return c
 		}
-		if ri.Blocks[0].ID != rj.Blocks[0].ID {
-			return ri.Blocks[0].ID < rj.Blocks[0].ID
+		if c := cmp.Compare(ri.Blocks[0].ID, rj.Blocks[0].ID); c != 0 {
+			return c
 		}
 		ki, kj := boundaryKey(ri), boundaryKey(rj)
-		for x := range ki {
-			if ki[x] != kj[x] {
-				return ki[x] < kj[x]
-			}
-		}
-		return false
+		return slices.Compare(ki[:], kj[:])
 	})
-	var root *Region
+	n := len(regions)
+	ints := make([]int, 2*n)
+	parent, kids := ints[:n], ints[n:] // parent index (-1: none), child count
+	rootIdx := -1
 	for i, r := range regions {
-		for j := i + 1; j < len(regions); j++ {
+		parent[i] = -1
+		for j := i + 1; j < n; j++ {
 			if containsAll(regions[j], r) {
-				r.Parent = regions[j]
-				regions[j].Children = append(regions[j].Children, r)
+				parent[i] = j
+				kids[j]++
 				break
 			}
 		}
-		if r.Parent == nil && len(r.Blocks) == len(f.Blocks) {
-			root = r
+		if parent[i] < 0 && len(r.Blocks) == len(f.Blocks) {
+			rootIdx = i
 		}
 	}
-	if root == nil {
+	if rootIdx < 0 {
 		// Should not happen: the class of START->entry always covers
 		// every block. Guard anyway.
 		return nil, fmt.Errorf("pst.BuildMode(%s): no root region found", f.Name)
 	}
+	root := regions[rootIdx]
 	// Any parentless non-root region hangs off the root (can occur if
 	// its blocks equal the whole function but it is not the aug chain;
 	// containsAll with equal sets attaches it above, so this is rare).
-	for _, r := range regions {
-		if r != root && r.Parent == nil {
+	// It follows the root's contained children.
+	for i := range regions {
+		if parent[i] < 0 && i != rootIdx {
+			kids[rootIdx]++
+		}
+	}
+	// Every region but the root has one parent, so one slice holds all
+	// the Children lists.
+	slab := make([]*Region, n-1)
+	for i, r := range regions {
+		if k := kids[i]; k > 0 {
+			r.Children, slab = slab[:0:k], slab[k:]
+		}
+	}
+	for i, r := range regions {
+		if j := parent[i]; j >= 0 {
+			r.Parent = regions[j]
+			r.Parent.Children = append(r.Parent.Children, r)
+		}
+	}
+	for i, r := range regions {
+		if parent[i] < 0 && r != root {
 			r.Parent = root
 			root.Children = append(root.Children, r)
 		}
 	}
 	for _, r := range regions {
-		sort.Slice(r.Children, func(i, j int) bool {
-			return r.Children[i].Blocks[0].ID < r.Children[j].Blocks[0].ID
+		slices.SortFunc(r.Children, func(x, y *Region) int {
+			return cmp.Compare(x.Blocks[0].ID, y.Blocks[0].ID)
 		})
 	}
-	var setDepth func(r *Region, d int)
-	setDepth = func(r *Region, d int) {
-		r.Depth = d
-		for _, c := range r.Children {
-			setDepth(c, d+1)
+	// A contained region sorts before its parent, so walking the order
+	// backwards sets a parent's depth before its children's; orphans'
+	// parent is the root.
+	root.Depth = 0
+	for i := n - 1; i >= 0; i-- {
+		if r := regions[i]; r != root {
+			r.Depth = r.Parent.Depth + 1
 		}
 	}
-	setDepth(root, 0)
 	return root, nil
 }
 
@@ -368,13 +413,18 @@ func boundaryKey(r *Region) [4]int {
 }
 
 // containsAll reports whether outer strictly contains inner: a
-// superset of blocks and strictly larger.
+// superset of blocks and strictly larger. The subset test runs a word
+// of the bitsets at a time.
 func containsAll(outer, inner *Region) bool {
 	if len(outer.Blocks) <= len(inner.Blocks) {
 		return false
 	}
-	for id := range inner.in {
-		if !outer.in[id] {
+	for i, w := range inner.in {
+		var o uint64
+		if i < len(outer.in) {
+			o = outer.in[i]
+		}
+		if w&^o != 0 {
 			return false
 		}
 	}
