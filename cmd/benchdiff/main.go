@@ -13,17 +13,17 @@
 //	benchdiff -machines ... -write-fresh DIR  # dump the fresh records
 //	                                          # (CI failure artifacts)
 //
-// The VM gate compares the bytecode-over-tree speedup ratio (host
+// The VM gate compares the regcode-over-tree speedup ratio (host
 // speed cancels) and the deterministic per-run instruction counts; the
 // machines gate compares the deterministic weighted overheads of every
 // (machine preset, strategy) pair and the analysis build counters that
 // prove the sweep shares analyses across presets; the analysis gate
 // compares the cold-over-incremental re-placement speedup (host speed
-// cancels), its absolute 3x floor, and the zero-full-rebuild property
-// of the delta patchers; the serve gate re-runs the in-process loadgen
-// sweep and compares the cached-over-cold speedup against the committed
-// ratio, the deterministic cache hit counters, and the analysis cache's
-// eviction bound; the tiered gate re-runs the static-vs-measured
+// cancels) and the zero-full-rebuild property of the delta patchers;
+// the serve gate re-runs the in-process loadgen sweep and compares the
+// cached-over-cold speedup against the committed ratio, the
+// deterministic cache hit counters, and the analysis cache's eviction
+// bound; the tiered gate re-runs the static-vs-measured
 // re-placement comparison on the hostile suite and compares the
 // deterministic per-preset overheads, requiring the best preset's gain
 // to clear the absolute floor; the crossover gate re-runs the
@@ -84,9 +84,7 @@ func main() {
 		if *inject > 0 {
 			bench.InjectVMRegression(fresh, *inject)
 		}
-		fmt.Printf("vm: committed speedup %.2fx, fresh %.2fx\n", committed.Speedup, fresh.Speedup)
-		fmt.Printf("vm: committed regcode speedup %.2fx, fresh %.2fx (floor %.1fx)\n",
-			committed.RegcodeSpeedup, fresh.RegcodeSpeedup, bench.RegcodeSpeedupFloor)
+		fmt.Printf("vm: committed regcode speedup over tree %.2fx, fresh %.2fx\n", committed.Speedup, fresh.Speedup)
 		dumpFresh(*writeFresh, "BENCH_vm.fresh.json", fresh)
 		findings = append(findings, bench.CompareVM(&committed, fresh, *threshold)...)
 	}

@@ -44,7 +44,7 @@ func main() {
 	keep := flag.Int("keep", 5, "minimize and write at most this many failures")
 	emit := flag.Int("emit", 0, "instead of hunting bugs: emit this many minimized oracle-clean sample programs to -out")
 	verbose := flag.Bool("v", false, "log every failing seed as it is found")
-	engine := flag.String("engine", "bytecode", "VM engine for the oracle's runs: bytecode, regcode, or tree")
+	engine := flag.String("engine", "regcode", "VM engine for the oracle's runs: regcode|tree")
 	parity := flag.Bool("parity", false, "instead of the strategy oracle: cross-check the -engine VM engine against the tree interpreter on every seed (raw, step-limited, and placed programs)")
 	flag.Parse()
 

@@ -138,7 +138,7 @@ type Options struct {
 	// still contend — for paper-grade Table 2 timings use 1.
 	Parallelism int
 	// Engine selects the VM engine for the measurement runs (default
-	// the bytecode engine; vm.EngineTree is the legacy differential
+	// vm.EngineRegcode; vm.EngineTree is the legacy differential
 	// reference). Measured counts are engine-independent — the parity
 	// tests prove it — only wall-clock time changes.
 	Engine vm.Engine

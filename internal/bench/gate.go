@@ -11,22 +11,13 @@ import (
 	"fmt"
 )
 
-// RegcodeSpeedupFloor is the absolute regcode-over-bytecode throughput
-// ratio the gate enforces regardless of the committed record: the
-// regcode engine exists to be at least this much faster.
-const RegcodeSpeedupFloor = 1.5
-
 // CompareVM diffs a fresh engine benchmark against the committed
 // record. Absolute throughput depends on the host, so the gate
 // compares host-independent quantities:
 //
-//   - the bytecode-over-tree speedup ratio must not regress by more
+//   - the regcode-over-tree speedup ratio must not regress by more
 //     than thresholdPct percent (both engines run on the same host in
 //     the same process, so the ratio cancels host speed);
-//   - the regcode-over-bytecode speedup must not regress below the
-//     committed ratio by more than thresholdPct percent, and must stay
-//     above the absolute RegcodeSpeedupFloor the engine was built to
-//     clear;
 //   - per-run dynamic instruction counts must match the committed
 //     record exactly — they are deterministic, and a drift means the
 //     record is stale (or an engine miscounts) — and must agree across
@@ -37,32 +28,19 @@ func CompareVM(committed, fresh *VMBench, thresholdPct float64) []string {
 		floor := committed.Speedup * (1 - thresholdPct/100)
 		if fresh.Speedup < floor {
 			findings = append(findings, fmt.Sprintf(
-				"vm: bytecode speedup %.2fx regressed more than %.0f%% below committed %.2fx (floor %.2fx)",
+				"vm: regcode speedup over tree %.2fx regressed more than %.0f%% below committed %.2fx (floor %.2fx)",
 				fresh.Speedup, thresholdPct, committed.Speedup, floor))
 		}
 	}
-	if committed.RegcodeSpeedup > 0 {
-		floor := committed.RegcodeSpeedup * (1 - thresholdPct/100)
-		if fresh.RegcodeSpeedup < floor {
-			findings = append(findings, fmt.Sprintf(
-				"vm: regcode speedup %.2fx regressed more than %.0f%% below committed %.2fx (floor %.2fx)",
-				fresh.RegcodeSpeedup, thresholdPct, committed.RegcodeSpeedup, floor))
-		}
-	}
-	if fresh.RegcodeSpeedup > 0 && fresh.RegcodeSpeedup < RegcodeSpeedupFloor {
-		findings = append(findings, fmt.Sprintf(
-			"vm: regcode only %.2fx faster than bytecode, below the %.1fx floor",
-			fresh.RegcodeSpeedup, RegcodeSpeedupFloor))
-	}
-	if be := findEngine(fresh, "bytecode"); be != nil && be.Runs > 0 {
-		base := be.Instrs / int64(be.Runs)
+	if re := findEngine(fresh, "regcode"); re != nil && re.Runs > 0 {
+		base := re.Instrs / int64(re.Runs)
 		for _, fe := range fresh.Engines {
-			if fe.Engine == "bytecode" || fe.Runs == 0 {
+			if fe.Engine == "regcode" || fe.Runs == 0 {
 				continue
 			}
 			if fi := fe.Instrs / int64(fe.Runs); fi != base {
 				findings = append(findings, fmt.Sprintf(
-					"vm: %s executes %d instrs/run but bytecode executes %d on the same programs — an engine miscounts",
+					"vm: %s executes %d instrs/run but regcode executes %d on the same programs — an engine miscounts",
 					fe.Engine, fi, base))
 			}
 		}
@@ -208,25 +186,23 @@ func compareCount(where, what string, committed, fresh int64, thresholdPct float
 // committed record. Absolute nanoseconds depend on the host, so the
 // gate compares host-independent quantities:
 //
-//   - incremental re-placement must stay at least 3x faster than cold
-//     re-placement (the floor the delta layer is built to clear);
 //   - the cold-over-incremental speedup must not regress more than
 //     thresholdPct percent below the committed ratio (both paths run
 //     on the same host in the same process, so host speed cancels);
 //   - no function's incremental re-placement may fall back to a full
 //     rebuild — that means a placement edit the patchers stopped
 //     recognizing.
+//
+// There is no absolute floor on the speedup: the cold side rebuilds
+// liveness, dominators and the PST, so making those builds faster
+// lowers the ratio while the incremental path stays as fast.
+// BENCH_analysis.json is regenerated whenever the cold path changes.
 func CompareAnalysis(committed, fresh *AnalysisBench, thresholdPct float64) []string {
 	var findings []string
 	if fresh.Rebuilds > 0 {
 		findings = append(findings, fmt.Sprintf(
 			"analysis: %d incremental re-placements fell back to full rebuilds — ApplyDelta stopped recognizing placement edits",
 			fresh.Rebuilds))
-	}
-	if fresh.IncrementalSpeedup < 3 {
-		findings = append(findings, fmt.Sprintf(
-			"analysis: incremental re-placement only %.2fx faster than cold, below the 3x floor",
-			fresh.IncrementalSpeedup))
 	}
 	if committed.IncrementalSpeedup > 0 {
 		floor := committed.IncrementalSpeedup * (1 - thresholdPct/100)
@@ -354,7 +330,6 @@ func InjectAnalysisRegression(b *AnalysisBench, pct float64) {
 // a regression instead of rubber-stamping everything.
 func InjectVMRegression(b *VMBench, pct float64) {
 	b.Speedup /= 1 + pct/100
-	b.RegcodeSpeedup /= 1 + pct/100
 	for i := range b.Engines {
 		b.Engines[i].InstrsPerSec /= 1 + pct/100
 	}

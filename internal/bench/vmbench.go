@@ -2,9 +2,9 @@ package bench
 
 // vmbench.go measures the measurement engine itself: the same
 // profiled, allocated, hierarchically placed SPEC stand-in programs
-// executed by every engine — the bytecode engine, the register-
-// transfer regcode engine, and the legacy tree interpreter —
-// reporting wall time and VM instruction throughput per engine. This
+// executed by both engines — the register-transfer regcode engine and
+// the legacy tree interpreter — reporting wall time and VM
+// instruction throughput per engine. This
 // is the perf trajectory record (BENCH_vm.json): every number the
 // evaluation reports flows through these runs, so engine throughput is
 // the ceiling on bench and fuzz throughput.
@@ -57,13 +57,9 @@ type VMBench struct {
 	// PerBenchmark breaks the engine aggregates down by suite
 	// benchmark, rows ordered benchmark-major in suite order.
 	PerBenchmark []BenchmarkEngineRow `json:"per_benchmark,omitempty"`
-	// Speedup is bytecode instruction throughput over the legacy tree
-	// interpreter's.
+	// Speedup is regcode instruction throughput over the legacy tree
+	// interpreter's — the ratio the regression gate compares.
 	Speedup float64 `json:"speedup"`
-	// RegcodeSpeedup is regcode instruction throughput over the
-	// bytecode engine's — the ratio the regression gate holds to an
-	// absolute floor.
-	RegcodeSpeedup float64 `json:"regcode_speedup"`
 }
 
 // BenchVM prepares each suite benchmark once (generate, profile,
@@ -107,7 +103,7 @@ func BenchVM(suite []workload.BenchParams, reps int) (*VMBench, error) {
 	// The engines alternate within every repetition, so host frequency
 	// drift or background load during the measurement hits both engines
 	// alike instead of skewing the ratio.
-	engines := []vm.Engine{vm.EngineBytecode, vm.EngineRegcode, vm.EngineTree}
+	engines := vm.Engines
 	ebs := make([]EngineBench, len(engines))
 	for i, e := range engines {
 		ebs[i].Engine = e.String()
@@ -146,12 +142,8 @@ func BenchVM(suite []workload.BenchParams, reps int) (*VMBench, error) {
 		}
 	}
 	out.Engines = ebs
-	bc := findEngine(out, "bytecode")
 	if te := findEngine(out, "tree"); te != nil && te.InstrsPerSec > 0 {
-		out.Speedup = bc.InstrsPerSec / te.InstrsPerSec
-	}
-	if re := findEngine(out, "regcode"); re != nil && bc.InstrsPerSec > 0 {
-		out.RegcodeSpeedup = re.InstrsPerSec / bc.InstrsPerSec
+		out.Speedup = findEngine(out, "regcode").InstrsPerSec / te.InstrsPerSec
 	}
 	return out, nil
 }

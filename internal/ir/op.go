@@ -113,8 +113,8 @@ func (op Op) String() string {
 }
 
 // Valid reports whether op is one of the defined opcodes. The VM's
-// bytecode compiler uses it to turn undefined opcode bytes into traps
-// rather than misdecoding them.
+// compiler uses it to turn undefined opcode bytes into traps rather
+// than misdecoding them.
 func (op Op) Valid() bool { return op < numOps }
 
 // IsTerminator reports whether the opcode ends a basic block.

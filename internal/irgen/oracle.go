@@ -34,7 +34,7 @@ type Options struct {
 	ExecModel core.CostModel
 	JumpModel core.CostModel
 	// Engine selects the VM engine for the profiling and measurement
-	// runs (default bytecode; the legacy tree interpreter is the
+	// runs (default regcode; the legacy tree interpreter is the
 	// differential reference).
 	Engine vm.Engine
 	// Cache, when non-nil, is the shared analysis layer the check's

@@ -117,10 +117,11 @@ type PlaceRequest struct {
 	// Run additionally executes the placed program and reports the
 	// measured result.
 	Run bool `json:"run,omitempty"`
-	// Engine names the VM engine executions use (default "bytecode";
-	// "regcode" and "tree" are the alternatives). The engines are
-	// parity-tested to identical results, so the option only changes
-	// how fast run mode executes.
+	// Engine names the VM engine executions use: "regcode" (the
+	// default) or "tree", the reference interpreter. "bytecode" is a
+	// deprecated alias of "regcode", normalized before cache keying
+	// and counting. The engines are parity-tested to identical
+	// results, so the option only changes how fast run mode executes.
 	Engine string `json:"engine,omitempty"`
 	// Emit additionally returns the placed program's IR text.
 	Emit bool `json:"emit,omitempty"`
@@ -294,30 +295,27 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 	}
 	// Tiering is an execution-time optimization: it implies Run, and
 	// the normalization happens before cache keying so {tier} and
-	// {tier, run} alias one entry.
-	engineGiven := req.Engine != ""
+	// {tier, run} alias one entry. The engine name is normalized the
+	// same way, so an omitted engine and its deprecated alias share
+	// the default's entry and counter.
 	if req.Tier {
 		req.Run = true
 	}
 	if req.Engine == "" {
-		req.Engine = "bytecode"
+		req.Engine = vm.EngineRegcode.String()
 	}
-	if _, err := vm.ParseEngine(req.Engine); err != nil {
+	eng, err := vm.ParseEngine(req.Engine)
+	if err != nil {
 		return fail(http.StatusBadRequest, err)
 	}
+	req.Engine = eng.String()
 	if !req.Tier && req.Quantum != 0 {
 		return fail(http.StatusBadRequest, errors.New("quantum requires tier"))
 	}
 	if req.Run {
 		// Counted at admission, not execution, so cache hits show up in
-		// the per-engine totals too. Tiered runs without an explicit
-		// engine execute on the tiered pipeline's native regcode.
-		switch {
-		case !engineGiven && req.Tier:
-			s.metrics.engineRun("regcode")
-		default:
-			s.metrics.engineRun(req.Engine)
-		}
+		// the per-engine totals too.
+		s.metrics.engineRun(req.Engine)
 	}
 	if req.Tier {
 		// Counted at admission too, so cached tiered responses still
@@ -367,12 +365,8 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 	prog.UseAnalysisCache(s.ac)
 	prog.Parallelism = s.cfg.Parallelism
 	prog.MaxSteps = s.cfg.MaxVMSteps
-	if engineGiven || !req.Tier {
-		// Without an explicit engine, tiered runs stay on the tiered
-		// pipeline's native regcode engine.
-		if err := prog.UseEngine(req.Engine); err != nil {
-			return fail(http.StatusBadRequest, err)
-		}
+	if err := prog.UseEngine(req.Engine); err != nil {
+		return fail(http.StatusBadRequest, err)
 	}
 	if req.Tier {
 		// The tiered pipeline starts from static estimates; the measured

@@ -572,8 +572,8 @@ func TestPlaceEngines(t *testing.T) {
 		}
 	}
 
-	// The default is the bytecode engine: an engineless request hits
-	// the same cache entry as an explicit engine=bytecode one.
+	// The default is the regcode engine: an engineless request hits
+	// the same cache entry as an explicit engine=regcode one.
 	resp, _ := post(t, ts, PlaceRequest{IR: src, Args: []int64{5}, Run: true})
 	if got := resp.Header.Get("X-Cache"); got != "program" {
 		t.Errorf("engineless resubmission: X-Cache = %q, want program", got)
@@ -588,11 +588,42 @@ func TestPlaceEngines(t *testing.T) {
 	}
 
 	sn := s.snapshot()
-	want := map[string]int64{"bytecode": 2, "regcode": 1, "tree": 1}
+	want := map[string]int64{"regcode": 2, "tree": 1}
 	for engine, n := range want {
 		if sn.EngineRuns[engine] != n {
 			t.Errorf("engine_runs[%s] = %d, want %d (all: %v)", engine, sn.EngineRuns[engine], n, sn.EngineRuns)
 		}
+	}
+	if len(sn.EngineRuns) != len(want) {
+		t.Errorf("engine_runs = %v, want exactly the keys of %v", sn.EngineRuns, want)
+	}
+}
+
+// TestPlaceEngineAlias: "bytecode", the retired engine's name, is a
+// deprecated alias of regcode. It is normalized before cache keying
+// and counting, so a regcode request after a bytecode one is a program
+// cache hit and engine_runs counts both under regcode.
+func TestPlaceEngineAlias(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	src := testProgram(7)
+
+	resp, body := post(t, ts, PlaceRequest{IR: src, Args: []int64{5}, Run: true, Engine: "bytecode"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("engine bytecode: status %d: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-Cache"); got != cacheMiss {
+		t.Errorf("first request: X-Cache = %q, want %q", got, cacheMiss)
+	}
+	resp, body2 := post(t, ts, PlaceRequest{IR: src, Args: []int64{5}, Run: true, Engine: "regcode"})
+	if got := resp.Header.Get("X-Cache"); got != cacheProgram {
+		t.Errorf("regcode after bytecode: X-Cache = %q, want %q", got, cacheProgram)
+	}
+	if !bytes.Equal(body, body2) {
+		t.Errorf("alias and regcode responses differ:\n%s\nvs\n%s", body, body2)
+	}
+	sn := s.snapshot()
+	if sn.EngineRuns["regcode"] != 2 || len(sn.EngineRuns) != 1 {
+		t.Errorf("engine_runs = %v, want {regcode: 2}", sn.EngineRuns)
 	}
 }
 

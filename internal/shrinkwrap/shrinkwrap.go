@@ -148,7 +148,8 @@ func BusyBlocks(f *ir.Func, reg ir.Reg, lv *dataflow.Liveness) []bool {
 				break
 			}
 			found := false
-			for _, u := range in.Uses(buf[:0]) {
+			buf = in.Uses(buf[:0])
+			for _, u := range buf {
 				if u == reg {
 					found = true
 					break

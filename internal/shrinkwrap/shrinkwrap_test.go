@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cfgtest"
 	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/workload"
 )
@@ -221,5 +222,24 @@ func TestNoUsageNoSets(t *testing.T) {
 func TestModeString(t *testing.T) {
 	if Seed.String() != "shrinkwrap-seed" || Original.String() != "shrinkwrap-original" {
 		t.Error("mode names wrong")
+	}
+}
+
+// TestBusyBlocksAllocs pins BusyBlocks to two allocations, the result
+// mask and one operand buffer reused across instructions, instead of
+// one buffer per instruction.
+func TestBusyBlocksAllocs(t *testing.T) {
+	bu := ir.NewBuilder("straight", 1)
+	bu.Block("entry")
+	x := bu.F.Params[0]
+	for i := 0; i < 32; i++ {
+		x = bu.Bin(ir.OpAdd, x, x)
+	}
+	bu.Ret(x)
+	f := bu.Finish()
+	lv := dataflow.ComputeLiveness(f)
+	reg := ir.Phys(11)
+	if allocs := testing.AllocsPerRun(20, func() { BusyBlocks(f, reg, lv) }); allocs > 2 {
+		t.Errorf("BusyBlocks allocates %.0f times per call, want at most 2", allocs)
 	}
 }

@@ -72,10 +72,9 @@ type Config struct {
 	// quality rather than alignment itself.
 	NoAlign bool
 	// Engine selects the VM engine for both tiers. The zero value is
-	// the VM default (bytecode); callers wanting the tiered pipeline's
-	// native engine pass vm.EngineRegcode, as the facade and CLI do —
-	// regcode counts edges in its fast path, so profiling tier 0 costs
-	// no fallback to a slower engine.
+	// the VM default, regcode, whose fast path counts edges, so
+	// profiling tier 0 costs no fallback to a slower engine;
+	// vm.EngineTree is the differential reference.
 	Engine vm.Engine
 }
 

@@ -195,19 +195,17 @@ func TestTierNoBoundaryIsUntiered(t *testing.T) {
 	}
 }
 
-// TestTierEngineParity: the tiered pipeline is engine-invariant — for
-// every engine the tiered run agrees with the tree reference on
-// values, statistics, boundary counters, and the recompiled tier-1
-// program byte for byte, and the tier-1 program itself holds engine
-// parity on values, edge counts, and step-limit halts.
+// TestTierEngineParity: the tiered pipeline is engine-invariant — on
+// regcode the tiered run agrees with the tree reference on values,
+// statistics, boundary counters, and the recompiled tier-1 program
+// byte for byte, and the tier-1 program itself holds engine parity on
+// values, edge counts, and step-limit halts.
 func TestTierEngineParity(t *testing.T) {
 	for seed := uint64(0); seed < 6; seed++ {
 		prog := irgen.Generate(seed, irgen.Hostile())
 		args := []int64{int64(seed % 7)}
-		for _, e := range []vm.Engine{vm.EngineBytecode, vm.EngineRegcode} {
-			for _, m := range irgen.TierParitySweep(prog, e, args, 700, 1<<22) {
-				t.Errorf("seed %d: %s", seed, m)
-			}
+		for _, m := range irgen.TierParitySweep(prog, vm.EngineRegcode, args, 700, 1<<22) {
+			t.Errorf("seed %d: %s", seed, m)
 		}
 	}
 }

@@ -1,15 +1,17 @@
 package vm_test
 
 // Engine throughput benchmarks: the same placed SPEC stand-in program
-// executed by both engines under the measurement configuration
+// executed by each engine under the measurement configuration
 // (convention checking on, edge collection off — exactly what
 // bench.RunEntry measures). CI runs these with -benchtime=1x as a
 // smoke test; EXPERIMENTS.md records full runs.
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/ir"
+	"repro/internal/irgen"
 	"repro/internal/machine"
 	"repro/internal/profile"
 	"repro/internal/regalloc"
@@ -62,25 +64,12 @@ func benchEngine(b *testing.B, e vm.Engine) {
 	b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-func BenchmarkEngineBytecode(b *testing.B) { benchEngine(b, vm.EngineBytecode) }
-
 func BenchmarkEngineRegcode(b *testing.B) { benchEngine(b, vm.EngineRegcode) }
 
 func BenchmarkEngineTree(b *testing.B) { benchEngine(b, vm.EngineTree) }
 
-// BenchmarkEngineBytecodeProfiling measures the profiling
+// BenchmarkEngineRegcodeProfiling measures the profiling
 // configuration (edge collection on), the other hot path.
-func BenchmarkEngineBytecodeProfiling(b *testing.B) {
-	w := placedBench(b, "vortex")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := vm.New(w.prog, vm.Config{CollectEdges: true, Engine: vm.EngineBytecode})
-		if _, err := m.Run(0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEngineRegcodeProfiling(b *testing.B) {
 	w := placedBench(b, "vortex")
 	b.ResetTimer()
@@ -100,5 +89,47 @@ func BenchmarkEngineTreeProfiling(b *testing.B) {
 		if _, err := m.Run(0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEngineServiceProfile measures what the placement service's
+// profiling step costs on short programs, where compiling dominates:
+// vm.New plus an edge-collecting Run of the default engine on 20
+// unallocated irgen.Default programs (args [5]) and 20 irgen.Hostile
+// programs (args seed%7). One iteration is one program, so B/op and
+// allocs/op are per program; new-ns/op is the vm.New share of ns/op.
+func BenchmarkEngineServiceProfile(b *testing.B) {
+	sets := []struct {
+		name string
+		cfg  irgen.Config
+		arg  func(seed uint64) int64
+	}{
+		{"default", irgen.Default(), func(uint64) int64 { return 5 }},
+		{"hostile", irgen.Hostile(), func(seed uint64) int64 { return int64(seed % 7) }},
+	}
+	for _, set := range sets {
+		type program struct {
+			prog *ir.Program
+			arg  int64
+		}
+		progs := make([]program, 20)
+		for i := range progs {
+			seed := uint64(i + 1)
+			progs[i] = program{irgen.Generate(seed, set.cfg), set.arg(seed)}
+		}
+		b.Run(set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var newNS time.Duration
+			for i := 0; i < b.N; i++ {
+				p := progs[i%len(progs)]
+				start := time.Now()
+				m := vm.New(p.prog, vm.Config{CollectEdges: true, MaxSteps: 1 << 26})
+				newNS += time.Since(start)
+				if _, err := m.Run(p.arg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(newNS.Nanoseconds())/float64(b.N), "new-ns/op")
+		})
 	}
 }

@@ -1,8 +1,8 @@
 package vm
 
 // regcode.go lowers an *ir.Program into register-transfer code, the
-// third engine's input (regexec.go). It goes beyond the stack-style
-// bytecode compiler (bytecode.go) on four axes:
+// compiled engine's input (regexec.go). Each function is compiled
+// exactly once, at vm.New:
 //
 //   - Unified register bank. Each invocation executes against one flat
 //     []int64 holding a copy of the referenced physical registers, the
@@ -12,37 +12,48 @@ package vm
 //     no phys-vs-frame branch, no slot rebasing at run time. The
 //     physical prefix is copied in from the VM's global register file
 //     at entry and copied back out at every exit (and around calls),
-//     preserving the global-register semantics the other engines
-//     implement directly.
+//     preserving the global-register semantics the tree interpreter
+//     implements directly.
 //
-//   - Loop-header superinstructions. On top of the pair fusions shared
-//     with the bytecode engine (compare+branch, const+binop), the
-//     compiler fuses whole loop-header shapes: the canonical 5-op loop
-//     latch (const increment, in-place add, const bound, compare,
-//     branch), const+compare+branch triples, and const+binop+spill.st
-//     triples. Fused forms execute every constituent's architectural
-//     effect literally, in order, through the bank, so aliased
-//     operands behave exactly as in the unfused sequence.
+//   - Pre-resolved operands. Overhead classes (spill load/store, save,
+//     restore, jump-block jump) are precomputed into a byte; branch
+//     targets are instruction indices; the CFG edge each branch
+//     traverses is a dense edge index, so edge profiling increments a
+//     slice instead of a map; callees are dense function indices.
+//
+//   - Superinstructions. The compiler fuses compare+branch and
+//     const+binop pairs, const+compare+branch and const+binop+spill.st
+//     triples, and the canonical 5-op loop latch (const increment,
+//     in-place add, const bound, compare, branch). Fused forms execute
+//     every constituent's architectural effect literally, in order,
+//     through the bank, so aliased operands behave exactly as in the
+//     unfused sequence.
 //
 //   - Quantum-batched step accounting. Instructions are grouped into
 //     quanta — maximal straight-line runs ending at a terminator,
-//     call, or trap. Each instruction carries the quantum's remaining
-//     IR-instruction weight (rem) and each quantum head the total
-//     (qlen); the dispatch loop charges a whole quantum against the
-//     step budget on entry and touches no counter per instruction.
-//     When a quantum cannot fully fit the remaining budget the loop
-//     falls back to a per-instruction careful mode that reproduces the
-//     tree interpreter's halt accounting exactly (regexec.go).
+//     call, or trap. Each instruction carries the IR-instruction weight
+//     from itself through its quantum's end (qlen); the dispatch loop
+//     charges a whole quantum against the step budget at its head and
+//     touches no counter per instruction. When a quantum cannot fully
+//     fit the remaining budget the loop falls back to a per-instruction
+//     careful mode that reproduces the tree interpreter's halt
+//     accounting exactly (regexec.go).
 //
-//   - Frames come from a chunked per-VM arena (regexec.go) instead of
-//     sync.Pool, so steady-state execution allocates nothing.
+//   - Exact sizing. A counting pass runs the fusion matcher and
+//     records its decisions for emission to replay, so every array —
+//     instructions, block starts, call sites, argument lists, the edge
+//     table — is allocated once at its final length, and branch
+//     targets are known before emission.
 //
-// Malformed programs compile into the same trap instructions as the
-// bytecode engine (bcBadOp, bcFellOff) and raise identical errors if —
-// and only if — they execute.
+// Malformed programs the tree interpreter only rejects when execution
+// reaches the bad spot (undefined callees, unknown opcodes, blocks
+// without terminators, branches to foreign blocks) compile into trap
+// instructions that raise the identical error if — and only if — they
+// execute.
 
 import (
 	"math"
+	"sort"
 
 	"repro/internal/ir"
 )
@@ -52,13 +63,12 @@ import (
 // dispatch switch covers a dense range and compiles to a single jump
 // table instead of a branch tree.
 const (
-	// Traps, mirroring bcBadOp/bcFellOff (the bytecode constants sit
-	// at the top of the opcode byte, which would punch holes in the
-	// jump table).
+	// Traps. They reproduce the tree interpreter's runtime errors for
+	// malformed programs lazily.
 	rBadOp   ir.Op = ir.OpJmp + 1 + iota // unknown opcode (original in .a)
 	rFellOff                             // block without terminator
 	// Compare feeding the block's conditional branch (pair fusion):
-	// dst/a/b from the compare, t1/t2 targets, ex = packed edges.
+	// dst/a/b from the compare, t1/t2 targets, c = edge slots.
 	rCmpEQBr
 	rCmpNEBr
 	rCmpLTBr
@@ -70,10 +80,10 @@ const (
 	// t1 = inner opcode, t2 = operand form (0: a•K, 1: K•a, 2: K•K).
 	rConstBin
 	// const + compare + branch: the constant is materialized, the
-	// compare consumes it per the form in .c (0: x•K, 1: K•x, 2: K•K),
+	// compare consumes it per the form in .x (0: x•K, 1: K•x, 2: K•K),
 	// and the branch dispatches on the result. dst = cmp result,
 	// a = other operand, b = const register, imm = constant,
-	// t1/t2 = targets, ex = packed edge indices.
+	// t1/t2 = targets, c = edge slots.
 	rConstCmpEQBr
 	rConstCmpNEBr
 	rConstCmpLTBr
@@ -81,9 +91,10 @@ const (
 	rConstCmpGTBr
 	rConstCmpGEBr
 	// The canonical 5-op loop latch:
-	//	b = const K1; a = add a, b; c = const K2; dst = cmp a, c;
+	//	b = const K1; a = add a, b; k = const K2; dst = cmp a, k;
 	//	br dst, t1, t2
-	// imm packs K1 (high 32) and K2 (low 32), ex = packed edges.
+	// x = K1, imm packs k's bank index (high 32) and K2 (low 32),
+	// c = edge slots.
 	rLatchEQ
 	rLatchNE
 	rLatchLT
@@ -97,33 +108,62 @@ const (
 	rConstBinSpillStOv
 )
 
-// rFusedCmpBr, fusedConstCmpBr, and fusedLatch map a compare opcode to
-// its fused pair / triple / latch form.
-func rFusedCmpBr(op ir.Op) ir.Op     { return rCmpEQBr + (op - ir.OpCmpEQ) }
-func fusedConstCmpBr(op ir.Op) ir.Op { return rConstCmpEQBr + (op - ir.OpCmpEQ) }
-func fusedLatch(op ir.Op) ir.Op      { return rLatchEQ + (op - ir.OpCmpEQ) }
-
-// packI32 packs two int32-range constants into one imm, k1 high.
+// packI32 packs two int32-range values into one imm, k1 high.
 func packI32(k1, k2 int64) int64 {
 	return int64(uint64(uint32(int32(k1)))<<32 | uint64(uint32(int32(k2))))
 }
 
-func fitsI32(k int64) bool { return k >= math.MinInt32 && k <= math.MaxInt32 }
+// Overhead classes, precomputed from (Op, Flags) with exactly the
+// tree interpreter's attribution rules.
+const (
+	ovNone uint8 = iota
+	ovSpillLoad
+	ovSpillStore
+	ovSave
+	ovRestore
+	ovJumpBlock
+)
+
+func ovClass(in *ir.Instr) uint8 {
+	switch {
+	case in.Flags == 0:
+		return ovNone
+	case in.Flags&ir.FlagSpill != 0 && in.Op == ir.OpSpillLoad:
+		return ovSpillLoad
+	case in.Flags&ir.FlagSpill != 0 && in.Op == ir.OpSpillStore:
+		return ovSpillStore
+	case in.Flags&ir.FlagSaveRestore != 0 && in.Op == ir.OpSave:
+		return ovSave
+	case in.Flags&ir.FlagSaveRestore != 0 && in.Op == ir.OpRestore:
+		return ovRestore
+	case in.Flags&ir.FlagJumpBlock != 0:
+		return ovJumpBlock
+	}
+	return ovNone
+}
 
 // rinst is one pre-decoded register-transfer instruction. All register
 // operands are direct bank indices (-1 = absent). Field meaning varies
-// by op as documented on the opcode constants; for plain ops it
-// mirrors binst with slot offsets pre-rebased into the bank.
+// by op as documented on the opcode constants; for plain ops:
 //
-// qlen/rem drive the quantum-batched step accounting: rem is the total
-// IR-instruction weight strictly after this instruction within its
-// quantum (for rolling the upfront charge back on a mid-quantum
-// error), and qlen is the weight from this instruction through the
-// quantum's end (the full quantum length when read at a quantum head —
-// block starts and instructions following a call).
+//	const                 imm = constant
+//	load/store            imm = address offset
+//	spill.*/save/restore  imm = bank index of the slot
+//	call                  imm = index into the function's call table
+//	br                    t1/t2 = then/else instruction indices,
+//	                      c = edge slots: c counts then, c+1 else
+//	jmp                   t1 = target instruction index, c = edge slot
+//
+// qlen drives the quantum-batched step accounting: it is the total
+// IR-instruction weight from this instruction through its quantum's
+// end — the full quantum length when read at a quantum head (block
+// starts and instructions following a call). qlen minus the
+// instruction's own weight is what an error raised mid-quantum rolls
+// back from the upfront charge.
 type rinst struct {
 	op   ir.Op
 	ov   uint8
+	x    int16 // small operand of a fused form
 	dst  int32
 	a    int32
 	b    int32
@@ -131,9 +171,14 @@ type rinst struct {
 	t1   int32
 	t2   int32
 	qlen int32
-	rem  int32
 	imm  int64
-	ex   int64
+}
+
+// rcCall is one call site's side data.
+type rcCall struct {
+	callee int32  // dense function index, -1 if undefined
+	name   string // callee name, for the undefined-function error
+	args   []int32
 }
 
 // rcFunc is one compiled function.
@@ -142,50 +187,70 @@ type rcFunc struct {
 	ins    []rinst
 	entry  int32
 	params []int32 // parameter bank indices
-	calls  []bcCall
+	calls  []rcCall
 
 	// The bank layout: [0, physLen) is the physical-register prefix
-	// copied in/out of the VM's global file; virtuals, spill slots,
-	// and save slots follow. bankLen is the full frame size.
-	physLen int
-	bankLen int
+	// copied in/out of the VM's global file; virtuals, spill slots
+	// (from spillBase), and save slots (from saveBase) follow. bankLen
+	// is the full frame size.
+	physLen   int
+	spillBase int64
+	saveBase  int64
+	bankLen   int
 
-	blockOf   []int32
-	blockName []string
+	// starts[k] is the first instruction of blocks[k], the function's
+	// blocks in layout order at compile time, plus a final entry for
+	// the "?" block of a function without an entry block. Error
+	// messages only.
+	starts []int32
+	blocks []*ir.Block
+
+	// Counting-pass results that size the emission pass.
+	nArgs, nEdges int
 }
 
 // block returns the name of the block containing instruction pc.
 func (fc *rcFunc) block(pc int32) string {
-	if int(pc) < len(fc.blockOf) {
-		return fc.blockName[fc.blockOf[pc]]
+	k := sort.Search(len(fc.starts), func(k int) bool { return fc.starts[k] > pc }) - 1
+	if k < 0 || k >= len(fc.blocks) {
+		return "?"
 	}
-	return "?"
+	return fc.blocks[k].Name
 }
 
 // rcProgram is a compiled program.
 type rcProgram struct {
-	funcs []*rcFunc
+	funcs []rcFunc
 	main  int32
-	edges []*ir.Edge // dense edge index -> CFG edge, for profiling
+	// edges maps dense edge slots to CFG edges, for profiling. Every
+	// branch owns two consecutive slots (then, else) and every jump
+	// one; a slot is nil when its branch has no matching CFG edge,
+	// which the tree interpreter silently skips counting.
+	edges []*ir.Edge
+
+	// usesHeap reports whether any instruction can address the flat
+	// heap; bankSum is the total bank length of all functions, which
+	// bounds the frames of any non-recursive run.
+	usesHeap bool
+	bankSum  int
 }
 
-// edgeIndex assigns e a dense index shared across the compiled
-// program, or -1 for a branch with no matching CFG edge.
-func (c *rcProgram) edgeIndex(e *ir.Edge) int32 {
-	if e == nil {
-		return -1
-	}
-	c.edges = append(c.edges, e)
-	return int32(len(c.edges)) - 1
+// edgeSlots assigns consecutive dense edge slots to es and returns
+// the first.
+func (c *rcProgram) edgeSlots(es ...*ir.Edge) int32 {
+	c.edges = append(c.edges, es...)
+	return int32(len(c.edges) - len(es))
 }
 
-// compileRegProgram lowers every function. physMin forces the physical
-// prefix to cover at least [0, physMin) — the convention checker needs
-// the whole callee-saved range resident in every bank, so the VM
-// passes its csTo when a machine is configured.
+// compileRegProgram lowers every function. It never fails: malformed
+// constructs become traps that error at execution time, matching the
+// tree interpreter's lazy error discipline. physMin forces the
+// physical prefix to cover at least [0, physMin) — the convention
+// checker needs the whole callee-saved range resident in every bank,
+// so the VM passes its csTo when a machine is configured.
 func compileRegProgram(p *ir.Program, physMin int) *rcProgram {
 	funcs := p.FuncsInOrder()
-	c := &rcProgram{main: -1}
+	c := &rcProgram{main: -1, funcs: make([]rcFunc, len(funcs))}
 	index := make(map[string]int32, len(funcs))
 	for i, f := range funcs {
 		index[f.Name] = int32(i)
@@ -193,192 +258,367 @@ func compileRegProgram(p *ir.Program, physMin int) *rcProgram {
 	if mi, ok := index[p.Main]; ok {
 		c.main = mi
 	}
+	// kinds records the counting pass's fusion decisions, one per
+	// emitted instruction, for emission to replay.
+	n := 0
 	for _, f := range funcs {
-		c.funcs = append(c.funcs, c.compileRegFunc(f, index, physMin))
+		n += f.Instrs()
+	}
+	kinds := make([]fusion, 0, n)
+	nEdges := 0
+	for i, f := range funcs {
+		fc := &c.funcs[i]
+		kinds = c.sizeFunc(f, fc, physMin, kinds)
+		c.bankSum += fc.bankLen
+		nEdges += fc.nEdges
+	}
+	c.edges = make([]*ir.Edge, 0, nEdges)
+	var pos []int32
+	for i, f := range funcs {
+		pos, kinds = c.emitFunc(f, &c.funcs[i], index, pos, kinds)
 	}
 	return c
 }
 
-func (c *rcProgram) compileRegFunc(f *ir.Func, index map[string]int32, physMin int) *rcFunc {
-	fc := &rcFunc{name: f.Name}
-	cap := f.Instrs() + len(f.Blocks)
-	fc.ins = make([]rinst, 0, cap)
-	fc.blockOf = make([]int32, 0, cap)
+// fusion names the superinstruction shape matchFusion found.
+type fusion uint8
 
-	// Pass 1: size the bank. The physical prefix covers exactly the
-	// registers the function (or the convention checker) can touch;
-	// virtual space covers only referenced virtuals; declared slot
-	// counts are grown over out-of-range references, exactly as the
-	// bytecode compiler does.
-	physLen, virtSize := physMin, 0
-	track := func(r ir.Reg) {
-		if r.IsVirt() {
-			if n := r.VirtNum() + 1; n > virtSize {
-				virtSize = n
+const (
+	fuseNone       fusion = iota
+	fuseLatch             // const; in-place add; const; cmp; br
+	fuseConstCmpBr        // const; cmp; br
+	fuseConstBinSt        // const; binop; spill.st
+	fuseCmpBr             // cmp; br
+	fuseConstBin          // const; binop
+)
+
+// width is the number of IR instructions a fusion covers.
+func (k fusion) width() int {
+	switch k {
+	case fuseLatch:
+		return 5
+	case fuseConstCmpBr, fuseConstBinSt:
+		return 3
+	case fuseCmpBr, fuseConstBin:
+		return 2
+	}
+	return 1
+}
+
+// plain reports whether in may be fused: no overhead class, and a
+// destination register.
+func plain(in *ir.Instr) bool { return ovClass(in) == ovNone && in.Dst.IsValid() }
+
+// matchFusion finds the superinstruction starting at ins[i], greedily
+// (longest pattern first). The counting pass and emission share it,
+// so both see exactly the same instruction stream. slotLimit is the
+// highest spill slot the spill-store triple accepts: its bank index
+// must fit an int32.
+func matchFusion(ins []*ir.Instr, i int, slotLimit int64) fusion {
+	in := ins[i]
+	switch {
+	case in.Op == ir.OpConst:
+		if !plain(in) || i+1 >= len(ins) {
+			return fuseNone
+		}
+		if i+4 < len(ins) && in.Imm == int64(int16(in.Imm)) {
+			add, c2, cmp, br := ins[i+1], ins[i+2], ins[i+3], ins[i+4]
+			if add.Op == ir.OpAdd && plain(add) && add.Dst == add.Src1 && add.Src2 == in.Dst &&
+				c2.Op == ir.OpConst && plain(c2) && c2.Imm == int64(int32(c2.Imm)) &&
+				cmp.Op.IsCompare() && plain(cmp) && cmp.Src1 == add.Dst && cmp.Src2 == c2.Dst &&
+				br.Op == ir.OpBr && ovClass(br) == ovNone && br.Src1 == cmp.Dst {
+				return fuseLatch
 			}
-		} else if r.IsPhys() {
-			if n := r.PhysNum() + 1; n > physLen {
-				physLen = n
+		}
+		if i+2 < len(ins) {
+			mid, last := ins[i+1], ins[i+2]
+			if mid.Op.IsCompare() && plain(mid) &&
+				last.Op == ir.OpBr && ovClass(last) == ovNone && last.Src1 == mid.Dst {
+				if form, _ := constForm(in.Dst, mid.Src1, mid.Src2); form >= 0 {
+					return fuseConstCmpBr
+				}
+			}
+			if last.Op == ir.OpSpillStore && mid.Op.IsBinary() && plain(mid) {
+				stOv := ovClass(last)
+				if (stOv == ovNone || stOv == ovSpillStore) && last.Src1 == mid.Dst &&
+					last.Imm >= 0 && last.Imm <= slotLimit {
+					if form, _ := constForm(in.Dst, mid.Src1, mid.Src2); form >= 0 {
+						return fuseConstBinSt
+					}
+				}
+			}
+		}
+		if next := ins[i+1]; next.Op.IsBinary() && plain(next) {
+			if form, _ := constForm(in.Dst, next.Src1, next.Src2); form >= 0 {
+				return fuseConstBin
+			}
+		}
+	case in.Op.IsCompare():
+		if i+1 < len(ins) && plain(in) {
+			if next := ins[i+1]; next.Op == ir.OpBr && ovClass(next) == ovNone && next.Src1 == in.Dst {
+				return fuseCmpBr
 			}
 		}
 	}
+	return fuseNone
+}
+
+// sizeFunc is the counting pass. In one walk over the function it
+// sizes the bank — the physical prefix covers exactly the registers
+// the function (or the convention checker) can touch, virtual space
+// covers only referenced virtuals, and declared slot counts are grown
+// over out-of-range references, so frames never grow mid-run — and
+// runs the fusion matcher to count the instructions, call sites,
+// arguments, and edges emission produces, recording each block's
+// first instruction. It appends its fusion decisions to kinds.
+func (c *rcProgram) sizeFunc(f *ir.Func, fc *rcFunc, physMin int, kinds []fusion) []fusion {
+	fc.name = f.Name
+	sz := bankSize{phys: physMin}
 	for _, r := range f.Params {
-		track(r)
+		sz.track(r)
 	}
+	nb := len(f.Blocks)
+	if nb == 0 || f.Entry == nil {
+		nb++ // the no-entry trap's "?" block
+	}
+	fc.starts = make([]int32, nb)
 	spillSlots, saveSlots := f.SpillSlots, f.SaveSlots
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			track(in.Dst)
-			track(in.Src1)
-			track(in.Src2)
-			for _, a := range in.Args {
-				track(a)
+	nCalls, n := 0, 0
+	// The spill slot bank indices are only known after the walk, so it
+	// matches the spill-store triple on slots that fit an int32 alone
+	// and checks the largest one afterwards.
+	stMax := int64(-1)
+	k0 := len(kinds)
+	for k, b := range f.Blocks {
+		fc.starts[k] = int32(n)
+		bi := b.Instrs
+		for i := 0; i < len(bi); n++ {
+			kind := matchFusion(bi, i, math.MaxInt32)
+			kinds = append(kinds, kind)
+			w := kind.width()
+			if kind == fuseConstBinSt {
+				stMax = max(stMax, bi[i+2].Imm)
 			}
-			switch in.Op {
-			case ir.OpSpillLoad, ir.OpSpillStore:
-				if n := int(in.Imm) + 1; n > spillSlots {
-					spillSlots = n
+			for _, in := range bi[i : i+w] {
+				sz.track(in.Dst)
+				sz.track(in.Src1)
+				sz.track(in.Src2)
+				for _, a := range in.Args {
+					sz.track(a)
 				}
-			case ir.OpSave, ir.OpRestore:
-				if n := int(in.Imm) + 1; n > saveSlots {
-					saveSlots = n
+				switch in.Op {
+				case ir.OpSpillLoad, ir.OpSpillStore:
+					if n := int(in.Imm) + 1; n > spillSlots {
+						spillSlots = n
+					}
+				case ir.OpSave, ir.OpRestore:
+					if n := int(in.Imm) + 1; n > saveSlots {
+						saveSlots = n
+					}
+				case ir.OpLoad, ir.OpStore:
+					c.usesHeap = true
+				case ir.OpCall:
+					nCalls++
+					fc.nArgs += len(in.Args)
+				case ir.OpBr:
+					fc.nEdges += 2
+				case ir.OpJmp:
+					fc.nEdges++
 				}
 			}
+			i += w
+		}
+		n++ // the fell-off-the-end trap
+	}
+	if nb > len(f.Blocks) {
+		fc.starts[nb-1] = int32(n)
+		n++
+	}
+	fc.physLen = sz.phys
+	fc.spillBase = int64(sz.phys + sz.virt)
+	fc.saveBase = fc.spillBase + int64(spillSlots)
+	fc.bankLen = sz.phys + sz.virt + spillSlots + saveSlots
+	if stMax > fc.slotLimit() {
+		// A triple's slot overflows its bank index: match again with
+		// the real limit.
+		kinds = kinds[:k0]
+		n = 0
+		for k, b := range f.Blocks {
+			fc.starts[k] = int32(n)
+			for i := 0; i < len(b.Instrs); n++ {
+				kind := matchFusion(b.Instrs, i, fc.slotLimit())
+				kinds = append(kinds, kind)
+				i += kind.width()
+			}
+			n++
+		}
+		if nb > len(f.Blocks) {
+			fc.starts[nb-1] = int32(n)
+			n++
 		}
 	}
-	spillBase := int64(physLen + virtSize)
-	saveBase := spillBase + int64(spillSlots)
-	fc.physLen = physLen
-	fc.bankLen = physLen + virtSize + spillSlots + saveSlots
+	fc.ins = make([]rinst, n)
+	fc.calls = make([]rcCall, 0, nCalls)
+	return kinds
+}
 
-	// mr maps an IR register to its bank index.
-	mr := func(r ir.Reg) int32 {
-		switch {
-		case r.IsPhys():
-			return int32(r)
-		case r.IsVirt():
-			return int32(physLen + r.VirtNum())
-		}
+// reg maps an IR register to its bank index.
+func (fc *rcFunc) reg(r ir.Reg) int32 {
+	switch {
+	case r >= ir.VirtBase:
+		return int32(fc.physLen) + int32(r-ir.VirtBase)
+	case r >= 0:
+		return int32(r)
+	}
+	return -1
+}
+
+// bankSize accumulates the register part of a bank: the physical
+// prefix up to the highest referenced physical register, and the
+// virtual space up to the highest referenced virtual.
+type bankSize struct{ phys, virt int }
+
+func (s *bankSize) track(r ir.Reg) {
+	if r >= ir.VirtBase {
+		s.virt = max(s.virt, int(r-ir.VirtBase)+1)
+	} else if r >= 0 {
+		s.phys = max(s.phys, int(r)+1)
+	}
+}
+
+// slotLimit is the highest spill slot whose bank index fits an int32.
+func (fc *rcFunc) slotLimit() int64 { return math.MaxInt32 - fc.spillBase }
+
+// blockIndex returns b's position in f.Blocks, or -1 if b is not one of
+// f's blocks. pos maps block IDs to positions in f; an entry is trusted
+// only if it points back at b, so a stale or colliding ID falls back to
+// a scan.
+func blockIndex(f *ir.Func, b *ir.Block, pos []int32) int32 {
+	if b == nil {
 		return -1
 	}
-	for _, r := range f.Params {
-		fc.params = append(fc.params, mr(r))
+	if b.ID >= 0 && b.ID < len(pos) {
+		if k := pos[b.ID]; int(k) < len(f.Blocks) && f.Blocks[k] == b {
+			return k
+		}
+	}
+	for k, x := range f.Blocks {
+		if x == b {
+			return int32(k)
+		}
+	}
+	return -1
+}
+
+// emitFunc is the emission pass: it fills the arrays sizeFunc
+// allocated, replaying sizeFunc's fusion decisions from kinds and
+// resolving branch targets through the block starts, then stores the
+// quantum weights. pos is the block-ID scratch, reused across the
+// program's functions. emitFunc returns pos and the unread kinds.
+func (c *rcProgram) emitFunc(f *ir.Func, fc *rcFunc, index map[string]int32, pos []int32, kinds []fusion) ([]int32, []fusion) {
+	spillBase, saveBase := fc.spillBase, fc.saveBase
+	mr := fc.reg
+	fc.params = make([]int32, len(f.Params))
+	for i, r := range f.Params {
+		fc.params[i] = mr(r)
 	}
 
-	// Pass 2: emit, fusing greedily (longest pattern first). Branch
-	// targets are patched after all block starts are known.
-	start := make(map[*ir.Block]int32, len(f.Blocks))
-	type patch struct {
-		pc int32
-		in *ir.Instr
-		b  *ir.Block
+	// Block IDs are normally dense layout positions; index them so
+	// branch targets resolve without a map.
+	for k, b := range f.Blocks {
+		if b.ID < 0 || b.ID > 2*len(f.Blocks) {
+			continue // sparse IDs: blockIndex scans instead
+		}
+		for b.ID >= len(pos) {
+			pos = append(pos, -1)
+		}
+		pos[b.ID] = int32(k)
 	}
-	var patches []patch
+	target := func(t *ir.Block) (int32, bool) {
+		k := blockIndex(f, t, pos)
+		if k < 0 {
+			return 0, false
+		}
+		return fc.starts[k], true
+	}
+	// branch resolves a conditional branch's targets and edges into d,
+	// or turns d into a trap when a target lies outside the function
+	// (the tree interpreter crashes on those).
+	branch := func(d *rinst, b *ir.Block, br *ir.Instr) {
+		t1, ok1 := target(br.Then)
+		t2, ok2 := target(br.Else)
+		if !ok1 || !ok2 {
+			*d = rinst{op: rBadOp, a: int32(br.Op)}
+			return
+		}
+		d.t1, d.t2 = t1, t2
+		d.c = c.edgeSlots(b.SuccEdge(br.Then), b.SuccEdge(br.Else))
+	}
+
+	args := make([]int32, 0, fc.nArgs)
+	fc.blocks = f.Blocks
+	ins := fc.ins
+	pc := 0
 	for _, b := range f.Blocks {
-		start[b] = int32(len(fc.ins))
-		bi := int32(len(fc.blockName))
-		fc.blockName = append(fc.blockName, b.Name)
-		emit := func(d rinst) {
-			fc.ins = append(fc.ins, d)
-			fc.blockOf = append(fc.blockOf, bi)
-		}
-		plain := func(in *ir.Instr) bool {
-			return ovClass(in) == ovNone && in.Dst.IsValid()
-		}
-		for i := 0; i < len(b.Instrs); i++ {
-			in := b.Instrs[i]
-
-			// Loop latch: const; in-place add; const; cmp; br.
-			if i+4 < len(b.Instrs) && in.Op == ir.OpConst && plain(in) && fitsI32(in.Imm) {
-				add, c2, cmp, br := b.Instrs[i+1], b.Instrs[i+2], b.Instrs[i+3], b.Instrs[i+4]
-				if add.Op == ir.OpAdd && plain(add) && add.Dst == add.Src1 && add.Src2 == in.Dst &&
-					c2.Op == ir.OpConst && plain(c2) && fitsI32(c2.Imm) &&
-					cmp.Op.IsCompare() && plain(cmp) && cmp.Src1 == add.Dst && cmp.Src2 == c2.Dst &&
-					br.Op == ir.OpBr && ovClass(br) == ovNone && br.Src1 == cmp.Dst {
-					patches = append(patches, patch{pc: int32(len(fc.ins)), in: br, b: b})
-					emit(rinst{op: fusedLatch(cmp.Op),
-						dst: mr(cmp.Dst), a: mr(add.Dst), b: mr(in.Dst), c: mr(c2.Dst),
-						imm: packI32(in.Imm, c2.Imm)})
-					i += 4
-					continue
+		bi := b.Instrs
+		for i := 0; i < len(bi); pc++ {
+			in := bi[i]
+			d := &ins[pc]
+			kind := kinds[0]
+			kinds = kinds[1:]
+			i += kind.width()
+			switch kind {
+			case fuseLatch:
+				add, c2, cmp := bi[i-4], bi[i-3], bi[i-2]
+				*d = rinst{op: rLatchEQ + (cmp.Op - ir.OpCmpEQ), x: int16(in.Imm),
+					dst: mr(cmp.Dst), a: mr(add.Dst), b: mr(in.Dst),
+					imm: packI32(int64(mr(c2.Dst)), c2.Imm)}
+				branch(d, b, bi[i-1])
+				continue
+			case fuseConstCmpBr:
+				cmp := bi[i-2]
+				form, other := constForm(in.Dst, cmp.Src1, cmp.Src2)
+				*d = rinst{op: rConstCmpEQBr + (cmp.Op - ir.OpCmpEQ), x: int16(form),
+					dst: mr(cmp.Dst), a: mr(other), b: mr(in.Dst),
+					imm: in.Imm}
+				branch(d, b, bi[i-1])
+				continue
+			case fuseConstBinSt:
+				bin, st := bi[i-2], bi[i-1]
+				form, other := constForm(in.Dst, bin.Src1, bin.Src2)
+				op := rConstBinSpillSt
+				if ovClass(st) == ovSpillStore {
+					op = rConstBinSpillStOv
 				}
+				*d = rinst{op: op,
+					dst: mr(bin.Dst), a: mr(other), b: mr(in.Dst),
+					c:  int32(spillBase + st.Imm),
+					t1: int32(bin.Op), t2: form, imm: in.Imm}
+				continue
+			case fuseCmpBr:
+				*d = rinst{op: rCmpEQBr + (in.Op - ir.OpCmpEQ),
+					dst: mr(in.Dst), a: mr(in.Src1), b: mr(in.Src2)}
+				branch(d, b, bi[i-1])
+				continue
+			case fuseConstBin:
+				next := bi[i-1]
+				form, other := constForm(in.Dst, next.Src1, next.Src2)
+				*d = rinst{op: rConstBin,
+					dst: mr(next.Dst), a: mr(other), b: mr(in.Dst),
+					imm: in.Imm, t1: int32(next.Op), t2: form}
+				continue
 			}
 
-			// const + compare + branch.
-			if i+2 < len(b.Instrs) && in.Op == ir.OpConst && plain(in) {
-				cmp, br := b.Instrs[i+1], b.Instrs[i+2]
-				if cmp.Op.IsCompare() && plain(cmp) &&
-					br.Op == ir.OpBr && ovClass(br) == ovNone && br.Src1 == cmp.Dst {
-					form, other := constForm(in.Dst, cmp.Src1, cmp.Src2)
-					if form >= 0 {
-						patches = append(patches, patch{pc: int32(len(fc.ins)), in: br, b: b})
-						emit(rinst{op: fusedConstCmpBr(cmp.Op),
-							dst: mr(cmp.Dst), a: mr(other), b: mr(in.Dst), c: form,
-							imm: in.Imm})
-						i += 2
-						continue
-					}
-				}
-			}
-
-			// const + binop + spill.st.
-			if i+2 < len(b.Instrs) && in.Op == ir.OpConst && plain(in) {
-				bin, st := b.Instrs[i+1], b.Instrs[i+2]
-				stOv := ovClass(st)
-				if bin.Op.IsBinary() && plain(bin) &&
-					st.Op == ir.OpSpillStore && (stOv == ovNone || stOv == ovSpillStore) &&
-					st.Src1 == bin.Dst && st.Imm >= 0 && spillBase+st.Imm <= math.MaxInt32 {
-					form, other := constForm(in.Dst, bin.Src1, bin.Src2)
-					if form >= 0 {
-						op := rConstBinSpillSt
-						if stOv == ovSpillStore {
-							op = rConstBinSpillStOv
-						}
-						emit(rinst{op: op,
-							dst: mr(bin.Dst), a: mr(other), b: mr(in.Dst),
-							c:  int32(spillBase + st.Imm),
-							t1: int32(bin.Op), t2: form, imm: in.Imm})
-						i += 2
-						continue
-					}
-				}
-			}
-
-			// Pair fusions, shared with the bytecode engine.
-			if ovClass(in) == ovNone && i+1 < len(b.Instrs) {
-				next := b.Instrs[i+1]
-				if ovClass(next) == ovNone && in.Dst.IsValid() {
-					if in.Op.IsCompare() && next.Op == ir.OpBr && next.Src1 == in.Dst {
-						patches = append(patches, patch{pc: int32(len(fc.ins)), in: next, b: b})
-						emit(rinst{op: rFusedCmpBr(in.Op),
-							dst: mr(in.Dst), a: mr(in.Src1), b: mr(in.Src2)})
-						i++
-						continue
-					}
-					if in.Op == ir.OpConst && next.Op.IsBinary() && next.Dst.IsValid() {
-						form, other := constForm(in.Dst, next.Src1, next.Src2)
-						if form >= 0 {
-							emit(rinst{op: rConstBin,
-								dst: mr(next.Dst), a: mr(other), b: mr(in.Dst),
-								imm: in.Imm, t1: int32(next.Op), t2: form})
-							i++
-							continue
-						}
-					}
-				}
-			}
-
-			d := rinst{op: in.Op, ov: ovClass(in),
+			*d = rinst{op: in.Op, ov: ovClass(in),
 				dst: mr(in.Dst), a: mr(in.Src1), b: mr(in.Src2),
 				imm: in.Imm, t1: -1, t2: -1}
 			switch {
 			case !in.Op.Valid():
-				emit(rinst{op: rBadOp, a: int32(in.Op)})
-				continue
+				*d = rinst{op: rBadOp, a: int32(in.Op)}
 			case in.Op == ir.OpSpillLoad || in.Op == ir.OpSpillStore:
 				d.imm = spillBase + in.Imm
 				if in.Imm < 0 {
-					d.imm = -1 // panics on execution, like the other engines
+					d.imm = -1 // panics on execution, like the tree engine
 				}
 			case in.Op == ir.OpSave || in.Op == ir.OpRestore:
 				d.imm = saveBase + in.Imm
@@ -386,79 +626,53 @@ func (c *rcProgram) compileRegFunc(f *ir.Func, index map[string]int32, physMin i
 					d.imm = -1
 				}
 			case in.Op == ir.OpCall:
-				args := make([]int32, len(in.Args))
-				for i, a := range in.Args {
-					args[i] = mr(a)
+				base := len(args)
+				for _, a := range in.Args {
+					args = append(args, mr(a))
 				}
 				callee := int32(-1)
 				if ci, ok := index[in.Callee]; ok {
 					callee = ci
 				}
 				d.imm = int64(len(fc.calls))
-				fc.calls = append(fc.calls, bcCall{callee: callee, name: in.Callee, args: args})
-			case in.Op == ir.OpBr || in.Op == ir.OpJmp:
-				patches = append(patches, patch{pc: int32(len(fc.ins)), in: in, b: b})
+				fc.calls = append(fc.calls, rcCall{callee: callee, name: in.Callee, args: args[base:len(args):len(args)]})
+			case in.Op == ir.OpBr:
+				branch(d, b, in)
+			case in.Op == ir.OpJmp:
+				t1, ok := target(in.Then)
+				if !ok {
+					*d = rinst{op: rBadOp, a: int32(in.Op)}
+					break
+				}
+				d.t1 = t1
+				d.c = c.edgeSlots(b.SuccEdge(in.Then))
 			}
-			emit(d)
 		}
-		emit(rinst{op: rFellOff})
+		// A block without a terminator runs off its end; the trap
+		// reproduces the tree interpreter's error without counting an
+		// extra executed instruction.
+		ins[pc] = rinst{op: rFellOff}
+		pc++
 	}
-	if len(fc.ins) == 0 || f.Entry == nil {
-		fc.ins = append(fc.ins, rinst{op: rFellOff})
-		fc.blockOf = append(fc.blockOf, int32(len(fc.blockName)))
-		fc.blockName = append(fc.blockName, "?")
-		fc.entry = int32(len(fc.ins)) - 1
-	} else {
-		fc.entry = start[f.Entry]
-	}
-
-	for _, pt := range patches {
-		d := &fc.ins[pt.pc]
-		switch pt.in.Op {
-		case ir.OpBr:
-			t1, ok1 := start[pt.in.Then]
-			t2, ok2 := start[pt.in.Else]
-			if !ok1 || !ok2 {
-				*d = rinst{op: rBadOp, a: int32(pt.in.Op)}
-				continue
-			}
-			d.t1, d.t2 = t1, t2
-			d.ex = packEdges(c.edgeIndex(pt.b.SuccEdge(pt.in.Then)),
-				c.edgeIndex(pt.b.SuccEdge(pt.in.Else)))
-		case ir.OpJmp:
-			t1, ok := start[pt.in.Then]
-			if !ok {
-				*d = rinst{op: rBadOp, a: int32(pt.in.Op)}
-				continue
-			}
-			d.t1 = t1
-			d.ex = int64(c.edgeIndex(pt.b.SuccEdge(pt.in.Then)))
-		}
+	if len(fc.starts) > len(f.Blocks) {
+		// No entry to run: executing the function immediately errors.
+		ins[pc] = rinst{op: rFellOff}
+		fc.entry = int32(pc)
+	} else if k := blockIndex(f, f.Entry, pos); k >= 0 {
+		fc.entry = fc.starts[k]
 	}
 
-	// Pass 3: segment into quanta and store the accounting weights.
-	// Runs after patching because a patch can replace a fused branch
-	// with a trap, changing its weight.
-	for i := 0; i < len(fc.ins); {
-		j := i
-		var total int32
-		for {
-			total += rweight(fc.ins[j].op)
-			if rquantumEnd(fc.ins[j].op) || j == len(fc.ins)-1 {
-				break
-			}
-			j++
+	// Quantum weights, last instruction first: a quantum-ending
+	// instruction starts a new suffix sum.
+	var q int32
+	for i := len(ins) - 1; i >= 0; i-- {
+		if rquantumEnd(ins[i].op) {
+			q = 0
 		}
-		var cum int32
-		for k := i; k <= j; k++ {
-			w := rweight(fc.ins[k].op)
-			cum += w
-			fc.ins[k].rem = total - cum
-			fc.ins[k].qlen = total - cum + w
-		}
-		i = j + 1
+		q += rweight(ins[i].op)
+		ins[i].qlen = q
 	}
-	return fc
+	return pos, kinds
 }
 
 // constForm classifies how a const feeds a two-source consumer:
@@ -481,6 +695,8 @@ func constForm(cdst, src1, src2 ir.Reg) (int32, ir.Reg) {
 // rFellOff is synthetic, so 0).
 func rweight(op ir.Op) int32 {
 	switch {
+	case op < rBadOp: // every plain instruction
+		return 1
 	case op == rFellOff:
 		return 0
 	case op >= rLatchEQ && op <= rLatchGE:
@@ -500,6 +716,9 @@ func rweight(op ir.Op) int32 {
 // rquantumEnd reports whether op terminates a straight-line quantum:
 // anything that transfers control, flushes counters, or errors.
 func rquantumEnd(op ir.Op) bool {
+	if op < ir.OpCall {
+		return false
+	}
 	switch op {
 	case ir.OpCall, ir.OpRet, ir.OpBr, ir.OpJmp, rBadOp, rFellOff:
 		return true

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -236,7 +237,7 @@ func countFormTwo(prog *ir.Program) int {
 			switch {
 			case (in.op == rConstBin || in.op == rConstBinSpillSt || in.op == rConstBinSpillStOv) && in.t2 == 2:
 				n++
-			case in.op >= rConstCmpEQBr && in.op <= rConstCmpGEBr && in.c == 2:
+			case in.op >= rConstCmpEQBr && in.op <= rConstCmpGEBr && in.x == 2:
 				n++
 			}
 		}
@@ -373,5 +374,111 @@ func TestRegcodeArenaRelease(t *testing.T) {
 	}
 	if got := len(m.arena.chunks); got != chunks {
 		t.Fatalf("arena grew across identical runs: %d -> %d chunks", chunks, got)
+	}
+}
+
+// TestParseEngineAlias: the engine surface names two engines, regcode
+// (the zero value) and tree; "bytecode", the retired engine's name,
+// parses as a deprecated alias of regcode and is never printed.
+func TestParseEngineAlias(t *testing.T) {
+	if e, err := ParseEngine("bytecode"); err != nil || e != EngineRegcode {
+		t.Fatalf(`ParseEngine("bytecode") = %v, %v; want regcode`, e, err)
+	}
+	var zero Engine
+	if zero != EngineRegcode {
+		t.Errorf("zero Engine is %v, want regcode", zero)
+	}
+	if len(Engines) != 2 {
+		t.Errorf("Engines = %v, want regcode and tree", Engines)
+	}
+	for _, e := range Engines {
+		if e.String() == "bytecode" {
+			t.Errorf("engine %d prints as the retired name", e)
+		}
+		if back, err := ParseEngine(e.String()); err != nil || back != e {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v", e.String(), back, err, e)
+		}
+	}
+	if _, err := ParseEngine("jit"); err == nil || !strings.Contains(err.Error(), "want regcode or tree") {
+		t.Errorf(`ParseEngine("jit") error = %v`, err)
+	}
+}
+
+// TestRegcodeSteadyStateAllocs: the arena starts from the program's
+// total bank length and grows geometrically for recursion, so once a
+// VM has run a program, running it again allocates nothing.
+func TestRegcodeSteadyStateAllocs(t *testing.T) {
+	fb := ir.NewBuilder("f", 1)
+	entry := fb.Block("entry")
+	rec := fb.F.NewBlock("rec")
+	base := fb.F.NewBlock("base")
+	fb.SetCurrent(entry)
+	cond := fb.F.NewVirt()
+	zero := fb.Const(0)
+	fb.Emit(&ir.Instr{Op: ir.OpCmpGT, Dst: cond, Src1: fb.F.Params[0], Src2: zero})
+	fb.Br(cond, rec, base, 0, 0)
+	fb.SetCurrent(rec)
+	one := fb.Const(1)
+	next := fb.F.NewVirt()
+	fb.Emit(&ir.Instr{Op: ir.OpSub, Dst: next, Src1: fb.F.Params[0], Src2: one})
+	r := fb.F.NewVirt()
+	fb.Emit(&ir.Instr{Op: ir.OpCall, Dst: r, Src1: ir.NoReg, Src2: ir.NoReg,
+		Callee: "f", Args: []ir.Reg{next}})
+	fb.Ret(r)
+	fb.SetCurrent(base)
+	fb.Ret(fb.F.Params[0])
+	p := ir.NewProgram()
+	p.Main = "f"
+	p.Add(fb.Finish())
+
+	m := New(p, Config{CollectEdges: true})
+	if m.arena.first != m.rcode.bankSum {
+		t.Fatalf("arena first chunk %d words, want the program's bank total %d", m.arena.first, m.rcode.bankSum)
+	}
+	if _, err := m.Run(300); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(m.arena.chunks); i++ {
+		if prev, cur := len(m.arena.chunks[i-1]), len(m.arena.chunks[i]); cur != min(2*prev, rcChunkWords) {
+			t.Errorf("chunk %d holds %d words after %d, want geometric growth", i, cur, prev)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		if _, err := m.Run(300); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("steady-state Run allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestRegcodeBlockOrder: branch targets and the block names in error
+// messages resolve by block position, whatever the block IDs say —
+// after a reorder that leaves the IDs stale, and with an ID far outside
+// the dense range — and a jump into another function's block traps.
+func TestRegcodeBlockOrder(t *testing.T) {
+	p := fib()
+	f := p.Func("fib")
+	slices.Reverse(f.Blocks)
+	f.Blocks[0].ID = 1 << 20
+	for _, lim := range []int64{0, 7, 40} {
+		reg, tree := runBoth(t, p, Config{MaxSteps: lim}, 10)
+		assertSame(t, fmt.Sprintf("reordered lim=%d", lim), reg, tree)
+		if lim == 0 && reg.val != 55 {
+			t.Fatalf("reordered fib(10) = %d, want 55", reg.val)
+		}
+	}
+
+	other := ir.NewBuilder("other", 0)
+	far := other.Block("far")
+	other.Ret(ir.NoReg)
+	mb := ir.NewBuilder("main", 0)
+	mb.Block("entry")
+	mb.Jmp(far, 0)
+	q := ir.NewProgram()
+	q.Add(mb.Finish())
+	q.Add(other.Finish())
+	if _, err := New(q, Config{}).Run(); err == nil || err.Error() != "vm: main: unknown opcode jmp" {
+		t.Fatalf("jump into another function: err = %v, want the unknown-opcode trap", err)
 	}
 }

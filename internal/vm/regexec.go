@@ -26,9 +26,15 @@ import (
 // LIFO mark/release, so steady-state execution allocates nothing.
 // Handed-out banks are not zeroed; the caller initializes the physical
 // prefix by copy and clears the rest.
+//
+// The first chunk holds first words (the VM sets it to the program's
+// total bank length, enough for any non-recursive run); each later
+// chunk doubles the last, up to rcChunkWords, and is never smaller
+// than the frame that needs it.
 type rcArena struct {
 	chunks  [][]int64
 	ci, off int
+	first   int
 }
 
 const rcChunkWords = 1 << 12
@@ -36,11 +42,11 @@ const rcChunkWords = 1 << 12
 func (a *rcArena) alloc(n int) []int64 {
 	for {
 		if a.ci == len(a.chunks) {
-			sz := rcChunkWords
-			if n > sz {
-				sz = n
+			sz := min(a.first, rcChunkWords)
+			if k := len(a.chunks); k > 0 {
+				sz = min(2*len(a.chunks[k-1]), rcChunkWords)
 			}
-			a.chunks = append(a.chunks, make([]int64, sz))
+			a.chunks = append(a.chunks, make([]int64, max(sz, n)))
 		}
 		if ch := a.chunks[a.ci]; a.off+n <= len(ch) {
 			s := ch[a.off : a.off+n]
@@ -66,13 +72,15 @@ func (v *VM) runRegcode(args []int64) (int64, error) {
 		v.edgeDense = make([]int64, len(c.edges))
 	}
 	val, err := v.rexec(c.main, args, 0)
-	v.flushRegDense()
+	v.flushDense()
 	return val, err
 }
 
-// flushRegDense mirrors flushDense for the regcode program's dense
-// call and edge counters.
-func (v *VM) flushRegDense() {
+// flushDense materializes the dense call and edge counters into the
+// public map-based Stats.Calls and EdgeCount, preserving the tree
+// engine's observable shape (only invoked functions and traversed
+// edges appear as keys), then resets them so repeated Runs accumulate.
+func (v *VM) flushDense() {
 	c := v.rcode
 	for i, n := range v.callDense {
 		if n != 0 {
@@ -80,13 +88,39 @@ func (v *VM) flushRegDense() {
 			v.callDense[i] = 0
 		}
 	}
-	if v.edgeDense != nil {
-		for i, n := range v.edgeDense {
-			if n != 0 {
-				v.EdgeCount[c.edges[i]] += n
-				v.edgeDense[i] = 0
+	for i, n := range v.edgeDense {
+		if n != 0 {
+			if e := c.edges[i]; e != nil {
+				v.EdgeCount[e] += n
 			}
+			v.edgeDense[i] = 0
 		}
+	}
+}
+
+// flushSeg folds a dispatch segment's locally accumulated counters
+// into the VM. Taking the counters by value (rather than closing over
+// them) keeps them in registers inside the dispatch loop.
+func (v *VM) flushSeg(n, loads, stores int64) {
+	v.steps += n
+	v.Stats.Instrs += n
+	v.Stats.Loads += loads
+	v.Stats.Stores += stores
+}
+
+// countOverhead bumps the Stats counter of an overhead class.
+func (v *VM) countOverhead(ov uint8) {
+	switch ov {
+	case ovSpillLoad:
+		v.Stats.SpillLoads++
+	case ovSpillStore:
+		v.Stats.SpillStores++
+	case ovSave:
+		v.Stats.Saves++
+	case ovRestore:
+		v.Stats.Restores++
+	case ovJumpBlock:
+		v.Stats.JumpBlockJmps++
 	}
 }
 
@@ -98,8 +132,8 @@ func (v *VM) rleave(mc, moff, snapBase int) {
 	}
 }
 
-// rbin evaluates a fused binary operation (bcConstBin's inner opcode
-// space: every ir two-source ALU op including compares).
+// rbin evaluates a two-source ALU operation, compares included, for
+// careful mode; the dispatch loop inlines the same cases.
 func rbin(op ir.Op, x, y int64) int64 {
 	switch op {
 	case ir.OpAdd:
@@ -142,24 +176,6 @@ func rbin(op ir.Op, x, y int64) int64 {
 	return 0
 }
 
-// rcmp evaluates the compare selected by a fused opcode's offset from
-// its EQ variant.
-func rcmp(rel ir.Op, x, y int64) int64 {
-	switch rel {
-	case 0:
-		return b2i(x == y)
-	case 1:
-		return b2i(x != y)
-	case 2:
-		return b2i(x < y)
-	case 3:
-		return b2i(x <= y)
-	case 4:
-		return b2i(x > y)
-	}
-	return b2i(x >= y)
-}
-
 // constOperands resolves a const-feeding fused form to the operand
 // pair: 0 = other•K, 1 = K•other, 2 = K•K. The other-operand register
 // is read lazily because form 2 (const feeds both sources) has no
@@ -177,7 +193,7 @@ func constOperands(form int32, bank []int64, a int32, k int64) (int64, int64) {
 // rexec runs one function invocation to completion.
 func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 	c := v.rcode
-	fc := c.funcs[fi]
+	fc := &c.funcs[fi]
 	if depth > maxCallDepth {
 		return 0, fmt.Errorf("vm: call depth exceeded in %s", fc.name)
 	}
@@ -195,7 +211,7 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 		bank[p] = args[i]
 	}
 	snapBase := -1
-	if v.csPhys != nil {
+	if v.csRegs != nil {
 		snapBase = len(v.snap)
 		v.snap = append(v.snap, bank[v.csFrom:v.csTo]...)
 	}
@@ -207,6 +223,7 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 
 	var n, loads, stores int64 // flushed at calls, returns, and errors
 	var cond int64             // fused compare-branch condition, see fusedBr
+	var err error              // the error fail raises
 	budget := v.cfg.MaxSteps - v.steps
 	if q := int64(ins[pc].qlen); n+q > budget {
 		goto careful
@@ -217,18 +234,7 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 	for {
 		in := &ins[pc]
 		if in.ov != ovNone {
-			switch in.ov {
-			case ovSpillLoad:
-				v.Stats.SpillLoads++
-			case ovSpillStore:
-				v.Stats.SpillStores++
-			case ovSave:
-				v.Stats.Saves++
-			case ovRestore:
-				v.Stats.Restores++
-			case ovJumpBlock:
-				v.Stats.JumpBlockJmps++
-			}
+			v.countOverhead(in.ov)
 		}
 
 		switch in.op {
@@ -285,41 +291,31 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 			loads++
 			addr := bank[in.a] + in.imm
 			if addr < 0 || addr >= int64(len(heap)) {
-				v.flushSeg(n-int64(in.rem), loads, stores)
-				copy(v.phys[:pl], bank[:pl])
-				v.rleave(mc, moff, snapBase)
-				return 0, fmt.Errorf("vm: %s: load out of bounds at %d", fc.name, addr)
+				n -= int64(in.qlen - 1)
+				err = fmt.Errorf("vm: %s: load out of bounds at %d", fc.name, addr)
+				goto fail
 			}
 			bank[in.dst] = heap[addr]
 		case ir.OpStore:
 			stores++
 			addr := bank[in.a] + in.imm
 			if addr < 0 || addr >= int64(len(heap)) {
-				v.flushSeg(n-int64(in.rem), loads, stores)
-				copy(v.phys[:pl], bank[:pl])
-				v.rleave(mc, moff, snapBase)
-				return 0, fmt.Errorf("vm: %s: store out of bounds at %d", fc.name, addr)
+				n -= int64(in.qlen - 1)
+				err = fmt.Errorf("vm: %s: store out of bounds at %d", fc.name, addr)
+				goto fail
 			}
 			heap[addr] = bank[in.b]
-		case ir.OpSpillLoad:
+		case ir.OpSpillLoad, ir.OpRestore:
 			loads++
 			bank[in.dst] = bank[in.imm]
-		case ir.OpSpillStore:
+		case ir.OpSpillStore, ir.OpSave:
 			stores++
 			bank[in.imm] = bank[in.a]
-		case ir.OpSave:
-			stores++
-			bank[in.imm] = bank[in.a]
-		case ir.OpRestore:
-			loads++
-			bank[in.dst] = bank[in.imm]
 		case ir.OpCall:
 			cs := &fc.calls[in.imm]
 			if cs.callee < 0 {
-				v.flushSeg(n, loads, stores)
-				copy(v.phys[:pl], bank[:pl])
-				v.rleave(mc, moff, snapBase)
-				return 0, fmt.Errorf("vm: %s calls undefined %q", fc.name, cs.name)
+				err = fmt.Errorf("vm: %s calls undefined %q", fc.name, cs.name)
+				goto fail
 			}
 			ab := len(v.argScratch)
 			for _, a := range cs.args {
@@ -328,7 +324,8 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 			v.flushSeg(n, loads, stores)
 			n, loads, stores = 0, 0, 0
 			copy(v.phys[:pl], bank[:pl])
-			r, err := v.rexec(cs.callee, v.argScratch[ab:], depth+1)
+			var r int64
+			r, err = v.rexec(cs.callee, v.argScratch[ab:], depth+1)
 			v.argScratch = v.argScratch[:ab]
 			if err != nil {
 				// The erroring frame copied the authoritative register
@@ -372,16 +369,12 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 		case ir.OpBr:
 			if bank[in.a] != 0 {
 				if edges != nil {
-					if e := int32(uint32(in.ex >> 32)); e >= 0 {
-						edges[e]++
-					}
+					edges[in.c]++
 				}
 				pc = int(in.t1)
 			} else {
 				if edges != nil {
-					if e := int32(uint32(in.ex)); e >= 0 {
-						edges[e]++
-					}
+					edges[in.c+1]++
 				}
 				pc = int(in.t2)
 			}
@@ -393,9 +386,7 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 			continue
 		case ir.OpJmp:
 			if edges != nil {
-				if e := int32(in.ex); e >= 0 {
-					edges[e]++
-				}
+				edges[in.c]++
 			}
 			pc = int(in.t1)
 			if q := int64(ins[pc].qlen); n+q > budget {
@@ -474,93 +465,89 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 			}
 		case rConstCmpEQBr:
 			bank[in.b] = in.imm
-			x, y := constOperands(in.c, bank, in.a, in.imm)
+			x, y := constOperands(int32(in.x), bank, in.a, in.imm)
 			cond = b2i(x == y)
 			goto fusedBr
 		case rConstCmpNEBr:
 			bank[in.b] = in.imm
-			x, y := constOperands(in.c, bank, in.a, in.imm)
+			x, y := constOperands(int32(in.x), bank, in.a, in.imm)
 			cond = b2i(x != y)
 			goto fusedBr
 		case rConstCmpLTBr:
 			bank[in.b] = in.imm
-			x, y := constOperands(in.c, bank, in.a, in.imm)
+			x, y := constOperands(int32(in.x), bank, in.a, in.imm)
 			cond = b2i(x < y)
 			goto fusedBr
 		case rConstCmpLEBr:
 			bank[in.b] = in.imm
-			x, y := constOperands(in.c, bank, in.a, in.imm)
+			x, y := constOperands(int32(in.x), bank, in.a, in.imm)
 			cond = b2i(x <= y)
 			goto fusedBr
 		case rConstCmpGTBr:
 			bank[in.b] = in.imm
-			x, y := constOperands(in.c, bank, in.a, in.imm)
+			x, y := constOperands(int32(in.x), bank, in.a, in.imm)
 			cond = b2i(x > y)
 			goto fusedBr
 		case rConstCmpGEBr:
 			bank[in.b] = in.imm
-			x, y := constOperands(in.c, bank, in.a, in.imm)
+			x, y := constOperands(int32(in.x), bank, in.a, in.imm)
 			cond = b2i(x >= y)
 			goto fusedBr
 		case rLatchEQ:
-			k1 := int64(int32(uint32(in.imm >> 32)))
+			k1 := int64(in.x)
 			bank[in.b] = k1
 			bank[in.a] += k1
-			k2 := int64(int32(uint32(in.imm)))
-			bank[in.c] = k2
+			k2 := int64(int32(in.imm))
+			bank[int32(in.imm>>32)] = k2
 			cond = b2i(bank[in.a] == k2)
 			goto fusedBr
 		case rLatchNE:
-			k1 := int64(int32(uint32(in.imm >> 32)))
+			k1 := int64(in.x)
 			bank[in.b] = k1
 			bank[in.a] += k1
-			k2 := int64(int32(uint32(in.imm)))
-			bank[in.c] = k2
+			k2 := int64(int32(in.imm))
+			bank[int32(in.imm>>32)] = k2
 			cond = b2i(bank[in.a] != k2)
 			goto fusedBr
 		case rLatchLT:
-			k1 := int64(int32(uint32(in.imm >> 32)))
+			k1 := int64(in.x)
 			bank[in.b] = k1
 			bank[in.a] += k1
-			k2 := int64(int32(uint32(in.imm)))
-			bank[in.c] = k2
+			k2 := int64(int32(in.imm))
+			bank[int32(in.imm>>32)] = k2
 			cond = b2i(bank[in.a] < k2)
 			goto fusedBr
 		case rLatchLE:
-			k1 := int64(int32(uint32(in.imm >> 32)))
+			k1 := int64(in.x)
 			bank[in.b] = k1
 			bank[in.a] += k1
-			k2 := int64(int32(uint32(in.imm)))
-			bank[in.c] = k2
+			k2 := int64(int32(in.imm))
+			bank[int32(in.imm>>32)] = k2
 			cond = b2i(bank[in.a] <= k2)
 			goto fusedBr
 		case rLatchGT:
-			k1 := int64(int32(uint32(in.imm >> 32)))
+			k1 := int64(in.x)
 			bank[in.b] = k1
 			bank[in.a] += k1
-			k2 := int64(int32(uint32(in.imm)))
-			bank[in.c] = k2
+			k2 := int64(int32(in.imm))
+			bank[int32(in.imm>>32)] = k2
 			cond = b2i(bank[in.a] > k2)
 			goto fusedBr
 		case rLatchGE:
-			k1 := int64(int32(uint32(in.imm >> 32)))
+			k1 := int64(in.x)
 			bank[in.b] = k1
 			bank[in.a] += k1
-			k2 := int64(int32(uint32(in.imm)))
-			bank[in.c] = k2
+			k2 := int64(int32(in.imm))
+			bank[int32(in.imm>>32)] = k2
 			cond = b2i(bank[in.a] >= k2)
 			goto fusedBr
 		case rFellOff:
 			// Synthetic: qlen never counted it, so n is already right.
-			v.flushSeg(n, loads, stores)
-			copy(v.phys[:pl], bank[:pl])
-			v.rleave(mc, moff, snapBase)
-			return 0, fmt.Errorf("vm: %s: block %s fell off the end", fc.name, fc.block(int32(pc)))
+			err = fmt.Errorf("vm: %s: block %s fell off the end", fc.name, fc.block(int32(pc)))
+			goto fail
 		default: // rBadOp and anything unexpected
-			v.flushSeg(n, loads, stores)
-			copy(v.phys[:pl], bank[:pl])
-			v.rleave(mc, moff, snapBase)
-			return 0, fmt.Errorf("vm: %s: unknown opcode %v", fc.name, ir.Op(in.a))
+			err = fmt.Errorf("vm: %s: unknown opcode %v", fc.name, ir.Op(in.a))
+			goto fail
 		}
 		pc++
 		continue
@@ -572,16 +559,12 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 		bank[in.dst] = cond
 		if cond != 0 {
 			if edges != nil {
-				if e := int32(uint32(in.ex >> 32)); e >= 0 {
-					edges[e]++
-				}
+				edges[in.c]++
 			}
 			pc = int(in.t1)
 		} else {
 			if edges != nil {
-				if e := int32(uint32(in.ex)); e >= 0 {
-					edges[e]++
-				}
+				edges[in.c+1]++
 			}
 			pc = int(in.t2)
 		}
@@ -591,6 +574,14 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 			n += q
 		}
 	}
+
+	// fail raises err from this frame: the counters so far are folded
+	// in and the register values copied out.
+fail:
+	v.flushSeg(n, loads, stores)
+	copy(v.phys[:pl], bank[:pl])
+	v.rleave(mc, moff, snapBase)
+	return 0, err
 
 careful:
 	val, err := v.rcareful(fc, bank, pc, n, loads, stores, budget)
@@ -608,34 +599,17 @@ careful:
 func (v *VM) rcareful(fc *rcFunc, bank []int64, pc int, n, loads, stores, budget int64) (int64, error) {
 	ins := fc.ins
 	heap := v.heap
-	halt := func() (int64, error) {
-		v.flushSeg(n, loads, stores)
-		v.Stats.Instrs--
-		return 0, haltErr(fc.name, fc.block(int32(pc)))
-	}
+	var err error
 	for {
 		in := &ins[pc]
 		n++
-		if n > budget {
-			if in.op == rFellOff {
-				v.flushSeg(n-1, loads, stores)
-				return 0, fmt.Errorf("vm: %s: block %s fell off the end", fc.name, fc.block(int32(pc)))
-			}
-			return halt()
+		// Falling off a block's end raises its own error even at the
+		// budget's edge: the tree engine raises it without a step.
+		if n > budget && in.op != rFellOff {
+			goto halt
 		}
 		if in.ov != ovNone {
-			switch in.ov {
-			case ovSpillLoad:
-				v.Stats.SpillLoads++
-			case ovSpillStore:
-				v.Stats.SpillStores++
-			case ovSave:
-				v.Stats.Saves++
-			case ovRestore:
-				v.Stats.Restores++
-			case ovJumpBlock:
-				v.Stats.JumpBlockJmps++
-			}
+			v.countOverhead(in.ov)
 		}
 
 		switch in.op {
@@ -644,80 +618,47 @@ func (v *VM) rcareful(fc *rcFunc, bank []int64, pc int, n, loads, stores, budget
 			bank[in.dst] = in.imm
 		case ir.OpMov:
 			bank[in.dst] = bank[in.a]
-		case ir.OpAdd:
-			bank[in.dst] = bank[in.a] + bank[in.b]
-		case ir.OpSub:
-			bank[in.dst] = bank[in.a] - bank[in.b]
-		case ir.OpMul:
-			bank[in.dst] = bank[in.a] * bank[in.b]
-		case ir.OpDiv:
-			if d := bank[in.b]; d == 0 {
-				bank[in.dst] = 0
-			} else {
-				bank[in.dst] = bank[in.a] / d
-			}
-		case ir.OpRem:
-			if d := bank[in.b]; d == 0 {
-				bank[in.dst] = 0
-			} else {
-				bank[in.dst] = bank[in.a] % d
-			}
-		case ir.OpAnd:
-			bank[in.dst] = bank[in.a] & bank[in.b]
-		case ir.OpOr:
-			bank[in.dst] = bank[in.a] | bank[in.b]
-		case ir.OpXor:
-			bank[in.dst] = bank[in.a] ^ bank[in.b]
-		case ir.OpShl:
-			bank[in.dst] = bank[in.a] << uint(bank[in.b]&63)
-		case ir.OpShr:
-			bank[in.dst] = bank[in.a] >> uint(bank[in.b]&63)
+		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
+			ir.OpCmpEQ, ir.OpCmpNE, ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE:
+			bank[in.dst] = rbin(in.op, bank[in.a], bank[in.b])
 		case ir.OpNeg:
 			bank[in.dst] = -bank[in.a]
 		case ir.OpNot:
 			bank[in.dst] = ^bank[in.a]
-		case ir.OpCmpEQ, ir.OpCmpNE, ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE:
-			bank[in.dst] = rcmp(in.op-ir.OpCmpEQ, bank[in.a], bank[in.b])
 		case ir.OpLoad:
 			loads++
 			addr := bank[in.a] + in.imm
 			if addr < 0 || addr >= int64(len(heap)) {
-				v.flushSeg(n, loads, stores)
-				return 0, fmt.Errorf("vm: %s: load out of bounds at %d", fc.name, addr)
+				err = fmt.Errorf("vm: %s: load out of bounds at %d", fc.name, addr)
+				goto fail
 			}
 			bank[in.dst] = heap[addr]
 		case ir.OpStore:
 			stores++
 			addr := bank[in.a] + in.imm
 			if addr < 0 || addr >= int64(len(heap)) {
-				v.flushSeg(n, loads, stores)
-				return 0, fmt.Errorf("vm: %s: store out of bounds at %d", fc.name, addr)
+				err = fmt.Errorf("vm: %s: store out of bounds at %d", fc.name, addr)
+				goto fail
 			}
 			heap[addr] = bank[in.b]
-		case ir.OpSpillLoad:
+		case ir.OpSpillLoad, ir.OpRestore:
 			loads++
 			bank[in.dst] = bank[in.imm]
-		case ir.OpSpillStore:
+		case ir.OpSpillStore, ir.OpSave:
 			stores++
 			bank[in.imm] = bank[in.a]
-		case ir.OpSave:
-			stores++
-			bank[in.imm] = bank[in.a]
-		case ir.OpRestore:
-			loads++
-			bank[in.dst] = bank[in.imm]
 		case rCmpEQBr, rCmpNEBr, rCmpLTBr, rCmpLEBr, rCmpGTBr, rCmpGEBr:
-			bank[in.dst] = rcmp(in.op-rCmpEQBr, bank[in.a], bank[in.b])
+			bank[in.dst] = rbin(ir.OpCmpEQ+in.op-rCmpEQBr, bank[in.a], bank[in.b])
 			n++
 			if n > budget {
-				return halt()
+				goto halt
 			}
 			panic("vm: regcode careful mode survived a fused branch")
 		case rConstBin:
 			bank[in.b] = in.imm
 			n++
 			if n > budget {
-				return halt()
+				goto halt
 			}
 			x, y := constOperands(in.t2, bank, in.a, in.imm)
 			bank[in.dst] = rbin(ir.Op(in.t1), x, y)
@@ -725,49 +666,50 @@ func (v *VM) rcareful(fc *rcFunc, bank []int64, pc int, n, loads, stores, budget
 			bank[in.b] = in.imm
 			n++
 			if n > budget {
-				return halt()
+				goto halt
 			}
-			x, y := constOperands(in.c, bank, in.a, in.imm)
-			bank[in.dst] = rcmp(in.op-rConstCmpEQBr, x, y)
+			x, y := constOperands(int32(in.x), bank, in.a, in.imm)
+			bank[in.dst] = rbin(ir.OpCmpEQ+in.op-rConstCmpEQBr, x, y)
 			n++
 			if n > budget {
-				return halt()
+				goto halt
 			}
 			panic("vm: regcode careful mode survived a fused branch")
 		case rLatchEQ, rLatchNE, rLatchLT, rLatchLE, rLatchGT, rLatchGE:
-			bank[in.b] = int64(int32(uint32(in.imm >> 32)))
+			bank[in.b] = int64(in.x)
 			n++
 			if n > budget {
-				return halt()
+				goto halt
 			}
 			bank[in.a] += bank[in.b]
 			n++
 			if n > budget {
-				return halt()
+				goto halt
 			}
-			bank[in.c] = int64(int32(uint32(in.imm)))
+			k := int32(in.imm >> 32)
+			bank[k] = int64(int32(in.imm))
 			n++
 			if n > budget {
-				return halt()
+				goto halt
 			}
-			bank[in.dst] = rcmp(in.op-rLatchEQ, bank[in.a], bank[in.c])
+			bank[in.dst] = rbin(ir.OpCmpEQ+in.op-rLatchEQ, bank[in.a], bank[k])
 			n++
 			if n > budget {
-				return halt()
+				goto halt
 			}
 			panic("vm: regcode careful mode survived a fused branch")
 		case rConstBinSpillSt, rConstBinSpillStOv:
 			bank[in.b] = in.imm
 			n++
 			if n > budget {
-				return halt()
+				goto halt
 			}
 			x, y := constOperands(in.t2, bank, in.a, in.imm)
 			res := rbin(ir.Op(in.t1), x, y)
 			bank[in.dst] = res
 			n++
 			if n > budget {
-				return halt()
+				goto halt
 			}
 			stores++
 			if in.op == rConstBinSpillStOv {
@@ -775,14 +717,26 @@ func (v *VM) rcareful(fc *rcFunc, bank []int64, pc int, n, loads, stores, budget
 			}
 			bank[in.c] = res
 		case rFellOff:
-			v.flushSeg(n-1, loads, stores)
-			return 0, fmt.Errorf("vm: %s: block %s fell off the end", fc.name, fc.block(int32(pc)))
+			n-- // synthetic: not an executed instruction
+			err = fmt.Errorf("vm: %s: block %s fell off the end", fc.name, fc.block(int32(pc)))
+			goto fail
 		case ir.OpCall, ir.OpRet, ir.OpBr, ir.OpJmp:
 			panic("vm: regcode careful mode reached a quantum boundary")
 		default: // rBadOp and anything unexpected
-			v.flushSeg(n, loads, stores)
-			return 0, fmt.Errorf("vm: %s: unknown opcode %v", fc.name, ir.Op(in.a))
+			err = fmt.Errorf("vm: %s: unknown opcode %v", fc.name, ir.Op(in.a))
+			goto fail
 		}
 		pc++
 	}
+
+halt:
+	// The halting instruction counts toward steps but was never
+	// executed, so it stays out of Stats.Instrs.
+	v.flushSeg(n, loads, stores)
+	v.Stats.Instrs--
+	return 0, haltErr(fc.name, fc.block(int32(pc)))
+
+fail:
+	v.flushSeg(n, loads, stores)
+	return 0, err
 }

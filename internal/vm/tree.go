@@ -3,8 +3,9 @@ package vm
 // tree.go is the legacy tree-walking interpreter: it chases *ir.Block
 // pointers, re-tests overhead flags on every instruction, and counts
 // calls and edges through maps. It is retained as the differential
-// reference for the bytecode engine (exec.go); the two must agree
-// exactly on values, statistics, edge counts, and error reporting.
+// reference for the compiled regcode engine (regexec.go); the two must
+// agree exactly on values, statistics, edge counts, and error
+// reporting.
 
 import (
 	"fmt"

@@ -5,25 +5,24 @@
 // convention — a placement bug becomes a hard execution error, not a
 // silently wrong count.
 //
-// Three engines implement the same observable semantics:
+// Two engines implement the same observable semantics:
 //
-//   - EngineBytecode (the default) lowers each function once into a
-//     flat, pre-decoded instruction array — branch targets resolved to
-//     instruction indices, overhead classes precomputed, callees and
-//     profiled edges resolved to dense indices — and executes it in a
-//     tight dispatch loop with pooled, exactly-sized frames and dense
-//     counters (see bytecode.go, exec.go).
-//   - EngineRegcode lowers each function into register-transfer code:
-//     physical registers, virtuals, and frame slots share one flat
-//     per-invocation register bank so every operand access is a single
-//     slice index, superinstruction fusion covers whole loop-header
-//     shapes, step accounting is batched per straight-line quantum,
-//     and frames come from a chunked arena instead of sync.Pool (see
+//   - EngineRegcode (the default) compiles each function once, at New,
+//     into register-transfer code: physical registers, virtuals, and
+//     frame slots share one flat per-invocation register bank so every
+//     operand access is a single slice index; branch targets, callees,
+//     and profiled edges are resolved to dense indices; superinstruction
+//     fusion covers whole loop-header shapes; step accounting is
+//     batched per straight-line quantum; and frames come from a
+//     chunked arena, so steady-state execution allocates nothing (see
 //     regcode.go, regexec.go).
 //   - EngineTree is the original tree-walking interpreter over
 //     *ir.Block pointers (tree.go). It is kept as the differential
-//     reference; the parity tests prove all engines agree exactly on
+//     reference; the parity tests prove both engines agree exactly on
 //     values, statistics, edge profiles, and error reporting.
+//
+// ParseEngine still accepts "bytecode", the name of a retired third
+// engine, as a deprecated alias of EngineRegcode.
 package vm
 
 import (
@@ -121,43 +120,38 @@ const DefaultMaxSteps int64 = 1 << 28
 type Engine int
 
 const (
-	// EngineBytecode pre-decodes the program into flat instruction
-	// arrays and runs a tight dispatch loop. The default.
-	EngineBytecode Engine = iota
-	// EngineTree is the legacy tree-walking interpreter, kept as the
-	// differential reference for the compiled engines.
-	EngineTree
 	// EngineRegcode is the register-transfer engine: a unified
 	// register bank per invocation, loop-header superinstructions,
-	// quantum-batched step accounting, and arena-allocated frames.
-	EngineRegcode
+	// quantum-batched step accounting, and arena-allocated frames. The
+	// default.
+	EngineRegcode Engine = iota
+	// EngineTree is the legacy tree-walking interpreter, kept as the
+	// differential reference for the compiled engine.
+	EngineTree
 )
 
-// String names the engine ("bytecode", "regcode", or "tree").
+// String names the engine ("regcode" or "tree").
 func (e Engine) String() string {
-	switch e {
-	case EngineTree:
+	if e == EngineTree {
 		return "tree"
-	case EngineRegcode:
-		return "regcode"
 	}
-	return "bytecode"
+	return "regcode"
 }
 
 // Engines lists every execution engine, for harnesses that sweep them.
-var Engines = []Engine{EngineBytecode, EngineRegcode, EngineTree}
+var Engines = []Engine{EngineRegcode, EngineTree}
 
 // ParseEngine maps an engine name back to the enum, for CLI flags.
+// "bytecode" is a deprecated alias of "regcode": it named the engine
+// regcode replaced, and clients that still send it get the default.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "bytecode":
-		return EngineBytecode, nil
-	case "regcode":
+	case "regcode", "bytecode":
 		return EngineRegcode, nil
 	case "tree":
 		return EngineTree, nil
 	}
-	return 0, fmt.Errorf("vm: unknown engine %q (want bytecode, regcode, or tree)", s)
+	return 0, fmt.Errorf("vm: unknown engine %q (want regcode or tree)", s)
 }
 
 // Config controls a VM run.
@@ -172,7 +166,7 @@ type Config struct {
 	MaxSteps int64
 	// CollectEdges enables per-edge execution counting.
 	CollectEdges bool
-	// Engine selects the execution engine (default EngineBytecode).
+	// Engine selects the execution engine (default EngineRegcode).
 	Engine Engine
 }
 
@@ -188,17 +182,15 @@ type VM struct {
 	// Compiled-engine state. The program is compiled once, at New;
 	// mutate the program after that and the VM keeps executing the
 	// shape it compiled — create a new VM instead.
-	code       *bcProgram
-	rcode      *rcProgram // regcode engine program
-	arena      rcArena    // regcode engine frame arena
-	callDense  []int64    // per-function call counts, flushed into Stats.Calls
-	edgeDense  []int64    // per-edge traversal counts, flushed into EdgeCount
-	csRegs     []ir.Reg   // the machine's callee-saved registers, precomputed
-	csPhys     []int32    // their hardware numbers, for the snapshot loops
-	csFrom     int        // callee-saved registers are the contiguous
-	csTo       int        // range [csFrom, csTo) of the physical file
-	snap       []int64    // convention-check snapshot stack, one segment per live call
-	argScratch []int64    // call argument evaluation stack, one segment per live call
+	rcode      *rcProgram
+	arena      rcArena  // frame arena
+	callDense  []int64  // per-function call counts, flushed into Stats.Calls
+	edgeDense  []int64  // per-edge traversal counts, flushed into EdgeCount
+	csRegs     []ir.Reg // the machine's callee-saved registers, precomputed
+	csFrom     int      // callee-saved registers are the contiguous
+	csTo       int      // range [csFrom, csTo) of the physical file
+	snap       []int64  // convention-check snapshot stack, one segment per live call
+	argScratch []int64  // call argument evaluation stack, one segment per live call
 
 	Stats     Stats
 	EdgeCount map[*ir.Edge]int64
@@ -213,30 +205,31 @@ func New(prog *ir.Program, cfg Config) *VM {
 		cfg.MaxSteps = DefaultMaxSteps
 	}
 	v := &VM{prog: prog, cfg: cfg}
+	if cfg.Machine != nil {
+		v.csRegs = cfg.Machine.CalleeSaved()
+		v.csFrom = cfg.Machine.CalleeSavedFrom
+		v.csTo = cfg.Machine.NumRegs
+	}
 	// The heap is only materialized for programs that can touch it;
 	// a program with no load/store never observes the difference, and
 	// the suites of register-resident benchmarks skip half a megabyte
 	// of zeroed allocation per VM.
-	if usesHeap(prog) {
-		v.heap = make([]int64, cfg.HeapWords)
-	}
-	if cfg.Machine != nil {
-		v.csRegs = cfg.Machine.CalleeSaved()
-		for _, r := range v.csRegs {
-			v.csPhys = append(v.csPhys, int32(r.PhysNum()))
-		}
-		v.csFrom = cfg.Machine.CalleeSavedFrom
-		v.csTo = cfg.Machine.NumRegs
-	}
-	switch cfg.Engine {
-	case EngineBytecode:
-		v.code = compileProgram(prog)
-	case EngineRegcode:
+	var heap bool
+	var edges int
+	if cfg.Engine == EngineTree {
+		heap = usesHeap(prog)
+	} else {
 		v.rcode = compileRegProgram(prog, v.csTo)
+		v.arena.first = v.rcode.bankSum
+		heap = v.rcode.usesHeap
+		edges = len(v.rcode.edges)
+	}
+	if heap {
+		v.heap = make([]int64, cfg.HeapWords)
 	}
 	v.Stats.Calls = make(map[string]int64)
 	if cfg.CollectEdges {
-		v.EdgeCount = make(map[*ir.Edge]int64)
+		v.EdgeCount = make(map[*ir.Edge]int64, edges)
 	}
 	return v
 }
@@ -244,16 +237,15 @@ func New(prog *ir.Program, cfg Config) *VM {
 // Run executes the program's main function with the given arguments
 // and returns its result.
 func (v *VM) Run(args ...int64) (int64, error) {
-	switch v.cfg.Engine {
-	case EngineTree:
+	if v.cfg.Engine == EngineTree {
 		return v.runTree(args)
-	case EngineRegcode:
-		return v.runRegcode(args)
 	}
-	return v.runBytecode(args)
+	return v.runRegcode(args)
 }
 
 // usesHeap reports whether any instruction can address the flat heap.
+// The compiled engine answers this in its counting pass; the tree
+// engine, which compiles nothing, walks the program.
 func usesHeap(p *ir.Program) bool {
 	for _, f := range p.FuncsInOrder() {
 		for _, b := range f.Blocks {

@@ -131,18 +131,9 @@ type Program struct {
 	// Results are identical for any value.
 	Parallelism int
 
-	// UseLegacyVM switches Profile and Run onto the legacy
-	// tree-walking interpreter instead of the default bytecode engine.
-	// Every measured count is identical either way (the engines are
-	// parity-tested); the legacy engine exists as the differential
-	// reference and is several times slower. UseEngine, when called,
-	// overrides this knob.
-	UseLegacyVM bool
-
-	// eng is the engine selected by UseEngine; engSet records that the
-	// selection happened, since the zero Engine is the default.
-	eng    vm.Engine
-	engSet bool
+	// eng is the VM engine Profile and Run execute on (UseEngine); the
+	// zero value is the default, regcode.
+	eng vm.Engine
 
 	// MaxSteps bounds every VM execution (Profile and Run). Zero
 	// means the VM's default budget; services handling untrusted IR
@@ -270,7 +261,7 @@ func (p *Program) Profile(args ...int64) error {
 	if p.allocated {
 		return fmt.Errorf("spillopt: Profile must run before Allocate")
 	}
-	if _, err := profile.CollectWithConfig(p.prog, vm.Config{Engine: p.engine(), MaxSteps: p.MaxSteps}, args...); err != nil {
+	if _, err := profile.CollectWithConfig(p.prog, vm.Config{Engine: p.eng, MaxSteps: p.MaxSteps}, args...); err != nil {
 		return err
 	}
 	if err := profile.Consistent(p.prog); err != nil {
@@ -569,7 +560,7 @@ func (p *Program) Run(args ...int64) (*Result, error) {
 	if p.tierPending {
 		return p.runTiered(args)
 	}
-	m := vm.New(p.prog, vm.Config{Machine: p.mach, Engine: p.engine(), MaxSteps: p.MaxSteps})
+	m := vm.New(p.prog, vm.Config{Machine: p.mach, Engine: p.eng, MaxSteps: p.MaxSteps})
 	v, err := m.Run(args...)
 	if err != nil {
 		return nil, err
@@ -601,7 +592,7 @@ func (p *Program) runTiered(args []int64) (*Result, error) {
 		MaxSteps:    p.MaxSteps,
 		Parallelism: p.Parallelism,
 		Cache:       p.cache,
-		Engine:      p.tierEngine(),
+		Engine:      p.eng,
 	}, args...)
 	if res != nil {
 		// Even on a step-limit halt the program was re-placed; the
@@ -625,20 +616,6 @@ func (p *Program) runTiered(args []int64) (*Result, error) {
 		Restores:       st.Restores,
 		JumpBlockJumps: st.JumpBlockJmps,
 	}, nil
-}
-
-// tierEngine is the engine tiered runs execute on: an explicit
-// UseEngine/UseLegacyVM choice wins; otherwise the tiered pipeline's
-// native engine, regcode, whose fast path counts edges so tier-0
-// profiling costs no engine downgrade.
-func (p *Program) tierEngine() vm.Engine {
-	if p.engSet {
-		return p.eng
-	}
-	if p.UseLegacyVM {
-		return vm.EngineTree
-	}
-	return vm.EngineRegcode
 }
 
 // TierReport describes the last tiered Run: whether the quantum
@@ -697,16 +674,15 @@ func (p *Program) DotPST(funcName string) (string, error) {
 }
 
 // UseEngine selects the VM engine Profile and Run execute on, by name
-// ("bytecode", "regcode", or "tree" — see Engines). The engines are
-// parity-tested to produce identical results and counts; they differ
-// only in speed. An explicit selection overrides UseLegacyVM.
+// ("regcode", the default, or "tree" — see Engines; "bytecode" is a
+// deprecated alias of "regcode"). The engines are parity-tested to
+// produce identical results and counts; they differ only in speed.
 func (p *Program) UseEngine(name string) error {
 	e, err := vm.ParseEngine(name)
 	if err != nil {
 		return err
 	}
 	p.eng = e
-	p.engSet = true
 	return nil
 }
 
@@ -719,17 +695,6 @@ func Engines() []string {
 	return names
 }
 
-// engine maps the facade knobs to the VM's engine enum.
-func (p *Program) engine() vm.Engine {
-	if p.engSet {
-		return p.eng
-	}
-	if p.UseLegacyVM {
-		return vm.EngineTree
-	}
-	return vm.EngineBytecode
-}
-
 // Clone deep-copies the program so several strategies can be compared
 // from the same allocation.
 func (p *Program) Clone() *Program {
@@ -738,9 +703,7 @@ func (p *Program) Clone() *Program {
 		mach:         p.mach,
 		cache:        analysis.NewCache(),
 		Parallelism:  p.Parallelism,
-		UseLegacyVM:  p.UseLegacyVM,
 		eng:          p.eng,
-		engSet:       p.engSet,
 		MaxSteps:     p.MaxSteps,
 		tiering:      p.tiering,
 		tierQuantum:  p.tierQuantum,
