@@ -1,39 +1,19 @@
-// Command benchdiff is the CI benchmark-regression gate: it re-runs
-// the standing benchmarks in-process and compares them against the
-// committed trajectory records, failing (exit 1) on a regression.
+// Command benchdiff is the benchmark-regression gate. For each
+// committed BENCH_<name>.json record in the working directory it
+// produces a fresh run of the record's standing configuration
+// in-process and compares the two with the record's bench.Gate,
+// failing (exit 1) on any finding.
 //
-//	benchdiff -vm BENCH_vm.json             # engine throughput gate
-//	benchdiff -machines BENCH_machines.json # multi-machine sweep gate
-//	benchdiff -analysis BENCH_analysis.json # incremental analysis gate
-//	benchdiff -serve BENCH_serve.json       # placement service gate
-//	benchdiff -tiered BENCH_tiered.json     # tiered re-placement gate
-//	benchdiff -crossover BENCH_crossover.json # machine-crossover gate
-//	benchdiff -vm ... -machines ... -threshold 15
-//	benchdiff -machines ... -inject 20      # self-test: must fail
-//	benchdiff -machines ... -write-fresh DIR  # dump the fresh records
-//	                                          # (CI failure artifacts)
+//	benchdiff                  # gate every record
+//	benchdiff vm serve         # gate only these
+//	benchdiff -write-fresh DIR # also write each fresh record into DIR
+//	                           # under its committed file name
 //
-// The VM gate compares the regcode-over-tree speedup ratio (host
-// speed cancels) and the deterministic per-run instruction counts; the
-// machines gate compares the deterministic weighted overheads of every
-// (machine preset, strategy) pair and the analysis build counters that
-// prove the sweep shares analyses across presets; the analysis gate
-// compares the cold-over-incremental re-placement speedup (host speed
-// cancels) and the zero-full-rebuild property of the delta patchers;
-// the serve gate re-runs the in-process loadgen sweep and compares the
-// cached-over-cold speedup against the committed ratio, the
-// deterministic cache hit counters, and the analysis cache's eviction
-// bound; the tiered gate re-runs the static-vs-measured
-// re-placement comparison on the hostile suite and compares the
-// deterministic per-preset overheads, requiring the best preset's gain
-// to clear the absolute floor; the crossover gate re-runs the
-// uniform-vs-machine-priced allocation comparison on the crossover
-// suite and compares the deterministic per-(benchmark, preset) best
-// overheads and winners, requiring at least one benchmark to keep
-// flipping its winner across presets. -inject degrades the fresh
-// numbers by the given percentage so the CI job can prove the gate
-// actually trips; -write-fresh dumps every fresh record (as compared,
-// injection included) into a directory for CI failure artifacts.
+// Every value must reproduce exactly unless the record's gate names it
+// host-dependent; the only other checks are the declared timing ratios
+// and absolute bounds. Regenerating a record is copying its fresh run
+// over it; for the records with timing ratios (vm, analysis, serve),
+// copy the run whose ratios are the median of three.
 package main
 
 import (
@@ -42,28 +22,105 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"time"
 
 	"repro/internal/bench"
+	"repro/internal/machine"
 	"repro/internal/server"
 	"repro/internal/workload"
 )
 
+// The standing configurations of the committed records. Each value is
+// also a leaf of its record, so a change here fails the gate until the
+// record is regenerated.
+const (
+	vmReps       = 7
+	analysisReps = 5
+
+	serveDistinct = 500
+	serveDups     = 19
+	serveWorkers  = 4
+
+	tieredSeed    = 1 // hostile-1 through hostile-12
+	tieredN       = 12
+	tieredQuantum = 2000
+	tieredReps    = 3
+
+	crossoverSeed = 1 // crossover-1 through crossover-10
+	crossoverN    = 10
+)
+
+// record registers one committed BENCH_<name>.json: how the gate
+// compares it, and the single producer of a fresh run.
+type record struct {
+	name  string
+	gate  bench.Gate
+	fresh func() (any, error)
+}
+
+func (r record) file() string { return "BENCH_" + r.name + ".json" }
+
+var records = []record{
+	{"vm", bench.Gate{
+		Host:  []string{"wall_ns", "ns_per_run", "instrs_per_sec"},
+		Ratio: map[string]float64{"speedup": 15},
+	}, func() (any, error) { return bench.BenchVM(workload.SPECInt2000(), vmReps) }},
+
+	{"machines", bench.Gate{
+		Host: []string{"placement_ns"},
+	}, func() (any, error) {
+		var entries []bench.Entry
+		for _, p := range workload.SPECInt2000() {
+			entries = append(entries, bench.EntryFor(p))
+		}
+		sw, err := bench.RunSweep(entries, machine.Presets(), bench.Options{})
+		if err != nil {
+			return nil, err
+		}
+		return sw.Record("SPEC CPU2000 integer stand-ins"), nil
+	}},
+
+	// The cold side rebuilds every analysis, so a faster build lowers
+	// both speedups; the record is regenerated when the cold path
+	// changes, and the ratio has no absolute floor.
+	{"analysis", bench.Gate{
+		Host:  []string{"cold_ns", "shared_ns", "incremental_ns", "shared_speedup"},
+		Ratio: map[string]float64{"incremental_speedup": 30},
+	}, func() (any, error) { return bench.BenchAnalysis(workload.SPECInt2000(), analysisReps) }},
+
+	// As for analysis, a faster cold path lowers the cached speedup, so
+	// it has no absolute floor. The analysis cache's high-water mark and
+	// drop count depend on scheduling; the cache may run over its budget
+	// by the handles in flight, at most 8 per worker.
+	{"serve", bench.Gate{
+		Host:  []string{"cold_ns_per_req", "cached_ns_per_req", "analysis_len_max", "analysis_drops"},
+		Ratio: map[string]float64{"cached_speedup": 40},
+		Min:   map[string]float64{"analysis_drops": 1},
+		Max:   map[string]float64{"analysis_len_max": server.BenchAnalysisBudget + 8*serveWorkers},
+	}, func() (any, error) { return server.Bench(serveDistinct, serveDups, serveWorkers) }},
+
+	{"tiered", bench.Gate{
+		Host: []string{"static_ns", "tiered_ns", "instrs_per_sec"},
+		Min:  map[string]float64{"best_gain": bench.TieredGainFloor, "boundaries": 1},
+	}, func() (any, error) {
+		return bench.BenchTiered(bench.HostileSuite(tieredSeed, tieredN), tieredQuantum, tieredReps)
+	}},
+
+	{"crossover", bench.Gate{
+		Min: map[string]float64{"flips": 1},
+	}, func() (any, error) {
+		return bench.RunCrossover(bench.CrossoverSuite(crossoverSeed, crossoverN), machine.Presets(), bench.Options{})
+	}},
+}
+
 func main() {
-	vmPath := flag.String("vm", "", "committed BENCH_vm.json to gate against")
-	machPath := flag.String("machines", "", "committed BENCH_machines.json to gate against")
-	analysisPath := flag.String("analysis", "", "committed BENCH_analysis.json to gate against")
-	servePath := flag.String("serve", "", "committed BENCH_serve.json to gate against")
-	tieredPath := flag.String("tiered", "", "committed BENCH_tiered.json to gate against")
-	crossPath := flag.String("crossover", "", "committed BENCH_crossover.json to gate against")
-	threshold := flag.Float64("threshold", 15, "allowed regression in percent")
-	reps := flag.Int("reps", 1, "VM executions per benchmark per engine for the fresh -vm run")
-	jobs := flag.Int("j", 0, "worker pool size (0 = GOMAXPROCS)")
-	inject := flag.Float64("inject", 0, "artificially degrade the fresh numbers by this percentage (gate self-test)")
-	writeFresh := flag.String("write-fresh", "", "write each gate's fresh record (as compared, -inject included) into this directory, for CI failure artifacts")
+	writeFresh := flag.String("write-fresh", "", "also write each fresh record into this directory under its committed file name")
 	flag.Parse()
 
-	if *vmPath == "" && *machPath == "" && *analysisPath == "" && *servePath == "" && *tieredPath == "" && *crossPath == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: nothing to compare; pass -vm, -machines, -analysis, -serve, -tiered, and/or -crossover")
+	selected, err := selectRecords(flag.Args())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}
 	if *writeFresh != "" {
@@ -71,169 +128,75 @@ func main() {
 			fatal(err)
 		}
 	}
-
-	var findings []string
-
-	if *vmPath != "" {
-		var committed bench.VMBench
-		readJSON(*vmPath, &committed)
-		fresh, err := bench.BenchVM(workload.SPECInt2000(), *reps)
+	failed := false
+	for _, r := range selected {
+		start := time.Now()
+		findings, err := gate(r, *writeFresh)
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("%s: %w", r.name, err))
 		}
-		if *inject > 0 {
-			bench.InjectVMRegression(fresh, *inject)
-		}
-		fmt.Printf("vm: committed regcode speedup over tree %.2fx, fresh %.2fx\n", committed.Speedup, fresh.Speedup)
-		dumpFresh(*writeFresh, "BENCH_vm.fresh.json", fresh)
-		findings = append(findings, bench.CompareVM(&committed, fresh, *threshold)...)
-	}
-
-	if *machPath != "" {
-		var committed bench.SweepRecord
-		readJSON(*machPath, &committed)
-		fresh, err := bench.SweepSuite(*jobs)
-		if err != nil {
-			fatal(err)
-		}
-		if *inject > 0 {
-			bench.InjectSweepRegression(fresh, *inject)
-		}
-		for _, m := range fresh.Machines {
-			fmt.Printf("machines: %-14s winner %-14s", m.Name, m.Winner)
-			for _, s := range m.Strategies {
-				fmt.Printf(" %s=%d", s.Name, s.WeightedOverhead)
-			}
-			fmt.Println()
-		}
-		dumpFresh(*writeFresh, "BENCH_machines.fresh.json", fresh)
-		findings = append(findings, bench.CompareSweep(&committed, fresh, *threshold)...)
-	}
-
-	if *analysisPath != "" {
-		var committed bench.AnalysisBench
-		readJSON(*analysisPath, &committed)
-		fresh, err := bench.BenchAnalysis(workload.SPECInt2000(), *reps)
-		if err != nil {
-			fatal(err)
-		}
-		if *inject > 0 {
-			bench.InjectAnalysisRegression(fresh, *inject)
-		}
-		fmt.Printf("analysis: committed incremental speedup %.2fx, fresh %.2fx (shared %.2fx, rebuild fallbacks %d)\n",
-			committed.IncrementalSpeedup, fresh.IncrementalSpeedup, fresh.SharedSpeedup, fresh.Rebuilds)
-		dumpFresh(*writeFresh, "BENCH_analysis.fresh.json", fresh)
-		findings = append(findings, bench.CompareAnalysis(&committed, fresh, *threshold)...)
-	}
-
-	if *servePath != "" {
-		var committed bench.ServeBench
-		readJSON(*servePath, &committed)
-		fresh, err := server.Bench(committed.Distinct, committed.Dups, committed.Workers)
-		if err != nil {
-			fatal(err)
-		}
-		if *inject > 0 {
-			bench.InjectServeRegression(fresh, *inject)
-		}
-		fmt.Printf("serve: committed cached speedup %.2fx, fresh %.2fx (%d requests, program hits %d, function hits %d, analysis len max %d/%d)\n",
-			committed.CachedSpeedup, fresh.CachedSpeedup, fresh.Requests,
-			fresh.ProgramHits, fresh.FunctionHits, fresh.AnalysisLenMax, fresh.AnalysisBudget)
-		dumpFresh(*writeFresh, "BENCH_serve.fresh.json", fresh)
-		findings = append(findings, bench.CompareServe(&committed, fresh, *threshold)...)
-	}
-
-	if *tieredPath != "" {
-		var committed bench.TieredBench
-		readJSON(*tieredPath, &committed)
-		// The fresh run must cover the committed record's suite: same
-		// seeds (benchmark names carry them) and quantum.
-		n := len(committed.Benchmarks)
-		var base uint64
-		if n > 0 {
-			if _, err := fmt.Sscanf(committed.Benchmarks[0], "hostile-%d", &base); err != nil {
-				fatal(fmt.Errorf("%s: unrecognized benchmark name %q", *tieredPath, committed.Benchmarks[0]))
-			}
-		}
-		fresh, err := bench.BenchTiered(bench.HostileSuite(base, n), committed.Quantum, *reps)
-		if err != nil {
-			fatal(err)
-		}
-		if *inject > 0 {
-			bench.InjectTieredRegression(fresh, *inject)
-		}
-		fmt.Printf("tiered: committed best gain %.3fx, fresh %.3fx (floor %.2fx)\n",
-			committed.BestGain, fresh.BestGain, bench.TieredGainFloor)
-		for _, m := range fresh.Machines {
-			fmt.Printf("tiered: %-14s static=%d tiered=%d gain=%.3fx boundaries=%d\n",
-				m.Machine, m.StaticOverhead, m.TieredOverhead, m.Gain, m.Boundaries)
-		}
-		dumpFresh(*writeFresh, "BENCH_tiered.fresh.json", fresh)
-		findings = append(findings, bench.CompareTiered(&committed, fresh, *threshold)...)
-	}
-
-	if *crossPath != "" {
-		var committed bench.CrossoverRecord
-		readJSON(*crossPath, &committed)
-		// The fresh run must cover the committed record's suite; the
-		// benchmark names carry the seeds.
-		n := len(committed.Benchmarks)
-		var base uint64
-		if n > 0 {
-			if _, err := fmt.Sscanf(committed.Benchmarks[0], "crossover-%d", &base); err != nil {
-				fatal(fmt.Errorf("%s: unrecognized benchmark name %q", *crossPath, committed.Benchmarks[0]))
-			}
-		}
-		fresh, err := bench.RunCrossover(bench.CrossoverSuite(base, n), nil, bench.Options{Parallelism: *jobs})
-		if err != nil {
-			fatal(err)
-		}
-		if *inject > 0 {
-			bench.InjectCrossoverRegression(fresh, *inject)
-		}
-		fmt.Printf("crossover: committed flips %d, fresh %d (of %d benchmarks; at least 1 required)\n",
-			committed.Flips, fresh.Flips, len(fresh.Benches))
-		for _, b := range fresh.Benches {
-			if b.StrategyFlip || b.AllocFlip {
-				fmt.Printf("crossover: %-14s flips (strategy=%v alloc=%v)\n", b.Name, b.StrategyFlip, b.AllocFlip)
-			}
-		}
-		dumpFresh(*writeFresh, "BENCH_crossover.fresh.json", fresh)
-		findings = append(findings, bench.CompareCrossover(&committed, fresh, *threshold)...)
-	}
-
-	if len(findings) > 0 {
 		for _, f := range findings {
-			fmt.Fprintf(os.Stderr, "REGRESSION: %s\n", f)
+			fmt.Fprintf(os.Stderr, "REGRESSION: %s: %s\n", r.name, f)
 		}
+		failed = failed || len(findings) > 0
+		fmt.Printf("%s: %d findings (%.1fs)\n", r.name, len(findings), time.Since(start).Seconds())
+	}
+	if failed {
 		os.Exit(1)
 	}
 	fmt.Println("benchdiff: ok, no regressions")
 }
 
-// dumpFresh writes a fresh record into the -write-fresh directory so a
-// failed CI gate can upload exactly what it compared.
-func dumpFresh(dir, name string, v any) {
-	if dir == "" {
-		return
+// selectRecords returns the named records in registration order, or
+// every record when no name is given.
+func selectRecords(names []string) ([]record, error) {
+	if len(names) == 0 {
+		return records, nil
 	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fatal(err)
+	var out []record
+	for _, r := range records {
+		if slices.Contains(names, r.name) {
+			out = append(out, r)
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, name), append(data, '\n'), 0o644); err != nil {
-		fatal(err)
+	for _, n := range names {
+		if !slices.ContainsFunc(records, func(r record) bool { return r.name == n }) {
+			return nil, fmt.Errorf("unknown record %q", n)
+		}
 	}
+	return out, nil
 }
 
-func readJSON(path string, v any) {
-	data, err := os.ReadFile(path)
+// gate compares the committed record with a fresh run, first writing
+// the fresh run into dir when dir is not empty.
+func gate(r record, dir string) ([]string, error) {
+	data, err := os.ReadFile(r.file())
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	if err := json.Unmarshal(data, v); err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
+	committed, err := bench.Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", r.file(), err)
 	}
+	rec, err := r.fresh()
+	if err != nil {
+		return nil, err
+	}
+	data, err = json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	data = append(data, '\n')
+	if dir != "" {
+		if err := os.WriteFile(filepath.Join(dir, r.file()), data, 0o644); err != nil {
+			return nil, err
+		}
+	}
+	fresh, err := bench.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	return r.gate.Compare(committed, fresh), nil
 }
 
 func fatal(err error) {

@@ -11,35 +11,28 @@
 //	spillbench -table 2           # just Table 2 placement times
 //	spillbench -bench gcc         # a single benchmark, detailed
 //	spillbench -engine tree       # measure on the legacy VM engine
-//	spillbench -json BENCH_vm.json  # benchmark the engines themselves
-//	                                # and record the perf trajectory
 //	spillbench -machines all        # sweep every machine cost preset:
 //	                                # per-machine tables + crossover
-//	spillbench -machines all -json BENCH_machines.json
-//	                                # record the sweep for the CI gate
 //	spillbench -analysis            # benchmark the analysis layer:
 //	                                # cold vs shared vs incremental
 //	                                # re-placement after an edit
-//	spillbench -analysis -json BENCH_analysis.json
-//	                                # record it for the CI gate
-//	spillbench -json out.json -cpuprofile cpu.pprof
-//	                                # engine benchmark under the pprof
+//	spillbench -cpuprofile cpu.pprof
+//	                                # the evaluation under the pprof
 //	                                # CPU profiler
 //	spillbench -tier                # tiered pipeline benchmark: static
 //	                                # estimate placement vs measured
 //	                                # re-placement on the hostile suite
-//	spillbench -tier -json BENCH_tiered.json
-//	                                # record it for the CI gate
 //	spillbench -tier -memprofile mem.pprof
 //	                                # heap profile of the run, tier
 //	                                # boundary recompiles included
 //	spillbench -crossover           # crossover suite: uniform vs
 //	                                # machine-priced allocation per
 //	                                # preset, winner flips reported
-//	spillbench -crossover -json BENCH_crossover.json
-//	                                # record it for the CI gate
 //	spillbench -alloc-machine       # price the allocator's spill
 //	                                # choices with the machine preset
+//
+// The committed BENCH_*.json records are written by cmd/benchdiff
+// -write-fresh, which runs each record's standing configuration.
 package main
 
 import (
@@ -65,15 +58,13 @@ func main() {
 	irgenSeed := flag.Uint64("irgen-seed", 1, "first seed of the appended irgen families")
 	engine := flag.String("engine", "regcode", "VM engine for the measurement runs: regcode|tree")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the measurement run to this file")
-	unshared := flag.Bool("unshared", false, "disable the shared per-function analysis cache (A/B reference for Table 2 placement times)")
-	jsonOut := flag.String("json", "", "instead of the tables: benchmark both VM engines on the placed suite and write the JSON record here (e.g. BENCH_vm.json); with -machines, write the sweep record instead (e.g. BENCH_machines.json)")
-	reps := flag.Int("reps", 3, "with -json: VM executions per benchmark per engine")
+	reps := flag.Int("reps", 3, "with -analysis or -tier: repetitions per benchmark (each timing keeps the minimum)")
 	machines := flag.String("machines", "", "sweep these machine cost presets (comma-separated, or \"all\") and print per-machine tables plus the crossover report")
-	analysisBench := flag.Bool("analysis", false, "benchmark the analysis layer (cold vs shared vs incremental re-placement); with -json, write the record (e.g. BENCH_analysis.json)")
-	tierBench := flag.Bool("tier", false, "benchmark the tiered pipeline (static-estimate placement vs measured re-placement on the estimator-hostile suite); with -json, write the record (e.g. BENCH_tiered.json)")
+	analysisBench := flag.Bool("analysis", false, "benchmark the analysis layer (cold vs shared vs incremental re-placement)")
+	tierBench := flag.Bool("tier", false, "benchmark the tiered pipeline (static-estimate placement vs measured re-placement on the estimator-hostile suite)")
 	quantum := flag.Int64("quantum", 2000, "with -tier: tier-0 step quantum before the measured re-placement")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile of the measurement run to this file")
-	crossover := flag.Bool("crossover", false, "run the crossover suite (irgen.Crossover seeds) per preset under both allocation modes and report winner flips; with -json, write the record (e.g. BENCH_crossover.json)")
+	crossover := flag.Bool("crossover", false, "run the crossover suite (irgen.Crossover seeds) per preset under both allocation modes and report winner flips")
 	allocMachine := flag.Bool("alloc-machine", false, "price the allocator's spill choices with the machine's cost surface instead of uniform weights (single-preset sweeps and the default tables)")
 	flag.Parse()
 
@@ -173,18 +164,6 @@ func main() {
 			}
 		}
 		fmt.Printf("%d of %d benchmarks flip their winner across presets\n", rec.Flips, len(rec.Benches))
-		if *jsonOut != "" {
-			data, err := rec.JSON()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("recorded in %s\n", *jsonOut)
-		}
 		return
 	}
 
@@ -206,18 +185,6 @@ func main() {
 		}
 		fmt.Printf("best gain %.3fx at quantum %d over %d hostile programs\n",
 			rec.BestGain, rec.Quantum, len(rec.Benchmarks))
-		if *jsonOut != "" {
-			data, err := rec.JSON()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("recorded in %s\n", *jsonOut)
-		}
 		return
 	}
 
@@ -236,18 +203,6 @@ func main() {
 			float64(rec.ColdNs)/1e6, float64(rec.SharedNs)/1e6, float64(rec.IncrementalNs)/1e6)
 		fmt.Printf("speedup over cold: shared %.2fx, incremental %.2fx; full-rebuild fallbacks: %d\n",
 			rec.SharedSpeedup, rec.IncrementalSpeedup, rec.Rebuilds)
-		if *jsonOut != "" {
-			data, err := rec.JSON()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("recorded in %s\n", *jsonOut)
-		}
 		return
 	}
 
@@ -257,54 +212,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
 			os.Exit(2)
 		}
-		entries := suite()
-		sw, err := bench.RunSweep(entries, descs, bench.Options{Align: *align, Parallelism: *jobs, Engine: eng, MachineAlloc: *allocMachine})
+		sw, err := bench.RunSweep(suite(), descs, bench.Options{Align: *align, Parallelism: *jobs, Engine: eng, MachineAlloc: *allocMachine})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
 			os.Exit(1)
-		}
-		if *jsonOut != "" {
-			data, err := sw.Record("SPEC CPU2000 integer stand-ins").JSON()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("sweep of %d machines over %d benchmarks recorded in %s\n",
-				len(descs), len(entries), *jsonOut)
-			return
 		}
 		fmt.Print(bench.SweepTables(sw))
 		return
 	}
 
-	if *jsonOut != "" {
-		rec, err := bench.BenchVM(workload.SPECInt2000(), *reps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := rec.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, e := range rec.Engines {
-			fmt.Printf("%-10s %8.2fms/run %14.0f instrs/s\n",
-				e.Engine, e.NSPerRun/1e6, e.InstrsPerSec)
-		}
-		fmt.Printf("speedup: regcode %.2fx over tree (recorded in %s)\n", rec.Speedup, *jsonOut)
-		return
-	}
-
-	results, err := bench.RunEntries(suite(), bench.Options{Align: *align, Parallelism: *jobs, Engine: eng, Unshared: *unshared, MachineAlloc: *allocMachine})
+	results, err := bench.RunEntries(suite(), bench.Options{Align: *align, Parallelism: *jobs, Engine: eng, MachineAlloc: *allocMachine})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
 		os.Exit(1)

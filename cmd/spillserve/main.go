@@ -15,20 +15,20 @@
 //
 // Loadgen mode:
 //
-//	spillserve -loadgen -distinct 500 -dups 19 -workers 4 -json BENCH_serve.json
+//	spillserve -loadgen -distinct 500 -dups 19 -workers 4
 //	spillserve -loadgen -target http://localhost:8080 -distinct 100 -dups 9
 //
-// Without -target the sweep runs against an in-process server (the
-// configuration cmd/benchdiff -serve gates); with -target it drives a
-// running instance. The sweep submits each of -distinct generated
-// programs once cold, -dups times identically (program-cache hits),
-// and once function-reordered (function-cache hits), then reports
-// per-phase latency and the service-side cache counter deltas.
+// Without -target the sweep runs against an in-process server (with
+// the defaults, the configuration `benchdiff serve` gates); with
+// -target it drives a running instance. The sweep submits each of
+// -distinct generated programs once cold, -dups times identically
+// (program-cache hits), and once function-reordered (function-cache
+// hits), then reports per-phase latency and the service-side cache
+// counter deltas.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -37,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/server"
 )
 
@@ -60,12 +59,11 @@ func main() {
 		dups     = flag.Int("dups", 19, "loadgen: identical resubmissions per program")
 		workers  = flag.Int("workers", 4, "loadgen: concurrent client workers")
 		seed     = flag.Uint64("seed", 1, "loadgen: corpus base seed")
-		jsonOut  = flag.String("json", "", "loadgen: write the BENCH_serve.json record here")
 	)
 	flag.Parse()
 
 	if *loadgen {
-		runLoadgen(*target, *distinct, *dups, *workers, *seed, *jsonOut)
+		runLoadgen(*target, *distinct, *dups, *workers, *seed)
 		return
 	}
 
@@ -107,10 +105,10 @@ func main() {
 	}
 }
 
-func runLoadgen(target string, distinct, dups, workers int, seed uint64, jsonOut string) {
-	var record *bench.ServeBench
+func runLoadgen(target string, distinct, dups, workers int, seed uint64) {
+	var record *server.BenchRecord
 	if target == "" {
-		// In-process: exactly the sweep cmd/benchdiff -serve re-runs.
+		// In-process: the sweep `benchdiff serve` re-runs.
 		b, err := server.Bench(distinct, dups, workers)
 		if err != nil {
 			fatal(err)
@@ -136,17 +134,6 @@ func runLoadgen(target string, distinct, dups, workers int, seed uint64, jsonOut
 		record.ColdNsPerReq, record.CachedNsPerReq, record.CachedSpeedup)
 	fmt.Printf("loadgen: program hits %d, function hits %d, analysis len max %d (budget %d, drops %d)\n",
 		record.ProgramHits, record.FunctionHits, record.AnalysisLenMax, record.AnalysisBudget, record.AnalysisDrops)
-
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(record, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("loadgen: wrote %s\n", jsonOut)
-	}
 }
 
 func fatal(err error) {

@@ -9,7 +9,6 @@ package bench
 // inside an allocator loop, so the CI gate pins it.
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"time"
@@ -47,15 +46,6 @@ type AnalysisBench struct {
 	// Rebuilds counts functions whose incremental re-placement fell
 	// back to a full analysis rebuild; 0 in a healthy tree.
 	Rebuilds int `json:"rebuilds"`
-}
-
-// JSON renders the record for the committed trajectory file.
-func (b *AnalysisBench) JSON() ([]byte, error) {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }
 
 // BenchAnalysis prepares each suite benchmark (generate, profile,

@@ -142,17 +142,10 @@ type Options struct {
 	// reference). Measured counts are engine-independent — the parity
 	// tests prove it — only wall-clock time changes.
 	Engine vm.Engine
-	// Unshared disables the shared analysis cache: every strategy
-	// rebuilds liveness, dominators, loops, PST, and the shrink-wrap
-	// seed from scratch, reproducing the pre-sharing pipeline. Sets and
-	// measured counts are identical either way (the identity tests
-	// prove it); only PlacementTime changes. Kept as the A/B reference
-	// for the analysis-layer speedup (spillbench -unshared).
-	Unshared bool
 	// Cache, when non-nil, is used as the shared analysis layer instead
 	// of a fresh per-entry cache, so a caller running many entries (for
 	// example spilltune's per-trial loop) can accumulate the sharing
-	// counters across runs in one place. Ignored when Unshared is set.
+	// counters across runs in one place.
 	Cache *analysis.Cache
 	// MachineAlloc prices the allocator's spill choices with the
 	// machine's cost surface (regalloc.Options.MachineCosts). In
@@ -252,11 +245,9 @@ func RunEntry(e Entry, opts Options) (*Result, error) {
 	// sets are then translated onto a per-strategy clone for the
 	// mutation. Placement is cheap; the VM runs below dominate.
 	clones := make([]*ir.Program, numStrategies)
-	var cache *analysis.Cache // nil (no sharing) when opts.Unshared
-	if !opts.Unshared {
-		if cache = opts.Cache; cache == nil {
-			cache = analysis.NewCache()
-		}
+	cache := opts.Cache
+	if cache == nil {
+		cache = analysis.NewCache()
 	}
 	funcs := strategy.NeedsPlacement(prog)
 	for _, s := range Strategies {

@@ -12,7 +12,6 @@ package bench
 // hold on to. Overheads are deterministic dynamic counts.
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"time"
@@ -78,8 +77,8 @@ type CrossoverBench struct {
 
 // CrossoverRecord is the serialized BENCH_crossover.json shape. Every
 // overhead is a deterministic dynamic count, so the CI gate compares
-// them exactly up to its tolerance; Flips is the suite's reason to
-// exist and the gate requires it to stay >= 1.
+// them exactly; Flips is the suite's reason to exist and the gate
+// requires it to stay >= 1.
 type CrossoverRecord struct {
 	Suite      string           `json:"suite"`
 	Benchmarks []string         `json:"benchmarks"`
@@ -174,21 +173,4 @@ func crossoverWinner(row *CrossoverPresetRow) (alloc, strategy string) {
 		return "machine", row.MachineBest
 	}
 	return "uniform", row.UniformBest
-}
-
-// JSON renders the record, indented, trailing newline included.
-func (r *CrossoverRecord) JSON() ([]byte, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// StandingCrossover is the standing configuration of the committed
-// BENCH_crossover.json: the first ten crossover seeds across every
-// machine preset. cmd/spillbench -crossover writes it and
-// cmd/benchdiff -crossover reproduces it for the CI gate.
-func StandingCrossover(parallelism int) (*CrossoverRecord, error) {
-	return RunCrossover(CrossoverSuite(1, 10), machine.Presets(), Options{Parallelism: parallelism})
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -19,23 +20,16 @@ func smallCrossover(t *testing.T, parallelism int) *CrossoverRecord {
 	return rec
 }
 
+// crossoverGate is the crossover record's gate: every leaf but the
+// host metadata reproduces exactly, and some benchmark must flip.
+var crossoverGate = Gate{Min: map[string]float64{"flips": 1}}
+
 // TestCrossoverDeterministic: the record is a deterministic function
-// of the suite — same seeds, any parallelism, same bytes (the date
-// field is stamped per run, so compare with it normalized).
+// of the suite — same seeds, any parallelism, same values in every
+// leaf but the host metadata.
 func TestCrossoverDeterministic(t *testing.T) {
-	a := smallCrossover(t, 1)
-	b := smallCrossover(t, 4)
-	a.Date, b.Date = "", ""
-	aj, err := a.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj, err := b.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(aj) != string(bj) {
-		t.Fatalf("crossover record differs across parallelism:\n%s\nvs\n%s", aj, bj)
+	if findings := compare(t, Gate{}, smallCrossover(t, 1), smallCrossover(t, 4)); len(findings) != 0 {
+		t.Fatalf("crossover record differs across parallelism: %v", findings)
 	}
 }
 
@@ -46,19 +40,30 @@ func TestCrossoverGatePassesOnIdentical(t *testing.T) {
 	if rec.Flips < 1 {
 		t.Fatalf("three-seed crossover suite shows no flips; family lost its reason to exist")
 	}
-	if findings := CompareCrossover(rec, rec, 15); len(findings) != 0 {
+	if findings := compare(t, crossoverGate, rec, rec); len(findings) != 0 {
 		t.Fatalf("self-comparison produced findings: %v", findings)
 	}
 }
 
-// TestCrossoverGateCatchesInjected: a 20%% injected degradation must
-// trip a 15%% gate — the CI self-test step relies on this.
+// TestCrossoverGateCatchesInjected: inflating every machine-priced
+// overhead by 20% trips the gate on each (benchmark, preset) row.
 func TestCrossoverGateCatchesInjected(t *testing.T) {
 	committed := smallCrossover(t, 0)
 	fresh := smallCrossover(t, 0)
-	InjectCrossoverRegression(fresh, 20)
-	if findings := CompareCrossover(committed, fresh, 15); len(findings) == 0 {
-		t.Fatal("gate passed an injected 20% crossover regression")
+	for bi := range fresh.Benches {
+		for pi := range fresh.Benches[bi].Presets {
+			row := &fresh.Benches[bi].Presets[pi]
+			row.MachineOverhead = row.MachineOverhead*6/5 + 1
+		}
+	}
+	findings := compare(t, crossoverGate, committed, fresh)
+	for bi, b := range committed.Benches {
+		for pi := range b.Presets {
+			path := fmt.Sprintf("benches[%d].presets[%d].machine_overhead", bi, pi)
+			if !hasFinding(findings, path, "fresh") {
+				t.Errorf("%s: a 20%% inflation passed the gate", path)
+			}
+		}
 	}
 }
 
@@ -70,37 +75,32 @@ func TestCrossoverGateCatchesFlipLoss(t *testing.T) {
 	committed := smallCrossover(t, 0)
 	fresh := smallCrossover(t, 0)
 	fresh.Flips = 0
-	found := false
-	for _, f := range CompareCrossover(committed, fresh, 15) {
-		if strings.Contains(f, "flip") || strings.Contains(f, "machine dependence") {
-			found = true
-		}
-	}
-	if !found {
+	if !hasFinding(compare(t, crossoverGate, committed, fresh), "flips", "below the bound 1") {
 		t.Fatal("gate passed a crossover run with zero winner flips")
 	}
 }
 
-// TestCrossoverGateCatchesSuiteMismatch: records over different suites
-// cannot be compared; the finding must say so.
+// TestCrossoverGateCatchesSuiteMismatch: a fresh run over a different
+// suite names the benchmark the committed record lacks.
 func TestCrossoverGateCatchesSuiteMismatch(t *testing.T) {
 	committed := smallCrossover(t, 0)
 	fresh := smallCrossover(t, 0)
 	fresh.Benchmarks = append(fresh.Benchmarks, "crossover-99")
-	findings := CompareCrossover(committed, fresh, 15)
-	if len(findings) != 1 || !strings.Contains(findings[0], "suite") {
-		t.Fatalf("want a single suite-mismatch finding, got %v", findings)
+	findings := compare(t, crossoverGate, committed, fresh)
+	if !hasFinding(findings, "benchmarks[3]", "not in the committed record") || len(findings) != 1 {
+		t.Fatalf("want a single finding for benchmarks[3], got %v", findings)
 	}
 }
 
 // TestStandingCrossoverFlips: the standing configuration behind the
-// committed BENCH_crossover.json must demonstrate at least one
-// preset-dependent winner flip. (ISSUE 10 acceptance criterion.)
+// committed BENCH_crossover.json, the first ten crossover seeds over
+// every preset, must demonstrate at least one preset-dependent winner
+// flip.
 func TestStandingCrossoverFlips(t *testing.T) {
 	if testing.Short() {
 		t.Skip("standing crossover suite in -short mode")
 	}
-	rec, err := StandingCrossover(0)
+	rec, err := RunCrossover(CrossoverSuite(1, 10), machine.Presets(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,47 +1,193 @@
 package bench
 
 import (
+	"encoding/json"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/workload"
 )
 
-func freshSweepRecord(t *testing.T) *SweepRecord {
+// decoded round-trips a record through JSON into the tree Gate.Compare
+// walks, as cmd/benchdiff does with a fresh run.
+func decoded(t *testing.T, rec any) any {
 	t.Helper()
-	sw, err := RunSweep(sweepEntries(t), machine.Presets(), Options{Parallelism: 1})
+	data, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sw.Record("test suite")
+	v, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
-// TestGatePassesOnIdenticalSweep: a fresh sweep compared against
-// itself must produce no findings — the gate does not cry wolf on a
-// healthy tree.
+func compare(t *testing.T, g Gate, committed, fresh any) []string {
+	t.Helper()
+	return g.Compare(decoded(t, committed), decoded(t, fresh))
+}
+
+// hasFinding reports whether a finding names the leaf at path and
+// contains want.
+func hasFinding(findings []string, path, want string) bool {
+	for _, f := range findings {
+		if strings.HasPrefix(f, path+": ") && strings.Contains(f, want) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestGate pins the comparison rules on a small hand-written record:
+// exact leaves, host-dependent leaves, one-sided ratios, bounds, and
+// leaves or elements present on one side only.
+func TestGate(t *testing.T) {
+	const committed = `{"date": "2026-01-01", "n": 7, "name": "a", "ok": true,
+		"rows": [{"ns": 100, "instrs": 12345678901234567}, {"ns": 5, "instrs": 2}],
+		"speedup": 4.0, "drops": 10, "len_max": 20}`
+	g := Gate{
+		Host:  []string{"ns", "drops", "len_max"},
+		Ratio: map[string]float64{"speedup": 25},
+		Min:   map[string]float64{"drops": 1},
+		Max:   map[string]float64{"len_max": 30},
+	}
+	for _, tc := range []struct {
+		name, fresh string
+		want        []string // findings, in order, by prefix
+	}{
+		{"identical", committed, nil},
+		{"host leaves and metadata move", `{"date": "2027-02-02", "n": 7, "name": "a", "ok": true,
+			"rows": [{"ns": 900, "instrs": 12345678901234567}, {"ns": 1, "instrs": 2}],
+			"speedup": 4.0, "drops": 99, "len_max": 30}`, nil},
+		{"ratio within its limit or above", `{"date": "2026-01-01", "n": 7, "name": "a", "ok": true,
+			"rows": [{"ns": 100, "instrs": 12345678901234567}, {"ns": 5, "instrs": 2}],
+			"speedup": 3.1, "drops": 10, "len_max": 20}`, nil},
+		{"exact leaves move", `{"date": "2026-01-01", "n": 8, "name": "b", "ok": false,
+			"rows": [{"ns": 100, "instrs": 12345678901234568}, {"ns": 5, "instrs": 2}],
+			"speedup": 9.0, "drops": 10, "len_max": 20}`,
+			[]string{"n: fresh 8, committed 7", "name: ", "ok: ", "rows[0].instrs: "}},
+		{"ratio past its limit", `{"date": "2026-01-01", "n": 7, "name": "a", "ok": true,
+			"rows": [{"ns": 100, "instrs": 12345678901234567}, {"ns": 5, "instrs": 2}],
+			"speedup": 2.9, "drops": 10, "len_max": 20}`,
+			[]string{"speedup: fresh 2.9 fell more than 25% below committed 4.0"}},
+		{"bounds crossed", `{"date": "2026-01-01", "n": 7, "name": "a", "ok": true,
+			"rows": [{"ns": 100, "instrs": 12345678901234567}, {"ns": 5, "instrs": 2}],
+			"speedup": 4.0, "drops": 0, "len_max": 31}`,
+			[]string{"drops: fresh 0 is below the bound 1", "len_max: fresh 31 is above the bound 30"}},
+		{"leaf and element missing from the fresh run", `{"date": "2026-01-01", "name": "a", "ok": true,
+			"rows": [{"ns": 100, "instrs": 12345678901234567}],
+			"speedup": 4.0, "drops": 10, "len_max": 20}`,
+			[]string{"n: missing from the fresh run", "rows[1]: missing from the fresh run"}},
+		{"leaf and element not in the committed record", `{"date": "2026-01-01", "n": 7, "name": "a", "ok": true, "extra": 1,
+			"rows": [{"ns": 100, "instrs": 12345678901234567}, {"ns": 5, "instrs": 2}, {}],
+			"speedup": 4.0, "drops": 10, "len_max": 20}`,
+			[]string{"extra: not in the committed record", "rows[2]: not in the committed record"}},
+		{"shapes differ", `{"date": "2026-01-01", "n": [7], "name": "a", "ok": true,
+			"rows": {"ns": 100},
+			"speedup": "fast", "drops": 10, "len_max": 20}`,
+			[]string{"n: fresh [7], committed 7", "rows: fresh run is not an array", "speedup: fresh fast fell more than 25%"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Decode([]byte(committed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := Decode([]byte(tc.fresh))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := g.Compare(c, f)
+			if len(got) != len(tc.want) {
+				t.Fatalf("findings %q, want %d: %q", got, len(tc.want), tc.want)
+			}
+			for i, w := range tc.want {
+				if !strings.HasPrefix(got[i], w) {
+					t.Errorf("finding %d is %q, want prefix %q", i, got[i], w)
+				}
+			}
+		})
+	}
+	if _, err := Decode([]byte(`{"n": `)); err == nil {
+		t.Error("Decode accepted truncated JSON")
+	}
+}
+
+// sweepGate is the machines record's gate: placement times are wall
+// clock, every other leaf reproduces exactly.
+var sweepGate = Gate{Host: []string{"placement_ns"}}
+
+// sweepRuns holds two independent sweeps of the test suite, run once
+// per test binary and encoded, so each test decodes its own copies.
+var sweepRuns = sync.OnceValues(func() ([2][]byte, error) {
+	var runs [2][]byte
+	for i := range runs {
+		sw, err := RunSweep(sweepEntries(), machine.Presets(), Options{Parallelism: 1})
+		if err != nil {
+			return runs, err
+		}
+		if runs[i], err = json.Marshal(sw.Record("test suite")); err != nil {
+			return runs, err
+		}
+	}
+	return runs, nil
+})
+
+// freshSweepRecords returns copies of the two sweeps, to be compared
+// as the committed record and the fresh run.
+func freshSweepRecords(t *testing.T) (committed, fresh *SweepRecord) {
+	t.Helper()
+	runs, err := sweepRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, fresh = new(SweepRecord), new(SweepRecord)
+	if err := json.Unmarshal(runs[0], committed); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(runs[1], fresh); err != nil {
+		t.Fatal(err)
+	}
+	return committed, fresh
+}
+
+// TestGatePassesOnIdenticalSweep: two independent sweeps reproduce
+// every gated leaf exactly — the gate does not cry wolf on a healthy
+// tree.
 func TestGatePassesOnIdenticalSweep(t *testing.T) {
-	rec := freshSweepRecord(t)
-	if findings := CompareSweep(rec, rec, 15); len(findings) != 0 {
-		t.Fatalf("self-comparison produced findings: %v", findings)
+	committed, fresh := freshSweepRecords(t)
+	if findings := compare(t, sweepGate, committed, fresh); len(findings) != 0 {
+		t.Fatalf("a second sweep produced findings: %v", findings)
+	}
+}
+
+// scaleOverheads multiplies every weighted overhead of a sweep record.
+func scaleOverheads(r *SweepRecord, factor float64) {
+	for mi := range r.Machines {
+		for si := range r.Machines[mi].Strategies {
+			s := &r.Machines[mi].Strategies[si]
+			s.WeightedOverhead = int64(float64(s.WeightedOverhead) * factor)
+		}
 	}
 }
 
 // TestGateCatchesInjectedSweepRegression: inflating the fresh weighted
-// overheads by 20%% must trip a 15%% gate on every machine — the CI
-// job's self-test relies on this. (ISSUE 5 acceptance criterion.)
+// overheads by 20% trips the gate on every machine and strategy cell
+// whose overhead the inflation changes.
 func TestGateCatchesInjectedSweepRegression(t *testing.T) {
-	committed := freshSweepRecord(t)
-	fresh := freshSweepRecord(t)
-	InjectSweepRegression(fresh, 20)
-	findings := CompareSweep(committed, fresh, 15)
-	if len(findings) == 0 {
-		t.Fatal("gate passed an injected 20% regression")
-	}
-	// A 20% inflation with a 15% threshold must flag every machine
-	// whose baseline overhead is non-trivial, not just one cell.
-	if len(findings) < len(committed.Machines) {
-		t.Errorf("only %d findings for %d machines: %v", len(findings), len(committed.Machines), findings)
+	committed, fresh := freshSweepRecords(t)
+	scaleOverheads(fresh, 1.2)
+	findings := compare(t, sweepGate, committed, fresh)
+	for mi, m := range committed.Machines {
+		for si, s := range m.Strategies {
+			path := fmt.Sprintf("machines[%d].strategies[%d].weighted_overhead", mi, si)
+			if !hasFinding(findings, path, "fresh") && s.WeightedOverhead > 4 {
+				t.Errorf("%s: no finding for a 20%% inflation of %d", path, s.WeightedOverhead)
+			}
+		}
 	}
 }
 
@@ -49,49 +195,52 @@ func TestGateCatchesInjectedSweepRegression(t *testing.T) {
 // committed record is also a finding — a stale record would silently
 // widen the regression budget for the next change.
 func TestGateCatchesStaleImprovement(t *testing.T) {
-	committed := freshSweepRecord(t)
-	fresh := freshSweepRecord(t)
-	InjectSweepRegression(fresh, -20)
-	findings := CompareSweep(committed, fresh, 15)
-	if len(findings) == 0 {
+	committed, fresh := freshSweepRecords(t)
+	scaleOverheads(fresh, 0.8)
+	if findings := compare(t, sweepGate, committed, fresh); len(findings) == 0 {
 		t.Fatal("gate passed a 20% improvement against a stale committed record")
 	}
 }
 
-// TestGateCatchesSuiteMismatch: a committed record built from a
-// different benchmark suite cannot gate anything; the finding must say
-// so instead of reporting misleading per-strategy regressions.
+// TestGateCatchesSuiteMismatch: a fresh sweep over a different
+// benchmark suite names the benchmark the committed record lacks.
 func TestGateCatchesSuiteMismatch(t *testing.T) {
-	committed := freshSweepRecord(t)
-	fresh := freshSweepRecord(t)
+	committed, fresh := freshSweepRecords(t)
 	fresh.Benchmarks = append(fresh.Benchmarks, "irgen-99")
-	findings := CompareSweep(committed, fresh, 15)
-	if len(findings) != 1 || !strings.Contains(findings[0], "suite") {
-		t.Fatalf("want a single suite-mismatch finding, got %v", findings)
+	findings := compare(t, sweepGate, committed, fresh)
+	path := fmt.Sprintf("benchmarks[%d]", len(committed.Benchmarks))
+	if !hasFinding(findings, path, "not in the committed record") || len(findings) != 1 {
+		t.Fatalf("want a single finding for %s, got %v", path, findings)
 	}
 }
 
 // TestGateCatchesMissingMachine: a fresh sweep that silently dropped a
 // preset is a finding, not a pass.
 func TestGateCatchesMissingMachine(t *testing.T) {
-	committed := freshSweepRecord(t)
-	fresh := freshSweepRecord(t)
-	fresh.Machines = fresh.Machines[1:]
-	if findings := CompareSweep(committed, fresh, 15); len(findings) == 0 {
-		t.Fatal("gate passed a sweep missing a machine preset")
+	committed, fresh := freshSweepRecords(t)
+	fresh.Machines = fresh.Machines[:len(fresh.Machines)-1]
+	path := fmt.Sprintf("machines[%d]", len(fresh.Machines))
+	if !hasFinding(compare(t, sweepGate, committed, fresh), path, "missing from the fresh run") {
+		t.Fatalf("gate passed a sweep missing preset %s", path)
 	}
 }
 
 // TestGateCatchesAnalysisRebuilds: build counters exceeding the
-// function count mean per-machine rebuilds crept back in; the gate
-// guards the sharing property itself.
+// function count mean per-machine rebuilds crept in; the exact build
+// counters guard the sharing property itself.
 func TestGateCatchesAnalysisRebuilds(t *testing.T) {
-	committed := freshSweepRecord(t)
-	fresh := freshSweepRecord(t)
+	committed, fresh := freshSweepRecords(t)
 	fresh.Builds.Liveness = fresh.Functions*len(machine.Presets()) + 1
-	if findings := CompareSweep(committed, fresh, 15); len(findings) == 0 {
+	if !hasFinding(compare(t, sweepGate, committed, fresh), "analysis_builds.Liveness", "fresh") {
 		t.Fatal("gate passed a sweep with per-machine analysis rebuilds")
 	}
+}
+
+// vmGate compares regcode's speedup over tree within 15% and every
+// instruction count exactly.
+var vmGate = Gate{
+	Host:  []string{"wall_ns", "ns_per_run", "instrs_per_sec"},
+	Ratio: map[string]float64{"speedup": 15},
 }
 
 // vmRecord is a record as BenchVM produces them: regcode and tree run
@@ -99,10 +248,15 @@ func TestGateCatchesAnalysisRebuilds(t *testing.T) {
 // in a healthy record, and Speedup is regcode over tree.
 func vmRecord(speedup float64, instrsPerRun int64) *VMBench {
 	return &VMBench{
+		Reps:    3,
 		Speedup: speedup,
 		Engines: []EngineBench{
 			{Engine: "regcode", Runs: 3, Instrs: 3 * instrsPerRun},
 			{Engine: "tree", Runs: 3, Instrs: 3 * instrsPerRun},
+		},
+		PerBenchmark: []BenchmarkEngineRow{
+			{Benchmark: "gzip", Engine: "regcode", Instrs: instrsPerRun},
+			{Benchmark: "gzip", Engine: "tree", Instrs: instrsPerRun},
 		},
 	}
 }
@@ -112,55 +266,62 @@ func vmRecord(speedup float64, instrsPerRun int64) *VMBench {
 // host-independent, so the gate works on any CI runner.
 func TestGateVMSpeedupRatio(t *testing.T) {
 	committed := vmRecord(5.0, 1000)
-	if findings := CompareVM(committed, vmRecord(4.8, 1000), 15); len(findings) != 0 {
+	if findings := compare(t, vmGate, committed, vmRecord(4.8, 1000)); len(findings) != 0 {
 		t.Errorf("4%% ratio drop tripped a 15%% gate: %v", findings)
 	}
-	if findings := CompareVM(committed, vmRecord(3.5, 1000), 15); len(findings) == 0 {
+	if findings := compare(t, vmGate, committed, vmRecord(3.5, 1000)); len(findings) == 0 {
 		t.Error("30% ratio drop passed a 15% gate")
 	}
-	fresh := vmRecord(5.0, 1000)
-	InjectVMRegression(fresh, 20)
-	if findings := CompareVM(committed, fresh, 15); len(findings) == 0 {
+	if findings := compare(t, vmGate, committed, vmRecord(5.0/1.2, 1000)); len(findings) == 0 {
 		t.Error("injected 20% VM regression passed a 15% gate")
 	}
 }
 
 // TestGateVMRegcodeRatio: the gated ratio is regcode over the tree
 // reference. A self-comparison is clean, and a regression past the
-// threshold yields exactly one finding, naming that ratio; the
-// injected self-test regression CI runs (100%) must trip it.
+// threshold yields exactly one finding, naming that ratio.
 func TestGateVMRegcodeRatio(t *testing.T) {
 	committed := vmRecord(5.0, 1000)
-	if findings := CompareVM(committed, committed, 15); len(findings) != 0 {
+	if findings := compare(t, vmGate, committed, committed); len(findings) != 0 {
 		t.Errorf("self-comparison produced findings: %v", findings)
 	}
-	findings := CompareVM(committed, vmRecord(4.0, 1000), 15)
-	if len(findings) != 1 || !strings.Contains(findings[0], "regcode speedup over tree") {
-		t.Errorf("20%% regcode ratio drop: want one regcode-over-tree finding, got %v", findings)
-	}
-	fresh := vmRecord(5.0, 1000)
-	InjectVMRegression(fresh, 100)
-	if findings := CompareVM(committed, fresh, 15); len(findings) == 0 {
-		t.Error("injected 100% VM regression left the regcode ratio untripped")
+	findings := compare(t, vmGate, committed, vmRecord(4.0, 1000))
+	if !hasFinding(findings, "speedup", "below committed 5") || len(findings) != 1 {
+		t.Errorf("20%% regcode ratio drop: want one speedup finding, got %v", findings)
 	}
 }
 
-// TestGateVMCrossEngineInstrs: within one fresh run both engines
-// execute the same programs, so a per-run instruction count that
-// differs from regcode's means one of the engines miscounts.
+// TestGateVMCrossEngineInstrs: both engines execute the same programs,
+// so BenchVM's per-benchmark rows and totals agree across engines (it
+// returns an error when they do not).
 func TestGateVMCrossEngineInstrs(t *testing.T) {
-	committed := vmRecord(5.0, 1000)
-	fresh := vmRecord(5.0, 1000)
-	fresh.Engines[1].Instrs += 3
-	findings := CompareVM(committed, fresh, 15)
-	found := false
-	for _, f := range findings {
-		if strings.Contains(f, "an engine miscounts") {
-			found = true
+	b, err := BenchVM(workloadSuite(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Engines) != 2 || b.Engines[0].Instrs != b.Engines[1].Instrs || b.Engines[0].Instrs == 0 {
+		t.Errorf("engine totals disagree: %+v", b.Engines)
+	}
+	for i := 0; i+1 < len(b.PerBenchmark); i += 2 {
+		if r, tr := b.PerBenchmark[i], b.PerBenchmark[i+1]; r.Benchmark != tr.Benchmark || r.Instrs != tr.Instrs {
+			t.Errorf("rows disagree: %+v vs %+v", r, tr)
 		}
 	}
-	if !found {
-		t.Errorf("cross-engine instruction drift passed the gate: %v", findings)
+}
+
+// TestGateVMInstrDrift: deterministic instruction counts must match
+// the committed record exactly, in the suite totals and in every
+// per-benchmark row; drift means a stale record or a miscounting
+// engine.
+func TestGateVMInstrDrift(t *testing.T) {
+	committed := vmRecord(3.0, 1000)
+	if findings := compare(t, vmGate, committed, vmRecord(3.0, 1001)); len(findings) == 0 {
+		t.Error("instruction-count drift passed the gate")
+	}
+	fresh := vmRecord(3.0, 1000)
+	fresh.PerBenchmark[1].Instrs++
+	if !hasFinding(compare(t, vmGate, committed, fresh), "per_benchmark[1].instrs", "fresh 1001") {
+		t.Error("per-benchmark instruction drift passed the gate")
 	}
 }
 
@@ -177,15 +338,23 @@ func workloadSuite(t *testing.T) []workload.BenchParams {
 	return suite
 }
 
+// analysisGate compares the cold-over-incremental speedup within 15%
+// and every count exactly.
+var analysisGate = Gate{
+	Host:  []string{"cold_ns", "shared_ns", "incremental_ns", "shared_speedup"},
+	Ratio: map[string]float64{"incremental_speedup": 15},
+}
+
 func analysisRecord(incSpeedup float64) *AnalysisBench {
 	return &AnalysisBench{
 		Benchmarks: []AnalysisRecord{
 			{Benchmark: "gzip", Functions: 40, ColdNs: 40_000_000, SharedNs: 9_000_000, IncrementalNs: int64(40_000_000 / incSpeedup)},
+			{Benchmark: "gcc", Functions: 19, ColdNs: 1_000_000, SharedNs: 100_000, IncrementalNs: 400_000},
 		},
-		ColdNs:             40_000_000,
-		SharedNs:           9_000_000,
-		IncrementalNs:      int64(40_000_000 / incSpeedup),
-		SharedSpeedup:      40.0 / 9.0,
+		ColdNs:             41_000_000,
+		SharedNs:           9_100_000,
+		IncrementalNs:      int64(40_000_000/incSpeedup) + 400_000,
+		SharedSpeedup:      41.0 / 9.1,
 		IncrementalSpeedup: incSpeedup,
 	}
 }
@@ -196,19 +365,16 @@ func analysisRecord(incSpeedup float64) *AnalysisBench {
 // side got faster commits a lower ratio and is gated against that.
 func TestGateAnalysisSpeedup(t *testing.T) {
 	committed := analysisRecord(8)
-	if findings := CompareAnalysis(committed, analysisRecord(7.5), 15); len(findings) != 0 {
+	if findings := compare(t, analysisGate, committed, analysisRecord(7.5)); len(findings) != 0 {
 		t.Errorf("6%% ratio drop tripped a 15%% gate: %v", findings)
 	}
-	if findings := CompareAnalysis(committed, analysisRecord(5), 15); len(findings) == 0 {
+	if findings := compare(t, analysisGate, committed, analysisRecord(5)); len(findings) == 0 {
 		t.Error("37% ratio drop passed a 15% gate")
 	}
-	low := analysisRecord(2.5)
-	if findings := CompareAnalysis(low, analysisRecord(2.4), 15); len(findings) != 0 {
+	if findings := compare(t, analysisGate, analysisRecord(2.5), analysisRecord(2.4)); len(findings) != 0 {
 		t.Errorf("a 2.4x speedup within 15%% of its committed 2.5x tripped the gate: %v", findings)
 	}
-	fresh := analysisRecord(8)
-	InjectAnalysisRegression(fresh, 20)
-	if findings := CompareAnalysis(committed, fresh, 15); len(findings) == 0 {
+	if findings := compare(t, analysisGate, committed, analysisRecord(8/1.2)); len(findings) == 0 {
 		t.Error("injected 20% analysis regression passed a 15% gate")
 	}
 }
@@ -217,27 +383,32 @@ func TestGateAnalysisSpeedup(t *testing.T) {
 // fell back to a full analysis rebuild is a finding — it means a
 // placement edit shape the delta patchers stopped recognizing.
 func TestGateAnalysisRebuildFallbacks(t *testing.T) {
-	committed := analysisRecord(8)
 	fresh := analysisRecord(8)
 	fresh.Rebuilds = 1
-	if findings := CompareAnalysis(committed, fresh, 15); len(findings) == 0 {
+	if !hasFinding(compare(t, analysisGate, analysisRecord(8), fresh), "rebuilds", "fresh 1") {
 		t.Error("gate passed a record with full-rebuild fallbacks")
 	}
 }
 
-// TestGateAnalysisSuiteDrift: a fresh record covering a benchmark or
-// function population the committed record does not know is a finding.
+// TestGateAnalysisSuiteDrift: a fresh record whose benchmarks or
+// function populations differ from the committed record's is a
+// finding — including one that dropped a committed benchmark.
 func TestGateAnalysisSuiteDrift(t *testing.T) {
 	committed := analysisRecord(8)
 	fresh := analysisRecord(8)
 	fresh.Benchmarks[0].Functions++
-	if findings := CompareAnalysis(committed, fresh, 15); len(findings) == 0 {
+	if !hasFinding(compare(t, analysisGate, committed, fresh), "benchmarks[0].functions", "fresh 41") {
 		t.Error("gate passed a function-count drift")
 	}
 	fresh = analysisRecord(8)
 	fresh.Benchmarks[0].Benchmark = "vpr"
-	if findings := CompareAnalysis(committed, fresh, 15); len(findings) == 0 {
+	if !hasFinding(compare(t, analysisGate, committed, fresh), "benchmarks[0].benchmark", "fresh vpr") {
 		t.Error("gate passed an unknown benchmark")
+	}
+	fresh = analysisRecord(8)
+	fresh.Benchmarks = fresh.Benchmarks[:1]
+	if !hasFinding(compare(t, analysisGate, committed, fresh), "benchmarks[1]", "missing from the fresh run") {
+		t.Error("gate passed a fresh record that dropped a committed benchmark")
 	}
 }
 
@@ -260,20 +431,7 @@ func TestBenchAnalysisEndToEnd(t *testing.T) {
 	if len(b.Benchmarks) != len(suite) {
 		t.Errorf("record covers %d benchmarks, suite has %d", len(b.Benchmarks), len(suite))
 	}
-	if findings := CompareAnalysis(b, b, 15); b.IncrementalSpeedup >= 3 && len(findings) != 0 {
+	if findings := compare(t, analysisGate, b, b); len(findings) != 0 {
 		t.Errorf("self-comparison produced findings: %v", findings)
-	}
-	if _, err := b.JSON(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestGateVMInstrDrift: deterministic per-run instruction counts must
-// match the committed record exactly; drift means a stale record or a
-// miscounting engine.
-func TestGateVMInstrDrift(t *testing.T) {
-	committed := vmRecord(3.0, 1000)
-	if findings := CompareVM(committed, vmRecord(3.0, 1001), 15); len(findings) == 0 {
-		t.Error("instruction-count drift passed the gate")
 	}
 }

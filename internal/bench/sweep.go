@@ -9,7 +9,6 @@ package bench
 // the jump:spill latency ratio moves.
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"time"
@@ -23,7 +22,6 @@ import (
 	"repro/internal/regalloc"
 	"repro/internal/strategy"
 	"repro/internal/vm"
-	"repro/internal/workload"
 )
 
 // SweepCell is one (benchmark, machine, strategy) measurement.
@@ -305,9 +303,8 @@ type SweepMachineRecord struct {
 // SweepRecord is the serialized BENCH_machines.json shape. The
 // weighted overheads and modeled costs are deterministic — the
 // benchmark programs, profiles, allocations, and placements are all
-// seeded — so the CI gate compares them against a fresh run with a
-// small tolerance and any real change trips it; placement times are
-// wall clock and informational only.
+// seeded — so the CI gate compares them exactly against a fresh run;
+// placement times are wall clock and informational only.
 type SweepRecord struct {
 	Suite      string               `json:"suite"`
 	Benchmarks []string             `json:"benchmarks"`
@@ -379,29 +376,4 @@ func (sw *Sweep) Record(suiteName string) *SweepRecord {
 		rec.Machines = append(rec.Machines, mr)
 	}
 	return rec
-}
-
-// JSON renders the record, indented, trailing newline included.
-func (r *SweepRecord) JSON() ([]byte, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// SweepSuite is the standing configuration of the committed
-// BENCH_machines.json: the SPEC stand-in suite swept over every
-// machine preset. cmd/spillbench writes it and cmd/benchdiff
-// reproduces it for the CI regression gate.
-func SweepSuite(parallelism int) (*SweepRecord, error) {
-	var entries []Entry
-	for _, p := range workload.SPECInt2000() {
-		entries = append(entries, EntryFor(p))
-	}
-	sw, err := RunSweep(entries, machine.Presets(), Options{Parallelism: parallelism})
-	if err != nil {
-		return nil, err
-	}
-	return sw.Record("SPEC CPU2000 integer stand-ins"), nil
 }

@@ -8,8 +8,7 @@ import (
 	"repro/internal/workload"
 )
 
-func sweepEntries(t *testing.T) []Entry {
-	t.Helper()
+func sweepEntries() []Entry {
 	var entries []Entry
 	for _, p := range workload.SPECInt2000() {
 		if p.Name == "gzip" || p.Name == "crafty" {
@@ -25,7 +24,7 @@ func sweepEntries(t *testing.T) []Entry {
 // proof that machine descriptions reuse one analysis.Cache instead of
 // rebuilding per preset. (ISSUE 5 acceptance criterion.)
 func TestSweepSharesAnalyses(t *testing.T) {
-	sw, err := RunSweep(sweepEntries(t), machine.Presets(), Options{Parallelism: 1})
+	sw, err := RunSweep(sweepEntries(), machine.Presets(), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func TestSweepSharesAnalyses(t *testing.T) {
 // counts exactly — the machine parameterization changes nothing on the
 // paper's machine.
 func TestSweepClassicMatchesRunEntry(t *testing.T) {
-	entries := sweepEntries(t)
+	entries := sweepEntries()
 	classic, err := machine.Preset("classic")
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +81,7 @@ func TestSweepClassicMatchesRunEntry(t *testing.T) {
 // paper's configuration on any preset (the claim's graceful
 // degradation across latency ratios).
 func TestSweepWinners(t *testing.T) {
-	sw, err := RunSweep(sweepEntries(t), machine.Presets(), Options{Parallelism: 1})
+	sw, err := RunSweep(sweepEntries(), machine.Presets(), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +103,7 @@ func TestSweepWinners(t *testing.T) {
 // every strategy, the analysis build counters, and survives a JSON
 // round trip.
 func TestSweepRecordShape(t *testing.T) {
-	sw, err := RunSweep(sweepEntries(t), machine.Presets(), Options{Parallelism: 1})
+	sw, err := RunSweep(sweepEntries(), machine.Presets(), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +119,7 @@ func TestSweepRecordShape(t *testing.T) {
 			t.Errorf("%s: no winner recorded", m.Name)
 		}
 	}
-	data, err := rec.JSON()
+	data, err := json.Marshal(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestSweepRecordShape(t *testing.T) {
 // files cannot share one allocation; RunSweep must refuse.
 func TestSweepRejectsMixedRegisterFiles(t *testing.T) {
 	descs := []*machine.Desc{machine.PARISC(), machine.Small(6, 3)}
-	if _, err := RunSweep(sweepEntries(t), descs, Options{Parallelism: 1}); err == nil {
+	if _, err := RunSweep(sweepEntries(), descs, Options{Parallelism: 1}); err == nil {
 		t.Fatal("sweep accepted machines with different register files")
 	}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -55,36 +54,35 @@ func TestBenchTieredDeterministic(t *testing.T) {
 	}
 }
 
+// tieredGate is the tiered record's gate: overheads, gains and tier
+// counters reproduce exactly, wall times do not, and the best gain
+// and every preset's boundaries have absolute floors.
+var tieredGate = Gate{
+	Host: []string{"static_ns", "tiered_ns", "instrs_per_sec"},
+	Min:  map[string]float64{"best_gain": TieredGainFloor, "boundaries": 1},
+}
+
 // TestCompareTiered: self-comparison is clean; an injected regression
-// trips the gate; suite or quantum drift is its own finding.
+// trips the gate; quantum drift and a boundary-free run are findings.
 func TestCompareTiered(t *testing.T) {
 	b := tieredSmall(t)
-	if fs := CompareTiered(b, b, 2); len(fs) != 0 {
+	if fs := compare(t, tieredGate, b, b); len(fs) != 0 {
 		t.Fatalf("self-comparison found: %v", fs)
 	}
 
 	hurt := *b
 	hurt.Machines = append([]TieredMachineRow(nil), b.Machines...)
-	InjectTieredRegression(&hurt, 25)
-	fs := CompareTiered(b, &hurt, 2)
-	if len(fs) == 0 {
-		t.Fatal("injected 25%% tiered regression passed the gate")
+	for i := range hurt.Machines {
+		hurt.Machines[i].TieredOverhead = hurt.Machines[i].TieredOverhead * 5 / 4
 	}
-	sawOverhead := false
-	for _, f := range fs {
-		if strings.Contains(f, "tiered overhead") {
-			sawOverhead = true
-		}
-	}
-	if !sawOverhead {
-		t.Errorf("regression findings miss the overhead drift: %v", fs)
+	if !hasFinding(compare(t, tieredGate, b, &hurt), "machines[0].tiered_overhead", "fresh") {
+		t.Error("injected 25% tiered regression passed the gate")
 	}
 
 	skew := *b
 	skew.Quantum = b.Quantum + 1
-	fs = CompareTiered(b, &skew, 2)
-	if len(fs) != 1 || !strings.Contains(fs[0], "regenerate BENCH_tiered.json") {
-		t.Errorf("quantum drift not reported as a suite mismatch: %v", fs)
+	if !hasFinding(compare(t, tieredGate, b, &skew), "quantum", "fresh 2001") {
+		t.Error("quantum drift passed the gate")
 	}
 
 	idle := *b
@@ -92,14 +90,7 @@ func TestCompareTiered(t *testing.T) {
 	for i := range idle.Machines {
 		idle.Machines[i].Boundaries = 0
 	}
-	fs = CompareTiered(b, &idle, 2)
-	found := false
-	for _, f := range fs {
-		if strings.Contains(f, "tier boundary") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("boundary-free run not flagged: %v", fs)
+	if !hasFinding(compare(t, tieredGate, b, &idle), "machines[0].boundaries", "below the bound 1") {
+		t.Error("boundary-free run passed the gate")
 	}
 }

@@ -10,7 +10,6 @@ package bench
 // the ceiling on bench and fuzz throughput.
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"time"
@@ -118,6 +117,13 @@ func BenchVM(suite []workload.BenchParams, reps int) (*VMBench, error) {
 					return nil, fmt.Errorf("benchvm %s [%v]: %w", pr.name, engine, err)
 				}
 				wall := time.Since(start).Nanoseconds()
+				// Every engine executes the same program, so a count
+				// that differs from the first engine's means one of
+				// them miscounts.
+				if i > 0 && m.Stats.Instrs != rows[0].Instrs {
+					return nil, fmt.Errorf("benchvm %s: %v executes %d instrs, %v executes %d",
+						pr.name, engine, m.Stats.Instrs, engines[0], rows[0].Instrs)
+				}
 				ebs[i].WallNS += wall
 				ebs[i].Instrs += m.Stats.Instrs
 				ebs[i].Runs++
@@ -142,17 +148,9 @@ func BenchVM(suite []workload.BenchParams, reps int) (*VMBench, error) {
 		}
 	}
 	out.Engines = ebs
-	if te := findEngine(out, "tree"); te != nil && te.InstrsPerSec > 0 {
-		out.Speedup = findEngine(out, "regcode").InstrsPerSec / te.InstrsPerSec
+	// vm.Engines lists regcode, then the tree reference.
+	if ebs[1].InstrsPerSec > 0 {
+		out.Speedup = ebs[0].InstrsPerSec / ebs[1].InstrsPerSec
 	}
 	return out, nil
-}
-
-// JSON renders the record, indented, trailing newline included.
-func (b *VMBench) JSON() ([]byte, error) {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }

@@ -6,33 +6,63 @@ package server
 // over a generated corpus. It lives here rather than in internal/bench
 // because the sweep needs the service itself, and internal/bench is
 // imported by the root package's tests — which would close an import
-// cycle through the server's dependency on the facade. The gate logic
-// (bench.CompareServe) stays service-free on the other side.
+// cycle through the server's dependency on the facade.
 
 import (
 	"fmt"
 	"net/http/httptest"
 	"runtime"
 	"time"
-
-	"repro/internal/bench"
 )
+
+// BenchRecord is the serialized BENCH_serve.json shape.
+type BenchRecord struct {
+	Suite     string `json:"suite"`
+	Distinct  int    `json:"distinct"`
+	Dups      int    `json:"dups"`
+	Workers   int    `json:"workers"`
+	Requests  int    `json:"requests"`
+	Functions int    `json:"functions"`
+	GoVersion string `json:"go_version"`
+	GOARCH    string `json:"goarch"`
+	Date      string `json:"date"`
+
+	ColdNsPerReq   float64 `json:"cold_ns_per_req"`
+	CachedNsPerReq float64 `json:"cached_ns_per_req"`
+	// CachedSpeedup is cold-per-request over cached-per-request: how
+	// much the content cache buys on identical resubmissions.
+	CachedSpeedup float64 `json:"cached_speedup"`
+
+	// Deterministic service-side counters: every cached-phase request
+	// is a program-cache hit (Distinct*Dups) and every reordered
+	// function a function-cache hit (Functions).
+	ProgramHits   int64 `json:"program_hits"`
+	ProgramMisses int64 `json:"program_misses"`
+	FunctionHits  int64 `json:"function_hits"`
+
+	// Eviction policy observability: the analysis cache's high-water
+	// mark must stay within budget plus in-flight slack, and the
+	// policy must have dropped handles.
+	AnalysisBudget int `json:"analysis_budget"`
+	AnalysisLenMax int `json:"analysis_len_max"`
+	AnalysisDrops  int `json:"analysis_drops"`
+}
 
 // benchSuite names the standing corpus; a record for any other corpus
 // shape is not comparable.
 const benchSuite = "irgen small corpus"
 
-// benchAnalysisBudget is the standing benchmark's analysis-cache
+// BenchAnalysisBudget is the standing benchmark's analysis-cache
 // budget: far below the corpus's function population, so the sweep
 // only passes if the eviction policy actually evicts.
-const benchAnalysisBudget = 64
+const BenchAnalysisBudget = 64
 
 // Bench boots an in-process service and drives the full loadgen
 // sweep: Distinct cold submissions, Distinct*Dups cached
 // resubmissions, and Distinct reordered variants that must be
 // assembled from the function-level cache.
-func Bench(distinct, dups, workers int) (*bench.ServeBench, error) {
-	s := New(Config{AnalysisBudget: benchAnalysisBudget})
+func Bench(distinct, dups, workers int) (*BenchRecord, error) {
+	s := New(Config{AnalysisBudget: BenchAnalysisBudget})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -51,8 +81,8 @@ func Bench(distinct, dups, workers int) (*bench.ServeBench, error) {
 
 // NewRecord maps a loadgen sweep result to the serialized
 // BENCH_serve.json record, stamping host metadata.
-func NewRecord(res *LoadgenResult) *bench.ServeBench {
-	return &bench.ServeBench{
+func NewRecord(res *LoadgenResult) *BenchRecord {
+	return &BenchRecord{
 		Suite:          benchSuite,
 		Distinct:       res.Distinct,
 		Dups:           res.Dups,

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -8,18 +9,46 @@ import (
 )
 
 // benchServeSmall runs the real in-process sweep once at test scale.
-func benchServeSmall(t *testing.T) *bench.ServeBench {
+func benchServeSmall(t *testing.T) *BenchRecord {
 	t.Helper()
-	b, err := Bench(8, 4, 4)
+	b, err := Bench(24, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
+// serveGate is BENCH_serve.json's gate at test scale: latencies and the
+// analysis cache's scheduling-dependent counters are host leaves, the
+// cached speedup may fall 15%, and the cache must evict within the
+// budget plus 8 in-flight handles per worker.
+var serveGate = bench.Gate{
+	Host:  []string{"cold_ns_per_req", "cached_ns_per_req", "analysis_len_max", "analysis_drops"},
+	Ratio: map[string]float64{"cached_speedup": 15},
+	Min:   map[string]float64{"analysis_drops": 1},
+	Max:   map[string]float64{"analysis_len_max": BenchAnalysisBudget + 8*4},
+}
+
+// serveFindings compares two records as cmd/benchdiff does, through
+// their JSON.
+func serveFindings(t *testing.T, committed, fresh *BenchRecord) []string {
+	t.Helper()
+	var trees [2]any
+	for i, rec := range []*BenchRecord{committed, fresh} {
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trees[i], err = bench.Decode(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return serveGate.Compare(trees[0], trees[1])
+}
+
 func TestServeGatePassesOnIdenticalSweep(t *testing.T) {
 	b := benchServeSmall(t)
-	if findings := bench.CompareServe(b, b, 15); len(findings) != 0 {
+	if findings := serveFindings(t, b, b); len(findings) != 0 {
 		t.Fatalf("identical sweep produced findings: %v", findings)
 	}
 }
@@ -40,43 +69,37 @@ func TestServeGateCountersAreDeterministic(t *testing.T) {
 func TestServeGateCatchesInjectedRegression(t *testing.T) {
 	fresh := benchServeSmall(t)
 	committed := *fresh
-	bench.InjectServeRegression(fresh, 500)
-	findings := bench.CompareServe(&committed, fresh, 15)
-	if len(findings) == 0 {
-		t.Fatal("gate passed an injected 500% regression")
-	}
-	if !containsSubstr(findings, "regressed") {
-		t.Errorf("no speedup finding in %v", findings)
+	fresh.CachedNsPerReq *= 6
+	fresh.CachedSpeedup /= 6
+	if !containsSubstr(serveFindings(t, &committed, fresh), "cached_speedup: ") {
+		t.Error("gate passed an injected 500% regression of the cached path")
 	}
 }
 
 func TestServeGateCatchesBrokenCaching(t *testing.T) {
 	b := benchServeSmall(t)
-	committed := *b
 
 	broken := *b
 	broken.ProgramHits = 0
-	if findings := bench.CompareServe(&committed, &broken, 15); !containsSubstr(findings, "program-level caching broke") {
+	if findings := serveFindings(t, b, &broken); !containsSubstr(findings, "program_hits: fresh 0") {
 		t.Errorf("zero program hits not flagged: %v", findings)
 	}
 
 	broken = *b
 	broken.FunctionHits = 0
-	if findings := bench.CompareServe(&committed, &broken, 15); !containsSubstr(findings, "function-level caching broke") {
+	if findings := serveFindings(t, b, &broken); !containsSubstr(findings, "function_hits: fresh 0") {
 		t.Errorf("zero function hits not flagged: %v", findings)
 	}
 
 	broken = *b
 	broken.AnalysisLenMax = broken.AnalysisBudget * 100
-	if findings := bench.CompareServe(&committed, &broken, 15); !containsSubstr(findings, "eviction policy stopped bounding") {
+	if findings := serveFindings(t, b, &broken); !containsSubstr(findings, "analysis_len_max: fresh 6400 is above the bound") {
 		t.Errorf("unbounded analysis cache not flagged: %v", findings)
 	}
 
 	broken = *b
 	broken.AnalysisDrops = 0
-	broken.Functions = broken.AnalysisBudget * 2
-	broken.FunctionHits = int64(broken.Functions)
-	if findings := bench.CompareServe(&committed, &broken, 15); !containsSubstr(findings, "eviction never ran") {
+	if findings := serveFindings(t, b, &broken); !containsSubstr(findings, "analysis_drops: fresh 0 is below the bound") {
 		t.Errorf("zero drops not flagged: %v", findings)
 	}
 }
@@ -85,8 +108,7 @@ func TestServeGateCatchesSuiteMismatch(t *testing.T) {
 	b := benchServeSmall(t)
 	committed := *b
 	committed.Distinct++
-	findings := bench.CompareServe(&committed, b, 15)
-	if !containsSubstr(findings, "regenerate BENCH_serve.json") {
+	if findings := serveFindings(t, &committed, b); !containsSubstr(findings, "distinct: fresh 24, committed 25") {
 		t.Errorf("sweep-shape mismatch not flagged: %v", findings)
 	}
 }
