@@ -151,7 +151,7 @@ func TestConcurrentCachedPlacementIdentity(t *testing.T) {
 		// pre-placement shape.
 		for _, f := range strategy.NeedsPlacement(parallel) {
 			info := cache.For(f)
-			if got, want := len(info.Liveness().In), len(f.Blocks); got != want {
+			if got, want := info.Liveness().Blocks(), len(f.Blocks); got != want {
 				t.Errorf("%v/%s: stale liveness served: covers %d blocks, function has %d",
 					s, f.Name, got, want)
 			}

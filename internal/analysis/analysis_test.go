@@ -120,7 +120,7 @@ func TestInvalidate(t *testing.T) {
 	if lv2 == lv1 {
 		t.Error("stale liveness served after Invalidate")
 	}
-	if got, want := len(lv2.In), len(f.Blocks); got != want {
+	if got, want := lv2.Blocks(), len(f.Blocks); got != want {
 		t.Errorf("fresh liveness covers %d blocks, function has %d", got, want)
 	}
 	tree2, err := info.PST()

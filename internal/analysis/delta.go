@@ -53,10 +53,7 @@ func (i *Info) ApplyDelta(d *core.Delta) bool {
 		for _, s := range d.Splits {
 			newTo[s.NewBlock] = s.To
 		}
-		dirty := make([]*ir.Block, 0, len(d.HeadBlocks)+len(d.TailBlocks))
-		dirty = append(dirty, d.HeadBlocks...)
-		dirty = append(dirty, d.TailBlocks...)
-		ok = i.lv.PatchApply(f, d.OldID, newTo, dirty, d.Regs)
+		ok = i.lv.PatchApply(f, d.OldID, newTo, d.Regs)
 	}
 	if ok && (i.dom != nil || i.loops != nil) {
 		splits := make([]cfg.EdgeSplit, len(d.Splits))

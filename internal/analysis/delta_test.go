@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
@@ -43,13 +44,12 @@ func sameBlockSlice(a, b []*ir.Block) bool {
 
 func compareLiveness(t *testing.T, tag string, got, want *dataflow.Liveness) {
 	t.Helper()
-	if len(got.In) != len(want.In) || len(got.Out) != len(want.Out) {
-		t.Errorf("%s: patched liveness covers %d/%d blocks, from-scratch %d/%d",
-			tag, len(got.In), len(got.Out), len(want.In), len(want.Out))
+	if got.Blocks() != want.Blocks() {
+		t.Errorf("%s: patched liveness covers %d blocks, from-scratch %d", tag, got.Blocks(), want.Blocks())
 		return
 	}
-	for i := range got.In {
-		if !got.In[i].Equal(want.In[i]) || !got.Out[i].Equal(want.Out[i]) {
+	for i := 0; i < got.Blocks(); i++ {
+		if !slices.Equal(got.In(i), want.In(i)) || !slices.Equal(got.Out(i), want.Out(i)) {
 			t.Errorf("%s: patched liveness differs from from-scratch at block %d", tag, i)
 			return
 		}
@@ -480,7 +480,7 @@ func TestApplyDeltaUnrecognizedNoStaleServe(t *testing.T) {
 	if info.ApplyDelta(delta) {
 		t.Fatal("Full delta accepted")
 	}
-	if got, want := len(info.Liveness().In), len(f.Blocks); got != want {
+	if got, want := info.Liveness().Blocks(), len(f.Blocks); got != want {
 		t.Errorf("liveness covers %d blocks after fallback, function has %d", got, want)
 	}
 	tree, err := info.PST()

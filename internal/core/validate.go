@@ -97,20 +97,19 @@ func validateReg(f *ir.Func, reg ir.Reg, sets []*Set, lv *dataflow.Liveness) err
 	}
 
 	// Corruption check: a restore where the register's value is live.
-	ri := int(reg)
 	for _, s := range sets {
 		for _, l := range s.Restores {
 			switch l.Kind {
 			case BlockHead:
-				if lv.In[l.Block.ID].Has(ri) {
+				if lv.LiveIn(l.Block, reg) {
 					return fmt.Errorf("core: restore of %v at %v overwrites a live value", reg, l)
 				}
 			case BlockTail:
-				if lv.Out[l.Block.ID].Has(ri) || terminatorUses(l.Block, reg) {
+				if lv.LiveOut(l.Block, reg) || terminatorUses(l.Block, reg) {
 					return fmt.Errorf("core: restore of %v at %v overwrites a live value", reg, l)
 				}
 			case OnEdge:
-				if lv.In[l.Edge.To.ID].Has(ri) {
+				if lv.LiveIn(l.Edge.To, reg) {
 					return fmt.Errorf("core: restore of %v at %v overwrites a live value", reg, l)
 				}
 			}

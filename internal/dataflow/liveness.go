@@ -1,230 +1,323 @@
+// Package dataflow computes liveness, the one dataflow analysis the
+// register allocator and both spill placement algorithms rely on.
+//
+// Only a name that some block reads before writing it can be live
+// across a block boundary (the "global names" of Briggs, Cooper, Harvey
+// and Simpson, 1998). The solver numbers those names densely and solves
+// them one at a time by path exploration: from every block that reads a
+// name first, it walks predecessors until a block that defines the name
+// (Brandner et al., "Computing Liveness Sets for SSA-Form Programs",
+// 2011). Its cost follows the sizes of the sets it writes, not the
+// register count times the block count.
 package dataflow
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/ir"
 )
 
-// regIndex maps registers (physical and virtual) to dense indices for
-// bit vectors: physical registers keep their numbers, virtual register
-// k maps to int(ir.VirtBase) + k.
-func regIndex(r ir.Reg) int { return int(r) }
-
-// Universe returns the bit-vector universe size for a function: large
-// enough for all physical registers and the function's virtuals.
-func Universe(f *ir.Func) int { return int(ir.VirtBase) + f.NumVirt }
-
-// Liveness holds per-block live-in/live-out register sets.
+// Liveness holds per-block live-in and live-out register sets. Each set
+// is an ascending list of registers, physical and virtual. Blocks
+// unreachable from the entry have empty sets.
 type Liveness struct {
-	In  []*BitSet // indexed by block ID
-	Out []*BitSet
-	use []*BitSet
-	def []*BitSet
-	n   int
+	// regs holds every list back to back: block b's live-in list is
+	// regs[off[2b]:off[2b+1]] and its live-out list the next one.
+	regs []ir.Reg
+	off  []int32
 }
 
-// ComputeLiveness runs backward liveness over all registers. Calls are
-// treated as using their argument registers and defining their result
-// register; post-allocation callers should use machine-aware variants
-// that add clobbers (see regalloc).
-func ComputeLiveness(f *ir.Func) *Liveness {
-	n := Universe(f)
-	lv := &Liveness{n: n}
-	nb := len(f.Blocks)
-	lv.In = make([]*BitSet, nb)
-	lv.Out = make([]*BitSet, nb)
-	lv.use = make([]*BitSet, nb)
-	lv.def = make([]*BitSet, nb)
-	for _, b := range f.Blocks {
-		lv.use[b.ID], lv.def[b.ID] = blockUseDef(b, n)
-		lv.In[b.ID] = NewBitSet(n)
-		lv.Out[b.ID] = NewBitSet(n)
+// Blocks returns the number of blocks the sets describe.
+func (lv *Liveness) Blocks() int { return (len(lv.off) - 1) / 2 }
+
+// In returns the registers live on entry to the block with ID id, in
+// ascending order. The slice is shared; callers must not modify it.
+func (lv *Liveness) In(id int) []ir.Reg { return lv.regs[lv.off[2*id]:lv.off[2*id+1]] }
+
+// Out returns the registers live on exit from the block with ID id, in
+// ascending order. The slice is shared; callers must not modify it.
+func (lv *Liveness) Out(id int) []ir.Reg { return lv.regs[lv.off[2*id+1]:lv.off[2*id+2]] }
+
+// LiveIn reports whether r is live on entry to b.
+func (lv *Liveness) LiveIn(b *ir.Block, r ir.Reg) bool { return contains(lv.In(b.ID), r) }
+
+// LiveOut reports whether r is live on exit from b.
+func (lv *Liveness) LiveOut(b *ir.Block, r ir.Reg) bool { return contains(lv.Out(b.ID), r) }
+
+// contains reports whether the ascending set holds r. Sets after
+// allocation hold at most the 64 physical registers, and a linear scan
+// that stops at the first register not below r beats a binary search
+// on them.
+func contains(set []ir.Reg, r ir.Reg) bool {
+	if len(set) > 64 {
+		_, ok := slices.BinarySearch(set, r)
+		return ok
 	}
-	// Iterate to fixpoint in postorder (backward problem).
-	post := postorder(f)
-	changed := true
-	tmp := NewBitSet(n)
-	for changed {
-		changed = false
-		for _, b := range post {
-			out := lv.Out[b.ID]
-			for _, e := range b.Succs {
-				if out.Union(lv.In[e.To.ID]) {
-					changed = true
-				}
-			}
-			// in = use ∪ (out - def)
-			tmp.CopyFrom(out)
-			tmp.Subtract(lv.def[b.ID])
-			tmp.Union(lv.use[b.ID])
-			if !tmp.Equal(lv.In[b.ID]) {
-				lv.In[b.ID].CopyFrom(tmp)
-				changed = true
-			}
+	for _, x := range set {
+		if x >= r {
+			return x == r
 		}
 	}
+	return false
+}
+
+// unreachable marks a block the entry cannot reach in the exploration
+// stamps: it compares above every stamp, so walks never enter it.
+const unreachable = math.MaxInt32
+
+// exposed flags, in a register's scan stamp, that some block reads the
+// register before writing it.
+const exposed = 1 << 30
+
+// ComputeLiveness solves backward liveness over all registers. Calls
+// are treated as using their argument registers and defining their
+// result register.
+func ComputeLiveness(f *ir.Func) *Liveness {
+	nb := len(f.Blocks)
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
+	}
+	scratch := make([]int32, 3*nb+1+int(ir.VirtBase)+f.NumVirt)
+	s := solver{
+		f:       f,
+		inMark:  scratch[:nb],
+		outMark: scratch[nb : 2*nb],
+		off:     scratch[2*nb : 3*nb+1],
+		mark:    scratch[3*nb+1:],
+		visits:  make([]int32, 0, 4*nb),
+	}
+	// Unreachable blocks stay out of the scan, and no walk enters them.
+	reachable(f, s.inMark, s.visits)
+	copy(s.outMark, s.inMark)
+	s.scan(make([]ir.Reg, 0, n+nb))
+	s.number()
+	lv := &Liveness{off: make([]int32, 2*nb+2)}
+	s.explore(lv.off)
+	s.fill(lv)
 	return lv
 }
 
-// blockUseDef computes the upward-exposed uses and the definitions of
-// one block over a universe of n registers.
-func blockUseDef(b *ir.Block, n int) (use, def *BitSet) {
-	use, def = NewBitSet(n), NewBitSet(n)
-	var buf []ir.Reg
-	for _, in := range b.Instrs {
-		buf = in.Uses(buf[:0])
-		for _, u := range buf {
-			if !def.Has(regIndex(u)) {
-				use.Set(regIndex(u))
-			}
-		}
-		if d := in.Def(); d.IsValid() {
-			def.Set(regIndex(d))
-		}
-	}
-	return use, def
+// solver is the scratch state of one ComputeLiveness. Block-indexed
+// arrays are indexed by block ID; the name-indexed ones by dense name
+// number k, from 1.
+type solver struct {
+	f *ir.Func
+
+	// inMark and outMark hold, per block, the number of the last name
+	// put into the block's live-in or live-out set; unreachable blocks
+	// hold unreachable.
+	inMark, outMark []int32
+
+	// ops lists, per reachable block, the block's upward-exposed
+	// registers r and, as ^r, the registers it defines; block b's
+	// entries are ops[off[b]:off[b+1]].
+	ops []ir.Reg
+	off []int32
+
+	// mark is register-indexed. During the scan it holds the stamp of
+	// the last block that read or wrote the register, with the exposed
+	// flag; afterwards -k for the register named k, and a non-negative
+	// value for every register no block reads first.
+	mark []int32
+
+	// byName lists, per name k, its upward-exposed blocks b and, as
+	// ^b, its defining blocks: byName[nameOff[k-1]:nameOff[k]]. Once
+	// explore has walked name k, nameOff[k-1] holds where its visits
+	// end.
+	byName, nameOff []int32
+
+	// visits lists, per name in turn, the blocks the name is live into
+	// (b) and live out of (^b).
+	visits []int32
 }
 
-// LiveAt returns the set of registers live immediately before each
-// instruction of block b, as a slice parallel to b.Instrs. The slice
-// at index i is valid only until the next call reuses buffers; callers
-// needing persistence should Clone.
-func (lv *Liveness) LiveAt(b *ir.Block) []*BitSet {
-	out := make([]*BitSet, len(b.Instrs))
-	cur := lv.Out[b.ID].Clone()
-	var buf []ir.Reg
-	for i := len(b.Instrs) - 1; i >= 0; i-- {
-		in := b.Instrs[i]
-		if d := in.Def(); d.IsValid() {
-			cur.Clear(regIndex(d))
-		}
-		buf = in.Uses(buf[:0])
-		for _, u := range buf {
-			cur.Set(regIndex(u))
-		}
-		out[i] = cur.Clone()
+// reachable sets mark[b] to 0 for every block b the entry reaches and
+// to unreachable for the rest, using stack's capacity as its work list.
+func reachable(f *ir.Func, mark, stack []int32) {
+	for id := range mark {
+		mark[id] = unreachable
 	}
-	return out
-}
-
-func postorder(f *ir.Func) []*ir.Block {
-	seen := make([]bool, len(f.Blocks))
-	var out []*ir.Block
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		seen[b.ID] = true
+	mark[f.Entry.ID] = 0
+	stack = append(stack[:0], int32(f.Entry.ID))
+	for len(stack) > 0 {
+		b := f.Blocks[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
 		for _, e := range b.Succs {
-			if !seen[e.To.ID] {
-				dfs(e.To)
-			}
-		}
-		out = append(out, b)
-	}
-	dfs(f.Entry)
-	return out
-}
-
-// Problem describes a generic forward or backward bit-vector dataflow
-// problem over blocks. Transfer must compute out from in (forward) or
-// in from out (backward) for one block.
-type Problem struct {
-	// Forward selects the direction.
-	Forward bool
-	// Union selects the meet: true for may (union), false for must
-	// (intersection).
-	Union bool
-	// Universe is the bit-vector width.
-	Universe int
-	// Init seeds the block's starting value (both In and Out start as
-	// a copy of it). Boundary blocks are typically seeded differently
-	// by the caller after Solve via Boundary.
-	Init func(b *ir.Block, v *BitSet)
-	// Transfer applies the block's effect to v in place.
-	Transfer func(b *ir.Block, v *BitSet)
-	// Boundary, if non-nil, pins the entry value of boundary blocks
-	// (entry for forward problems, exits for backward) before each
-	// pass.
-	Boundary func(b *ir.Block, v *BitSet)
-}
-
-// Solution holds per-block In/Out sets of a solved Problem.
-type Solution struct {
-	In, Out []*BitSet
-}
-
-// Solve iterates the problem to a fixpoint.
-func Solve(f *ir.Func, p *Problem) *Solution {
-	nb := len(f.Blocks)
-	s := &Solution{In: make([]*BitSet, nb), Out: make([]*BitSet, nb)}
-	for _, b := range f.Blocks {
-		s.In[b.ID] = NewBitSet(p.Universe)
-		s.Out[b.ID] = NewBitSet(p.Universe)
-		if p.Init != nil {
-			p.Init(b, s.In[b.ID])
-			s.Out[b.ID].CopyFrom(s.In[b.ID])
-		}
-	}
-	order := postorder(f)
-	if p.Forward {
-		// reverse postorder
-		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-			order[i], order[j] = order[j], order[i]
-		}
-	}
-	tmp := NewBitSet(p.Universe)
-	changed := true
-	for changed {
-		changed = false
-		for _, b := range order {
-			if p.Forward {
-				in := s.In[b.ID]
-				if len(b.Preds) > 0 {
-					first := true
-					for _, e := range b.Preds {
-						if first {
-							in.CopyFrom(s.Out[e.From.ID])
-							first = false
-						} else if p.Union {
-							in.Union(s.Out[e.From.ID])
-						} else {
-							in.Intersect(s.Out[e.From.ID])
-						}
-					}
-				}
-				if p.Boundary != nil && b == f.Entry {
-					p.Boundary(b, in)
-				}
-				tmp.CopyFrom(in)
-				p.Transfer(b, tmp)
-				if !tmp.Equal(s.Out[b.ID]) {
-					s.Out[b.ID].CopyFrom(tmp)
-					changed = true
-				}
-			} else {
-				out := s.Out[b.ID]
-				if len(b.Succs) > 0 {
-					first := true
-					for _, e := range b.Succs {
-						if first {
-							out.CopyFrom(s.In[e.To.ID])
-							first = false
-						} else if p.Union {
-							out.Union(s.In[e.To.ID])
-						} else {
-							out.Intersect(s.In[e.To.ID])
-						}
-					}
-				}
-				if p.Boundary != nil && b.IsExit() {
-					p.Boundary(b, out)
-				}
-				tmp.CopyFrom(out)
-				p.Transfer(b, tmp)
-				if !tmp.Equal(s.In[b.ID]) {
-					s.In[b.ID].CopyFrom(tmp)
-					changed = true
-				}
+			if id := e.To.ID; mark[id] != 0 {
+				mark[id] = 0
+				stack = append(stack, int32(id))
 			}
 		}
 	}
-	return s
+}
+
+// scan reads every reachable block's operands once, forward, and
+// records its upward-exposed and defined registers in ops.
+func (s *solver) scan(ops []ir.Reg) {
+	mark := s.mark
+	for id, b := range s.f.Blocks {
+		s.off[id] = int32(len(ops))
+		if s.inMark[id] == unreachable {
+			continue
+		}
+		// read: the block read the register before any write to it;
+		// wrote: the block wrote it. Stamps grow with the block ID, so
+		// a stamp below read is left over from an earlier block.
+		read := 2*int32(id) + 1
+		wrote := read + 1
+		for _, in := range b.Instrs {
+			if r := in.Src1; r >= 0 && mark[r]&^exposed < read {
+				mark[r] = read | exposed
+				ops = append(ops, r)
+			}
+			if r := in.Src2; r >= 0 && mark[r]&^exposed < read {
+				mark[r] = read | exposed
+				ops = append(ops, r)
+			}
+			for _, r := range in.Args {
+				if r >= 0 && mark[r]&^exposed < read {
+					mark[r] = read | exposed
+					ops = append(ops, r)
+				}
+			}
+			if r := in.Dst; r >= 0 && mark[r]&^exposed != wrote {
+				mark[r] = wrote | mark[r]&exposed
+				ops = append(ops, ^r)
+			}
+		}
+	}
+	s.off[len(s.f.Blocks)] = int32(len(ops))
+	s.ops = ops
+}
+
+// number names the exposed registers 1, 2, ... in ascending register
+// order, drops the entries of every other register from ops, and
+// indexes each name's upward-exposed and defining blocks.
+func (s *solver) number() {
+	names := int32(0)
+	for r, m := range s.mark {
+		if m&exposed != 0 {
+			names++
+			s.mark[r] = -names
+		}
+	}
+	// nameOff[k+1] counts name k's entries, then becomes its start.
+	s.nameOff = make([]int32, names+2)
+	w, lo := int32(0), int32(0)
+	for id := range s.f.Blocks {
+		hi := s.off[id+1]
+		s.off[id] = w
+		for _, r := range s.ops[lo:hi] {
+			if k := s.mark[max(r, ^r)]; k < 0 {
+				s.ops[w] = r
+				w++
+				s.nameOff[1-k]++
+			}
+		}
+		lo = hi
+	}
+	s.off[len(s.f.Blocks)] = w
+	for k := 1; k < len(s.nameOff); k++ {
+		s.nameOff[k] += s.nameOff[k-1]
+	}
+	// Fill in ops order, which keeps a block's upward-exposed entry
+	// before its defining one. Filling advances name k's cursor,
+	// nameOff[k], to its end, so nameOff[k-1]:nameOff[k] is then name
+	// k's range.
+	s.byName = make([]int32, w)
+	for id := range s.f.Blocks {
+		for _, r := range s.ops[s.off[id]:s.off[id+1]] {
+			b := int32(id)
+			if r < 0 {
+				r, b = ^r, ^b
+			}
+			k := -s.mark[r]
+			s.byName[s.nameOff[k]] = b
+			s.nameOff[k]++
+		}
+	}
+}
+
+// explore walks every name in ascending register order, recording the
+// walks in visits and counting each set's size into count: block b's
+// live-in set at count[2b+2], its live-out set at count[2b+3].
+func (s *solver) explore(count []int32) {
+	for _, m := range s.mark {
+		if m < 0 {
+			k := -m
+			s.walk(s.byName[s.nameOff[k-1]:s.nameOff[k]], k, count)
+			s.nameOff[k-1] = int32(len(s.visits))
+		}
+	}
+}
+
+// walk marks name k live into its upward-exposed blocks and from each
+// walks predecessors, marking the name live out of every predecessor
+// and live into every predecessor that does not define it. entries are
+// the name's blocks, as byName lists them. The visits the walk appends
+// are its work list.
+func (s *solver) walk(entries []int32, k int32, count []int32) {
+	next := len(s.visits)
+	for _, b := range entries {
+		if b >= 0 {
+			s.inMark[b] = k
+			count[2*b+2]++
+			s.visits = append(s.visits, b)
+		} else if s.inMark[^b] < k {
+			// A block that defines the name before reading it stops
+			// the walk.
+			s.inMark[^b] = k
+		}
+	}
+	for ; next < len(s.visits); next++ {
+		b := s.visits[next]
+		if b < 0 {
+			continue // a live-out visit
+		}
+		for _, e := range s.f.Blocks[b].Preds {
+			p := int32(e.From.ID)
+			if s.outMark[p] < k {
+				s.outMark[p] = k
+				count[2*p+3]++
+				s.visits = append(s.visits, ^p)
+			}
+			if s.inMark[p] < k {
+				s.inMark[p] = k
+				count[2*p+2]++
+				s.visits = append(s.visits, p)
+			}
+		}
+	}
+}
+
+// fill turns lv.off from counts into offsets and writes the names into
+// one slab at them. Names come in ascending register order, so every
+// list does too.
+func (s *solver) fill(lv *Liveness) {
+	off := lv.off
+	for j := 1; j < len(off); j++ {
+		off[j] += off[j-1]
+	}
+	// off[j+1] is now where list j starts. Writing list j advances it
+	// to the list's end, which is where list j+1 starts.
+	lv.regs = make([]ir.Reg, off[len(off)-1])
+	lo := int32(0)
+	for r, m := range s.mark {
+		if m >= 0 {
+			continue
+		}
+		hi := s.nameOff[-m-1]
+		for _, b := range s.visits[lo:hi] {
+			cursor := 2*b + 1 // b's live-in list
+			if b < 0 {
+				cursor = 2*^b + 2 // ^b's live-out list
+			}
+			lv.regs[off[cursor]] = ir.Reg(r)
+			off[cursor]++
+		}
+		lo = hi
+	}
+	lv.off = off[:len(off)-1]
 }

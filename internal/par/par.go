@@ -6,10 +6,35 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
+
+// PanicError is the error Do returns for an index whose fn panicked:
+// the panic is recovered on the worker, so one failing item cannot
+// kill the process.
+type PanicError struct {
+	Index int    // the index whose fn panicked
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("par: item %d panicked: %v", e.Index, e.Value)
+}
+
+// call runs fn(i), turning a panic into a *PanicError.
+func call(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn(i)
+}
 
 // Limit resolves a parallelism request against an item count: n <= 0
 // means GOMAXPROCS, and the result is clamped to [1, items] (with a
@@ -31,7 +56,9 @@ func Limit(n, items int) int {
 // waits for all of them. Workers pull indices from a shared counter,
 // so long items do not serialize behind short ones. The returned
 // error is the one from the lowest failed index — the same error the
-// serial loop would hit first — regardless of scheduling order.
+// serial loop would hit first — regardless of scheduling order. A
+// panic in fn is recovered into that index's error, a *PanicError, on
+// the serial and the pooled path alike.
 //
 // Dispatch stops after the first error: indices not yet claimed when
 // a failure is recorded never run (items already in flight finish
@@ -43,7 +70,7 @@ func Do(n, parallelism int, fn func(i int) error) error {
 	workers := Limit(parallelism, n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
+			if err := call(fn, i); err != nil {
 				return err
 			}
 		}
@@ -62,7 +89,7 @@ func Do(n, parallelism int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				if err := fn(i); err != nil {
+				if err := call(fn, i); err != nil {
 					errs[i] = err
 					failed.Store(true)
 				}

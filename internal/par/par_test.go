@@ -130,3 +130,41 @@ func TestDoZeroItems(t *testing.T) {
 		t.Errorf("Do over zero items: %v", err)
 	}
 }
+
+// TestDoRecoversPanics: a panicking item becomes that index's
+// *PanicError, carrying the index, the panic value and the stack, and
+// the lowest-failed-index rule still picks among errors and panics.
+func TestDoRecoversPanics(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		err := Do(40, workers, func(i int) error {
+			switch {
+			case i == 7:
+				panic("boom")
+			case i > 20:
+				return fmt.Errorf("fail at %d", i)
+			}
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want a *PanicError", workers, err)
+		}
+		if pe.Index != 7 || pe.Value != "boom" || len(pe.Stack) == 0 {
+			t.Errorf("workers=%d: PanicError{Index: %d, Value: %v, %d stack bytes}, want index 7, value boom and a stack",
+				workers, pe.Index, pe.Value, len(pe.Stack))
+		}
+		// A lower plain error wins over a higher panic.
+		err = Do(40, workers, func(i int) error {
+			if i == 2 {
+				return errors.New("fail at 2")
+			}
+			if i == 30 {
+				panic("late")
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "fail at 2" {
+			t.Errorf("workers=%d: err = %v, want fail at 2", workers, err)
+		}
+	}
+}

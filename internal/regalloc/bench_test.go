@@ -13,7 +13,10 @@ import (
 // irgen.Default programs (seeds 1-20) for the paper's machine; one
 // iteration allocates the whole corpus.
 func BenchmarkAllocate(b *testing.B) {
-	corpus := profiled(b, irgen.Default(), 20)
+	benchmarkAllocate(b, profiled(b, irgen.Default(), 20))
+}
+
+func benchmarkAllocate(b *testing.B, corpus []*ir.Program) {
 	m := machine.PARISC()
 	progs := make([]*ir.Program, len(corpus))
 	b.ReportAllocs()
@@ -30,4 +33,11 @@ func BenchmarkAllocate(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkAllocateHostile allocates 40 profiled irgen.Hostile
+// programs (seeds 1-40), whose functions are larger and spill more;
+// one iteration allocates the whole corpus.
+func BenchmarkAllocateHostile(b *testing.B) {
+	benchmarkAllocate(b, profiled(b, irgen.Hostile(), 40))
 }

@@ -215,126 +215,186 @@ func lowerReturns(f *ir.Func, m *machine.Desc, precolor map[ir.Reg]ir.Reg) {
 // order, the ones the function references.
 type graph struct {
 	nodes    []int32
-	adj      [][]int32 // sorted, deduplicated neighbors
-	defCost  []int64   // profile-weighted def count
-	useCost  []int64   // profile-weighted use count
-	crossing []bool    // live across a call: callee-saved only
-	pre      []ir.Reg  // precolored register or NoReg
-	temps    int32     // nodes from temps on are unspillable spill temporaries
+	nbr      []int32  // every node's neighbors, without repeats, back to back
+	off      []int32  // node i's neighbors are nbr[off[i]:off[i+1]]
+	defCost  []int64  // profile-weighted def count
+	useCost  []int64  // profile-weighted use count
+	crossing []bool   // live across a call: callee-saved only
+	pre      []ir.Reg // precolored register or NoReg
+	temps    int32    // nodes from temps on are unspillable spill temporaries
 }
 
-// addEdge records that distinct virtuals a and b interfere.
-func (g *graph) addEdge(a, b ir.Reg) {
-	g.link(int32(a-ir.VirtBase), int32(b-ir.VirtBase))
-	g.link(int32(b-ir.VirtBase), int32(a-ir.VirtBase))
+// adj returns node i's neighbors, in no particular order.
+func (g *graph) adj(i int32) []int32 { return g.nbr[g.off[i]:g.off[i+1]] }
+
+// liveSet is a sparse set of virtual numbers (Briggs and Torczon):
+// O(1) add, remove and membership, and dense lists the members.
+type liveSet struct {
+	dense []int32 // capacity covers every virtual
+	pos   []int32 // pos[v] is v's index in dense, if v is a member
 }
 
-// link appends b to a's neighbor list. A full list is sorted and
-// deduplicated before it grows, so however often the scan repeats an
-// edge, a list holds at most about four times its distinct neighbors.
-func (g *graph) link(a, b int32) {
-	l := g.adj[a]
-	if len(l) == cap(l) && len(l) >= 16 {
-		if l = sortedSet(l); len(l) > cap(l)/2 {
-			l = append(make([]int32, 0, 2*cap(l)), l...)
-		}
+func (s *liveSet) has(v int32) bool {
+	p := s.pos[v]
+	return int(p) < len(s.dense) && s.dense[p] == v
+}
+
+func (s *liveSet) add(v int32) {
+	if !s.has(v) {
+		s.pos[v] = int32(len(s.dense))
+		s.dense = append(s.dense, v)
 	}
-	g.adj[a] = append(l, b)
 }
 
-func sortedSet(l []int32) []int32 {
-	slices.Sort(l)
-	return slices.Compact(l)
+func (s *liveSet) remove(v int32) {
+	if s.has(v) {
+		p, last := s.pos[v], s.dense[len(s.dense)-1]
+		s.dense[p], s.pos[last] = last, p
+		s.dense = s.dense[:len(s.dense)-1]
+	}
+}
+
+// graphBuilder holds one buildGraph's scratch state. Its first scan
+// counts each node's neighbors at cursor[i] = off[i+1] while g.nbr is
+// nil; the second writes node i's next neighbor at nbr[cursor[i]].
+type graphBuilder struct {
+	g      *graph
+	lv     *dataflow.Liveness
+	live   liveSet
+	cursor []int32
 }
 
 // buildGraph computes liveness and constructs the interference graph
-// over virtual registers.
+// over virtual registers. A first backward scan tallies costs, call
+// crossings and how many neighbors each node records; a second writes
+// the neighbors into one slab, and a stamp per node drops repeats.
 func buildGraph(f *ir.Func, precolor map[ir.Reg]ir.Reg, temps int32) *graph {
-	lv := dataflow.ComputeLiveness(f)
 	n := f.NumVirt
+	costs := make([]int64, 2*n)
+	ints := make([]int32, 5*n+1)
 	g := &graph{
-		adj:      make([][]int32, n),
-		defCost:  make([]int64, n),
-		useCost:  make([]int64, n),
+		off:      ints[:n+1],
+		defCost:  costs[:n],
+		useCost:  costs[n:],
 		crossing: make([]bool, n),
 		pre:      slices.Repeat([]ir.Reg{ir.NoReg}, n),
 		temps:    temps,
 	}
-	referenced := make([]bool, n)
-	var buf []ir.Reg
-	for _, b := range f.Blocks {
-		w := b.ExecCount()
-		if w == 0 {
-			w = 1
-		}
-		for _, in := range b.Instrs {
-			if d := in.Def(); d.IsVirt() {
-				g.defCost[d-ir.VirtBase] += w
-				referenced[d-ir.VirtBase] = true
-			}
-			buf = in.Uses(buf[:0])
-			for _, u := range buf {
-				if u.IsVirt() {
-					g.useCost[u-ir.VirtBase] += w
-					referenced[u-ir.VirtBase] = true
-				}
-			}
-		}
+	gb := graphBuilder{
+		g:      g,
+		lv:     dataflow.ComputeLiveness(f),
+		live:   liveSet{dense: ints[n+1 : n+1 : 2*n+1], pos: ints[2*n+1 : 3*n+1]},
+		cursor: g.off[1:],
 	}
+	gb.scan(f)
+	for i := 0; i < n; i++ {
+		g.off[i+1] += g.off[i]
+	}
+	g.nbr = make([]int32, g.off[n])
+	gb.cursor = ints[3*n+1 : 4*n+1]
+	copy(gb.cursor, g.off[:n])
+	gb.scan(f)
 
-	// Parameters are all simultaneously live at entry.
-	for i, p := range f.Params {
-		for _, q := range f.Params[i+1:] {
-			g.addEdge(p, q)
-		}
-	}
-
-	// Backward scan per block: def interferes with everything live
-	// after it; calls make crossing virtuals callee-saved-only.
-	live := dataflow.NewBitSet(dataflow.Universe(f))
-	for _, b := range f.Blocks {
-		live.CopyFrom(lv.Out[b.ID])
-		for i := len(b.Instrs) - 1; i >= 0; i-- {
-			in := b.Instrs[i]
-			d := in.Def()
-			if d.IsVirt() {
-				live.ForEach(func(ri int) {
-					if r := ir.Reg(ri); r.IsVirt() && r != d {
-						g.addEdge(d, r)
-					}
-				})
-			}
-			if d.IsValid() {
-				live.Clear(int(d))
-			}
-			if in.Op == ir.OpCall {
-				// Everything live across the call (after the def is
-				// removed) must avoid caller-saved registers.
-				live.ForEach(func(ri int) {
-					if r := ir.Reg(ri); r.IsVirt() {
-						g.crossing[r-ir.VirtBase] = true
-					}
-				})
-			}
-			buf = in.Uses(buf[:0])
-			for _, u := range buf {
-				if u.IsValid() {
-					live.Set(int(u))
-				}
+	// Compact the lists in place, keeping each neighbor's first entry.
+	stamp := gb.cursor
+	clear(stamp)
+	w, lo := int32(0), int32(0)
+	for i := 0; i < n; i++ {
+		hi := g.off[i+1]
+		g.off[i] = w
+		for _, a := range g.nbr[lo:hi] {
+			if stamp[a] != int32(i)+1 {
+				stamp[a] = int32(i) + 1
+				g.nbr[w] = a
+				w++
 			}
 		}
+		lo = hi
 	}
+	g.off[n] = w
+	g.nbr = g.nbr[:w]
 
 	for v, p := range precolor {
 		g.pre[v-ir.VirtBase] = p
 	}
-	for i, ok := range referenced {
-		if ok {
+	// Every def and use weighs at least 1, so a node is referenced
+	// exactly when it has a cost.
+	g.nodes = ints[4*n+1 : 4*n+1]
+	for i := range n {
+		if g.defCost[i]+g.useCost[i] > 0 {
 			g.nodes = append(g.nodes, int32(i))
-			g.adj[i] = sortedSet(g.adj[i])
 		}
 	}
 	return g
+}
+
+// scan walks every block backward from its live-out set: each virtual
+// def interferes with every virtual live after it, and calls make the
+// virtuals live across them callee-saved-only. Parameters are all
+// simultaneously live at entry.
+func (gb *graphBuilder) scan(f *ir.Func) {
+	g, live := gb.g, &gb.live
+	count := g.nbr == nil
+	for i, p := range f.Params {
+		for _, q := range f.Params[i+1:] {
+			gb.link(int32(p-ir.VirtBase), []int32{int32(q - ir.VirtBase)})
+		}
+	}
+	for _, b := range f.Blocks {
+		w := max(b.ExecCount(), 1)
+		live.dense = live.dense[:0]
+		for _, r := range gb.lv.Out(b.ID) {
+			if r.IsVirt() {
+				live.add(int32(r - ir.VirtBase))
+			}
+		}
+		for i := len(b.Instrs) - 1; i >= 0; i-- {
+			in := b.Instrs[i]
+			if d := in.Dst; d.IsVirt() {
+				v := int32(d - ir.VirtBase)
+				live.remove(v)
+				gb.link(v, live.dense)
+				if count {
+					g.defCost[v] += w
+				}
+			}
+			if in.Op == ir.OpCall && count {
+				// Everything live across the call (after the def is
+				// removed) must avoid caller-saved registers.
+				for _, v := range live.dense {
+					g.crossing[v] = true
+				}
+			}
+			gb.use(in.Src1, w, count)
+			gb.use(in.Src2, w, count)
+			for _, r := range in.Args {
+				gb.use(r, w, count)
+			}
+		}
+	}
+}
+
+// use makes a read operand live and, when counting, adds its weight.
+func (gb *graphBuilder) use(r ir.Reg, w int64, count bool) {
+	if r.IsVirt() {
+		v := int32(r - ir.VirtBase)
+		gb.live.add(v)
+		if count {
+			gb.g.useCost[v] += w
+		}
+	}
+}
+
+// link records both directions of v's edge to each of others.
+func (gb *graphBuilder) link(v int32, others []int32) {
+	cur, nbr := gb.cursor, gb.g.nbr
+	for _, a := range others {
+		if nbr != nil {
+			nbr[cur[v]], nbr[cur[a]] = a, v
+		}
+		cur[v]++
+		cur[a]++
+	}
 }
 
 // color runs simplify/select with optimistic coloring. It returns the
@@ -348,31 +408,27 @@ func color(g *graph, m *machine.Desc, pr pricer) ([]ir.Reg, []ir.Reg) {
 	// qualifies until it is removed, and the lowest set bit of ready is
 	// the node a scan of nodes from the top would pick.
 	n := len(g.pre)
-	degree := make([]int, n)
-	allowed := make([]int, n)
+	ints := make([]int32, 3*n)
+	degree, allowed, stack := ints[:n], ints[n:2*n], ints[2*n:2*n]
 	removed := make([]bool, n)
 	ready := make([]uint64, (n+63)/64)
 	low := n // no ready bit lies below low
-	markReady := func(i int32) {
-		if degree[i] < allowed[i] {
-			ready[i/64] |= 1 << (i % 64)
-			low = min(low, int(i))
-		}
-	}
 	for _, i := range g.nodes {
 		// allowed is how many colors the node could take in principle.
 		switch {
 		case g.pre[i] != ir.NoReg:
 			allowed[i] = 1
 		case g.crossing[i]:
-			allowed[i] = m.NumCalleeSaved()
+			allowed[i] = int32(m.NumCalleeSaved())
 		default:
-			allowed[i] = m.NumRegs
+			allowed[i] = int32(m.NumRegs)
 		}
-		degree[i] = len(g.adj[i])
-		markReady(i)
+		degree[i] = g.off[i+1] - g.off[i]
+		if degree[i] < allowed[i] {
+			ready[i/64] |= 1 << (i % 64)
+			low = min(low, int(i))
+		}
 	}
-	stack := make([]int32, 0, len(g.nodes))
 	for len(stack) < len(g.nodes) {
 		best := int32(-1)
 		for w := low / 64; w < len(ready); w++ {
@@ -387,10 +443,13 @@ func color(g *graph, m *machine.Desc, pr pricer) ([]ir.Reg, []ir.Reg) {
 		removed[best] = true
 		ready[best/64] &^= 1 << (best % 64)
 		low = int(best) // best was the lowest ready node, or none was ready
-		for _, a := range g.adj[best] {
+		for _, a := range g.adj(best) {
 			if !removed[a] {
 				degree[a]--
-				markReady(a)
+				if degree[a] < allowed[a] {
+					ready[a/64] |= 1 << (a % 64)
+					low = min(low, int(a))
+				}
 			}
 		}
 		stack = append(stack, best)
@@ -402,7 +461,7 @@ func color(g *graph, m *machine.Desc, pr pricer) ([]ir.Reg, []ir.Reg) {
 	for k := len(stack) - 1; k >= 0; k-- {
 		i := stack[k]
 		var inUse uint64 // physical registers < ir.VirtBase = 64
-		for _, a := range g.adj[i] {
+		for _, a := range g.adj(i) {
 			if c := colors[a]; c != ir.NoReg {
 				inUse |= 1 << c
 			}
@@ -437,7 +496,7 @@ func color(g *graph, m *machine.Desc, pr pricer) ([]ir.Reg, []ir.Reg) {
 // ready: the lowest cost/degree ratio among spillable nodes (the first
 // on ties), or the first remaining node when only unspillable ones are
 // left.
-func spillCandidate(g *graph, removed []bool, degree []int, pr pricer) int32 {
+func spillCandidate(g *graph, removed []bool, degree []int32, pr pricer) int32 {
 	best, bestScore := int32(-1), 0.0
 	for _, i := range g.nodes {
 		if removed[i] || i >= g.temps || g.pre[i] != ir.NoReg {
@@ -472,11 +531,12 @@ func lowestFree(inUse uint64, lo, hi int) ir.Reg {
 // to spill; ties go to the lowest-numbered neighbor.
 func pickNeighborSpill(g *graph, i int32, pr pricer) ir.Reg {
 	best, bestCost := int32(-1), int64(0)
-	for _, a := range g.adj[i] {
+	for _, a := range g.adj(i) {
 		if g.pre[a] != ir.NoReg || a >= g.temps {
 			continue
 		}
-		if c := pr.of(g, a); best < 0 || c < bestCost {
+		// Neighbor lists are unordered, so the tie-break is explicit.
+		if c := pr.of(g, a); best < 0 || c < bestCost || c == bestCost && a < best {
 			best, bestCost = a, c
 		}
 	}

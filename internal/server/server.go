@@ -27,6 +27,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/irtext"
+	"repro/internal/par"
 	"repro/internal/vm"
 )
 
@@ -270,7 +271,14 @@ type placeOutcome struct {
 	cache  string
 }
 
+// fail answers err with status, or with 500 when err is a recovered
+// panic: whatever stage it came from, a panic is the service's fault,
+// not the input's.
 func fail(status int, err error) placeOutcome {
+	var pe *par.PanicError
+	if errors.As(err, &pe) {
+		status = http.StatusInternalServerError
+	}
 	body, _ := json.Marshal(map[string]string{"error": err.Error()})
 	return placeOutcome{status: status, body: body, cache: cacheMiss}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -19,6 +20,7 @@ import (
 	"repro"
 	"repro/internal/irgen"
 	"repro/internal/irtext"
+	"repro/internal/par"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -718,5 +720,27 @@ func TestCachedEntriesDoNotPinRequest(t *testing.T) {
 		if p := uintptr(unsafe.Pointer(unsafe.StringData(e.Function))); p >= lo && p < hi {
 			t.Errorf("cached entry for %s points into the request text", e.Function)
 		}
+	}
+}
+
+// TestWorkerPanicAnswers500: a panic in a per-function worker comes
+// back from par.Do as a *par.PanicError, on the serial path and the
+// pooled one, and the reply is 500 even from a stage whose errors are
+// otherwise the input's fault (400).
+func TestWorkerPanicAnswers500(t *testing.T) {
+	for _, parallelism := range []int{1, 4} {
+		err := par.Do(8, parallelism, func(i int) error {
+			if i == 5 {
+				panic("boom")
+			}
+			return nil
+		})
+		o := fail(http.StatusBadRequest, fmt.Errorf("allocate: %w", err))
+		if o.status != http.StatusInternalServerError || !strings.Contains(string(o.body), "item 5 panicked: boom") {
+			t.Errorf("parallelism %d: status %d body %s, want 500 naming the panic", parallelism, o.status, o.body)
+		}
+	}
+	if o := fail(http.StatusBadRequest, errors.New("bad input")); o.status != http.StatusBadRequest {
+		t.Errorf("plain error: status %d, want 400", o.status)
 	}
 }

@@ -17,6 +17,7 @@
 package shrinkwrap
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/cfg"
@@ -136,26 +137,15 @@ func computeReg(f *ir.Func, reg ir.Reg, mode Mode, busy []bool, owned bool, loop
 // (covering gap blocks between a definition and a later use).
 func BusyBlocks(f *ir.Func, reg ir.Reg, lv *dataflow.Liveness) []bool {
 	busy := make([]bool, len(f.Blocks))
-	var buf []ir.Reg
 	for _, b := range f.Blocks {
-		if lv.In[b.ID].Has(int(reg)) {
+		if lv.LiveIn(b, reg) {
 			busy[b.ID] = true
 			continue
 		}
 		for _, in := range b.Instrs {
-			if in.Def() == reg {
-				busy[b.ID] = true
-				break
-			}
-			found := false
-			buf = in.Uses(buf[:0])
-			for _, u := range buf {
-				if u == reg {
-					found = true
-					break
-				}
-			}
-			if found {
+			// reg is a register, so comparing it with absent operands
+			// (NoReg) is safe.
+			if in.Dst == reg || in.Src1 == reg || in.Src2 == reg || slices.Contains(in.Args, reg) {
 				busy[b.ID] = true
 				break
 			}
