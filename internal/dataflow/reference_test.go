@@ -9,6 +9,7 @@ package dataflow_test
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"slices"
@@ -341,4 +342,46 @@ func TestLivenessHandBuiltCFGs(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestLivenessMatchesReferenceRandomCFGs checks arbitrary CFGs: random
+// edges make unreachable blocks, irreducible loops, self loops and
+// branches with both arms on one block, and the random operands mix
+// virtual and physical registers, call arguments and registers read
+// before any write.
+func TestLivenessMatchesReferenceRandomCFGs(t *testing.T) {
+	for seed := uint64(1); seed <= 2000; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		bu := ir.NewBuilder("rand", 1)
+		regs := []ir.Reg{bu.F.Params[0], ir.Phys(0), ir.Phys(11), ir.Phys(63)}
+		for range rng.IntN(6) {
+			regs = append(regs, bu.F.NewVirt())
+		}
+		pick := func() ir.Reg { return regs[rng.IntN(len(regs))] }
+		blocks := make([]*ir.Block, 1+rng.IntN(10))
+		for i := range blocks {
+			blocks[i] = bu.F.NewBlock(fmt.Sprintf("b%d", i))
+		}
+		bu.F.Entry = blocks[0]
+		for _, b := range blocks {
+			bu.SetCurrent(b)
+			for range rng.IntN(5) {
+				if rng.IntN(4) == 0 {
+					bu.Call(pick(), "g", pick(), pick())
+				} else {
+					bu.BinInto(ir.OpAdd, pick(), pick(), pick())
+				}
+			}
+			switch rng.IntN(3) {
+			case 0:
+				bu.Ret(pick())
+			case 1:
+				bu.Jmp(blocks[rng.IntN(len(blocks))], 1)
+			default:
+				bu.Br(pick(), blocks[rng.IntN(len(blocks))], blocks[rng.IntN(len(blocks))], 1, 1)
+			}
+		}
+		f := bu.Finish()
+		checkReference(t, fmt.Sprintf("random CFG %d", seed), f, dataflow.ComputeLiveness(f))
+	}
 }
