@@ -572,11 +572,10 @@ func exactSpillSlots(f *ir.Func) {
 func insertSpillCode(f *ir.Func, v ir.Reg) {
 	slot := int64(f.SpillSlots)
 	f.SpillSlots++
-	var buf []ir.Reg
 	for _, b := range f.Blocks {
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
-			if buf = in.Uses(buf[:0]); slices.Contains(buf, v) {
+			if in.Src1 == v || in.Src2 == v || slices.Contains(in.Args, v) {
 				t := f.NewVirt()
 				ld := &ir.Instr{Op: ir.OpSpillLoad, Dst: t, Src1: ir.NoReg, Src2: ir.NoReg,
 					Imm: slot, Flags: ir.FlagSpill}
@@ -614,39 +613,33 @@ func replaceUses(in *ir.Instr, from, to ir.Reg) {
 
 // rewrite replaces every virtual register with its color.
 func rewrite(f *ir.Func, colors []ir.Reg) {
-	sub := func(r ir.Reg) ir.Reg {
-		if r.IsVirt() {
-			if c := colors[r-ir.VirtBase]; c != ir.NoReg {
-				return c
-			}
-			// Dead virtual never live anywhere: any caller-saved reg
-			// would do; keep it deterministic.
-			return ir.Phys(0)
-		}
-		return r
-	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.Dst.IsValid() {
-				in.Dst = sub(in.Dst)
-			}
-			if in.Src1.IsValid() {
-				in.Src1 = sub(in.Src1)
-			}
-			if in.Src2.IsValid() {
-				in.Src2 = sub(in.Src2)
-			}
+			in.Dst = recolor(in.Dst, colors)
+			in.Src1 = recolor(in.Src1, colors)
+			in.Src2 = recolor(in.Src2, colors)
 			for i, a := range in.Args {
-				if a.IsValid() {
-					in.Args[i] = sub(a)
-				}
+				in.Args[i] = recolor(a, colors)
 			}
 		}
 	}
 	for i, p := range f.Params {
-		f.Params[i] = sub(p)
+		f.Params[i] = recolor(p, colors)
 	}
 	f.NumVirt = 0
+}
+
+// recolor returns r's color if r is virtual, and r otherwise. A
+// virtual left uncolored is dead everywhere: any caller-saved register
+// would do, and r0 keeps it deterministic.
+func recolor(r ir.Reg, colors []ir.Reg) ir.Reg {
+	if !r.IsVirt() {
+		return r
+	}
+	if c := colors[r-ir.VirtBase]; c != ir.NoReg {
+		return c
+	}
+	return ir.Phys(0)
 }
 
 // recordUsedCalleeSaved scans the allocated body for callee-saved
