@@ -18,6 +18,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -90,8 +91,7 @@ func main() {
 	// strategies read it, and its counters aggregated over the sweep
 	// prove each function's analyses were built once, not per strategy.
 	cache := analysis.NewCache()
-	_ = par.Do(*n, *jobs, func(i int) error {
-		seed := *base + uint64(i)
+	err = sweep(*n, *jobs, *base, func(seed uint64) {
 		prog := irgen.Generate(seed, cfg)
 		// Seeds already fan out across the pool; a nested GOMAXPROCS
 		// allocation pool per check would only oversubscribe.
@@ -109,8 +109,11 @@ func main() {
 				fmt.Fprintf(os.Stderr, "seed %d: %v\n", seed, r.Violations[0])
 			}
 		}
-		return nil
 	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "spillfuzz: %v\n", err)
+		os.Exit(1)
+	}
 
 	sort.Slice(failures, func(i, j int) bool { return failures[i].seed < failures[j].seed })
 	fmt.Printf("spillfuzz: %d seeds in %v, %d with callee-saved placement, %d dynamic instrs, %d failures\n",
@@ -140,6 +143,21 @@ func main() {
 	}
 }
 
+// sweep calls visit on seeds base, ..., base+n-1 across jobs workers.
+// A seed whose visit panics ends the sweep: the error names the seed
+// and carries the panic value and stack.
+func sweep(n, jobs int, base uint64, visit func(seed uint64)) error {
+	err := par.Do(n, jobs, func(i int) error {
+		visit(base + uint64(i))
+		return nil
+	})
+	var pe *par.PanicError
+	if errors.As(err, &pe) {
+		return fmt.Errorf("seed %d panicked: %v\n%s", base+uint64(pe.Index), pe.Value, pe.Stack)
+	}
+	return err
+}
+
 // paritySweep cross-checks an engine against the tree interpreter on
 // every seed: the raw program under several step budgets (small ones
 // force mid-quantum halts) plus the hierarchically placed program
@@ -155,8 +173,7 @@ func paritySweep(n, jobs int, base uint64, cfg irgen.Config, eng vm.Engine, verb
 	var mu sync.Mutex
 	var failures []failure
 	checked := 0
-	_ = par.Do(n, jobs, func(i int) error {
-		seed := base + uint64(i)
+	err := sweep(n, jobs, base, func(seed uint64) {
 		prog := irgen.Generate(seed, cfg)
 		ms := irgen.EngineParitySweep(prog, eng, []int64{int64(seed % 17)}, budgets)
 		mu.Lock()
@@ -168,8 +185,11 @@ func paritySweep(n, jobs int, base uint64, cfg irgen.Config, eng vm.Engine, verb
 				fmt.Fprintf(os.Stderr, "seed %d: %s\n", seed, ms[0])
 			}
 		}
-		return nil
 	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "spillfuzz: %v\n", err)
+		os.Exit(1)
+	}
 	sort.Slice(failures, func(i, j int) bool { return failures[i].seed < failures[j].seed })
 	fmt.Printf("spillfuzz: %v-vs-tree parity on %d seeds in %v, %d failures\n",
 		eng, checked, time.Since(start).Round(time.Millisecond), len(failures))

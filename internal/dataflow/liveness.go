@@ -13,7 +13,6 @@ package dataflow
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/ir"
 )
@@ -45,15 +44,9 @@ func (lv *Liveness) LiveIn(b *ir.Block, r ir.Reg) bool { return contains(lv.In(b
 // LiveOut reports whether r is live on exit from b.
 func (lv *Liveness) LiveOut(b *ir.Block, r ir.Reg) bool { return contains(lv.Out(b.ID), r) }
 
-// contains reports whether the ascending set holds r. Sets after
-// allocation hold at most the 64 physical registers, and a linear scan
-// that stops at the first register not below r beats a binary search
-// on them.
+// contains reports whether the ascending set holds r, scanning up to
+// the first register not below r.
 func contains(set []ir.Reg, r ir.Reg) bool {
-	if len(set) > 64 {
-		_, ok := slices.BinarySearch(set, r)
-		return ok
-	}
 	for _, x := range set {
 		if x >= r {
 			return x == r
