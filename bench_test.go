@@ -33,7 +33,7 @@ func BenchmarkFigure5(b *testing.B) {
 			var r *bench.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = bench.Run(p)
+				r, err = bench.RunEntry(bench.EntryFor(p), bench.Options{Parallelism: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -46,10 +46,14 @@ func BenchmarkFigure5(b *testing.B) {
 }
 
 func BenchmarkTable1(b *testing.B) {
+	var entries []bench.Entry
+	for _, p := range workload.SPECInt2000() {
+		entries = append(entries, bench.EntryFor(p))
+	}
 	var results []*bench.Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		results, err = bench.RunAll(workload.SPECInt2000())
+		results, err = bench.RunEntries(entries, bench.Options{Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +74,7 @@ func BenchmarkTable2(b *testing.B) {
 			var r *bench.Result
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = bench.Run(p)
+				r, err = bench.RunEntry(bench.EntryFor(p), bench.Options{Parallelism: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

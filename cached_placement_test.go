@@ -22,6 +22,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/regalloc"
 	"repro/internal/strategy"
+	"repro/internal/vm"
 )
 
 // allocatedPrograms yields every testdata/*.ir program plus 50 irgen
@@ -30,10 +31,10 @@ func allocatedPrograms(t *testing.T) map[string]*ir.Program {
 	t.Helper()
 	out := make(map[string]*ir.Program)
 	add := func(name string, prog *ir.Program, args []int64) {
-		if _, err := profile.Collect(prog, args...); err != nil {
+		if _, err := profile.Collect(prog, vm.Config{}, args...); err != nil {
 			t.Fatalf("%s: profile: %v", name, err)
 		}
-		if _, err := regalloc.AllocateProgram(prog, machine.PARISC()); err != nil {
+		if _, err := regalloc.AllocateProgram(prog, machine.PARISC(), 1, regalloc.Options{}); err != nil {
 			t.Fatalf("%s: regalloc: %v", name, err)
 		}
 		out[name] = prog
@@ -63,7 +64,7 @@ func allocatedPrograms(t *testing.T) map[string]*ir.Program {
 // every analysis is rebuilt from scratch by Compute, and validation
 // recomputes its own liveness.
 func placeUncached(f *ir.Func, s strategy.Strategy) ([]*core.Set, error) {
-	sets, err := strategy.Compute(f, s)
+	sets, err := strategy.ComputeCachedFor(f, s, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +95,7 @@ func TestCachedPlacementByteIdentity(t *testing.T) {
 			cache := analysis.NewCache()
 			for _, f := range strategy.NeedsPlacement(cached) {
 				info := cache.For(f)
-				csets, err := strategy.ComputeCached(f, s, info)
+				csets, err := strategy.ComputeCachedFor(f, s, info, nil)
 				if err != nil {
 					t.Fatalf("%s/%v/%s: cached compute: %v", name, s, f.Name, err)
 				}
@@ -107,7 +108,7 @@ func TestCachedPlacementByteIdentity(t *testing.T) {
 					t.Fatalf("%s/%v/%s: cached sets differ from uncached:\n%s\nwant:\n%s",
 						name, s, f.Name, got, want)
 				}
-				if err := strategy.PlaceCached(f, s, info); err != nil {
+				if _, err := strategy.PlaceCachedFor(f, s, info, nil); err != nil {
 					t.Fatalf("%s/%v/%s: cached place: %v", name, s, f.Name, err)
 				}
 			}
@@ -125,17 +126,17 @@ func TestCachedPlacementByteIdentity(t *testing.T) {
 func TestConcurrentCachedPlacementIdentity(t *testing.T) {
 	// A generated multi-procedure program gives the pool real sharding.
 	base := irgen.Generate(7, irgen.Default())
-	if _, err := profile.Collect(base, 0); err != nil {
+	if _, err := profile.Collect(base, vm.Config{}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := regalloc.AllocateProgram(base, machine.PARISC()); err != nil {
+	if _, err := regalloc.AllocateProgram(base, machine.PARISC(), 1, regalloc.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range strategy.All {
 		parallel := base.Clone()
 		serial := base.Clone()
 		cache := analysis.NewCache()
-		if err := strategy.PlaceProgramCached(parallel, s, 8, cache); err != nil {
+		if err := strategy.PlaceProgramFor(parallel, s, nil, 8, cache); err != nil {
 			t.Fatalf("%v: parallel: %v", s, err)
 		}
 		for _, f := range strategy.NeedsPlacement(serial) {
@@ -146,7 +147,7 @@ func TestConcurrentCachedPlacementIdentity(t *testing.T) {
 		if irtext.Print(parallel) != irtext.Print(serial) {
 			t.Errorf("%v: parallel cached placement differs from serial uncached", s)
 		}
-		// PlaceCached invalidated each Info after Apply: the cache must
+		// PlaceCachedFor patched each Info after Apply: the cache must
 		// now describe the placed (mutated) functions, not the stale
 		// pre-placement shape.
 		for _, f := range strategy.NeedsPlacement(parallel) {

@@ -12,21 +12,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro"
 )
 
-var strategies = map[string]spillopt.Strategy{
-	"entry-exit":        spillopt.EntryExit,
-	"shrinkwrap":        spillopt.Shrinkwrap,
-	"shrinkwrap-seed":   spillopt.ShrinkwrapSeed,
-	"hierarchical-exec": spillopt.HierarchicalExec,
-	"hierarchical-jump": spillopt.HierarchicalJump,
-}
-
 func main() {
 	strategy := flag.String("strategy", "hierarchical-jump",
-		"placement strategy: entry-exit, shrinkwrap, shrinkwrap-seed, hierarchical-exec, hierarchical-jump")
+		"placement strategy: "+strings.Join(spillopt.Strategies(), ", "))
 	arg := flag.Int64("arg", 100, "argument passed to the program's main")
 	show := flag.Bool("print", false, "print the transformed program")
 	dotFunc := flag.String("dot", "", "print the named function's CFG in Graphviz DOT format and exit")
@@ -48,8 +41,8 @@ func main() {
 	if *compare {
 		fmt.Printf("%-18s %10s %10s %8s %8s %8s %8s\n",
 			"strategy", "overhead", "cost", "saves", "restores", "spill", "jumps")
-		for _, name := range []string{"entry-exit", "shrinkwrap", "shrinkwrap-seed", "hierarchical-exec", "hierarchical-jump"} {
-			res, err := runOne(string(src), strategies[name], *arg, *mach, *layoutF, *allocMachine)
+		for _, name := range spillopt.Strategies() {
+			res, err := runOne(string(src), name, *arg, *mach, *layoutF, *allocMachine)
 			if err != nil {
 				fatal(fmt.Errorf("%s: %w", name, err))
 			}
@@ -59,11 +52,7 @@ func main() {
 		return
 	}
 
-	s, ok := strategies[*strategy]
-	if !ok {
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
-	}
-	prog, err := buildOpts(string(src), s, *arg, *mach, *layoutF, *allocMachine)
+	prog, err := buildOpts(string(src), *strategy, *arg, *mach, *layoutF, *allocMachine)
 	if err != nil {
 		fatal(err)
 	}
@@ -87,7 +76,11 @@ func main() {
 	}
 }
 
-func buildOpts(src string, s spillopt.Strategy, arg int64, mach string, layout, allocMachine bool) (*spillopt.Program, error) {
+func buildOpts(src, strategy string, arg int64, mach string, layout, allocMachine bool) (*spillopt.Program, error) {
+	s, err := spillopt.ParseStrategy(strategy)
+	if err != nil {
+		return nil, err
+	}
 	prog, err := spillopt.ParseProgram(src)
 	if err != nil {
 		return nil, err
@@ -119,8 +112,8 @@ func buildOpts(src string, s spillopt.Strategy, arg int64, mach string, layout, 
 	return prog, nil
 }
 
-func runOne(src string, s spillopt.Strategy, arg int64, mach string, layout, allocMachine bool) (*spillopt.Result, error) {
-	prog, err := buildOpts(src, s, arg, mach, layout, allocMachine)
+func runOne(src, strategy string, arg int64, mach string, layout, allocMachine bool) (*spillopt.Result, error) {
+	prog, err := buildOpts(src, strategy, arg, mach, layout, allocMachine)
 	if err != nil {
 		return nil, err
 	}
@@ -128,6 +121,7 @@ func runOne(src string, s spillopt.Strategy, arg int64, mach string, layout, all
 }
 
 func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "spillopt: %v\n", err)
+	// The facade's own errors already start with the package name.
+	fmt.Fprintf(os.Stderr, "spillopt: %s\n", strings.TrimPrefix(err.Error(), "spillopt: "))
 	os.Exit(1)
 }

@@ -104,7 +104,7 @@ func score(p workload.BenchParams, cache *analysis.Cache) float64 {
 }
 
 func measure(p workload.BenchParams, cache *analysis.Cache) (opt, sw float64, err error) {
-	r, err := bench.RunWithOptions(p, bench.Options{Cache: cache})
+	r, err := bench.RunEntry(bench.EntryFor(p), bench.Options{Cache: cache})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -22,7 +22,7 @@ func main() {
 	fmt.Printf("traits: cold calls %.0f%%, live-across %.0f%%, outer loop %.0f%%\n\n",
 		params.ColdCallProb*100, params.LiveAcrossProb*100, params.OuterLoopProb*100)
 
-	r, err := bench.Run(params)
+	r, err := bench.RunEntry(bench.EntryFor(params), bench.Options{Parallelism: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/profile"
 	"repro/internal/regalloc"
+	"repro/internal/vm"
 )
 
 // demoFunc returns a profiled, allocated function that uses
@@ -47,10 +48,10 @@ exit:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := profile.Collect(prog, 50); err != nil {
+	if _, err := profile.Collect(prog, vm.Config{}, 50); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := regalloc.AllocateProgram(prog, machine.PARISC()); err != nil {
+	if _, err := regalloc.AllocateProgram(prog, machine.PARISC(), 1, regalloc.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	f := prog.Func("main")

@@ -28,6 +28,7 @@ import (
 	"repro/internal/pst"
 	"repro/internal/regalloc"
 	"repro/internal/strategy"
+	"repro/internal/vm"
 )
 
 func sameBlockSlice(a, b []*ir.Block) bool {
@@ -227,7 +228,7 @@ func checkDeltaIdentity(t *testing.T, tag string, f *ir.Func, s strategy.Strateg
 	if len(f.UsedCalleeSaved) == 0 {
 		return 0
 	}
-	sets, err := strategy.Compute(f, s)
+	sets, err := strategy.ComputeCachedFor(f, s, nil, nil)
 	if err != nil {
 		t.Fatalf("%s: compute %v: %v", tag, s, err)
 	}
@@ -253,10 +254,10 @@ func TestApplyDeltaByteIdentityTestdata(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := profile.Collect(prog, 40); err != nil {
+			if _, err := profile.Collect(prog, vm.Config{}, 40); err != nil {
 				t.Fatalf("%s: profile: %v", path, err)
 			}
-			if _, err := regalloc.AllocateProgram(prog, machine.PARISC()); err != nil {
+			if _, err := regalloc.AllocateProgram(prog, machine.PARISC(), 1, regalloc.Options{}); err != nil {
 				t.Fatalf("%s: allocate: %v", path, err)
 			}
 			for _, f := range prog.FuncsInOrder() {
@@ -277,10 +278,10 @@ func TestApplyDeltaByteIdentityGenerated(t *testing.T) {
 	for _, s := range []strategy.Strategy{strategy.HierarchicalJump, strategy.ShrinkwrapSeed} {
 		for seed := uint64(0); seed < 300; seed++ {
 			prog := irgen.Generate(seed, irgen.Default())
-			if _, err := profile.Collect(prog, 40); err != nil {
+			if _, err := profile.Collect(prog, vm.Config{}, 40); err != nil {
 				continue // a generated program the profiler rejects is not this test's concern
 			}
-			if _, err := regalloc.AllocateProgram(prog, machine.PARISC()); err != nil {
+			if _, err := regalloc.AllocateProgram(prog, machine.PARISC(), 1, regalloc.Options{}); err != nil {
 				continue
 			}
 			for _, f := range prog.FuncsInOrder() {
@@ -342,10 +343,10 @@ out:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := profile.Collect(prog, 40); err != nil {
+	if _, err := profile.Collect(prog, vm.Config{}, 40); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := regalloc.AllocateProgram(prog, machine.PARISC()); err != nil {
+	if _, err := regalloc.AllocateProgram(prog, machine.PARISC(), 1, regalloc.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	f := prog.Func("main")
@@ -392,10 +393,10 @@ out:
 func TestDeltaPlacementMatchesUnshared(t *testing.T) {
 	mk := func(seed uint64) *ir.Program {
 		prog := irgen.Generate(seed, irgen.Default())
-		if _, err := profile.Collect(prog, 40); err != nil {
+		if _, err := profile.Collect(prog, vm.Config{}, 40); err != nil {
 			return nil
 		}
-		if _, err := regalloc.AllocateProgram(prog, machine.PARISC()); err != nil {
+		if _, err := regalloc.AllocateProgram(prog, machine.PARISC(), 1, regalloc.Options{}); err != nil {
 			return nil
 		}
 		return prog
@@ -407,10 +408,10 @@ func TestDeltaPlacementMatchesUnshared(t *testing.T) {
 			continue
 		}
 		cache := analysis.NewCache()
-		if err := strategy.PlaceProgramCached(a, strategy.HierarchicalJump, 4, cache); err != nil {
+		if err := strategy.PlaceProgramFor(a, strategy.HierarchicalJump, nil, 4, cache); err != nil {
 			t.Fatalf("seed %d: cached placement: %v", seed, err)
 		}
-		if err := strategy.PlaceProgram(b, strategy.HierarchicalJump, 1); err != nil {
+		if err := strategy.PlaceProgramFor(b, strategy.HierarchicalJump, nil, 1, nil); err != nil {
 			t.Fatalf("seed %d: unshared placement: %v", seed, err)
 		}
 		if irtext.Print(a) != irtext.Print(b) {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/profile"
 	"repro/internal/regalloc"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -69,10 +70,10 @@ func BenchAnalysis(suite []workload.BenchParams, reps int) (*AnalysisBench, erro
 		rec := AnalysisRecord{Benchmark: p.Name}
 		for rep := 0; rep < reps; rep++ {
 			prog := workload.Generate(p)
-			if _, err := profile.Collect(prog, 0); err != nil {
+			if _, err := profile.Collect(prog, vm.Config{}, 0); err != nil {
 				return nil, fmt.Errorf("benchanalysis %s: profile: %w", p.Name, err)
 			}
-			if _, err := regalloc.AllocateProgramParallel(prog, mach, 0); err != nil {
+			if _, err := regalloc.AllocateProgram(prog, mach, 0, regalloc.Options{}); err != nil {
 				return nil, fmt.Errorf("benchanalysis %s: regalloc: %w", p.Name, err)
 			}
 			coldNs, sharedNs, incNs, rebuilds, funcs, err := measureReplacement(prog)

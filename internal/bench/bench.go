@@ -126,7 +126,7 @@ type Options struct {
 	// model more accurate.
 	Align bool
 	// Parallelism bounds the worker pools of the concurrent stages:
-	// benchmark sharding in RunAllWithOptions, the per-strategy VM
+	// benchmark sharding in RunEntries, the per-strategy VM
 	// measurement fan-out, and per-function allocation and placement.
 	// Only one level fans out at a time (benchmarks when there are
 	// several, strategies/functions otherwise), so pools never
@@ -187,17 +187,6 @@ func GeneratedSuite(base uint64, n int) []Entry {
 	return out
 }
 
-// Run executes the full pipeline for one benchmark description,
-// serially (the zero-value Options would mean GOMAXPROCS).
-func Run(p workload.BenchParams) (*Result, error) {
-	return RunWithOptions(p, Options{Parallelism: 1})
-}
-
-// RunWithOptions executes the pipeline with tweaks.
-func RunWithOptions(p workload.BenchParams, opts Options) (*Result, error) {
-	return RunEntry(EntryFor(p), opts)
-}
-
 // RunEntry executes the pipeline for one entry: generate, profile,
 // allocate once, place every strategy on identical clones, execute
 // each clone under convention checking.
@@ -206,7 +195,7 @@ func RunEntry(e Entry, opts Options) (*Result, error) {
 	mach := machine.PARISC()
 
 	// Profile by execution, then check flow conservation.
-	if _, err := profile.CollectWithConfig(prog, vm.Config{Engine: opts.Engine}, 0); err != nil {
+	if _, err := profile.Collect(prog, vm.Config{Engine: opts.Engine}, 0); err != nil {
 		return nil, fmt.Errorf("bench %s: profile: %w", e.Name, err)
 	}
 	if err := profile.Consistent(prog); err != nil {
@@ -215,7 +204,7 @@ func RunEntry(e Entry, opts Options) (*Result, error) {
 
 	// One register allocation shared by all strategies; functions are
 	// independent, so allocation fans out per function.
-	allocRes, err := regalloc.AllocateProgramOpts(prog, mach, opts.Parallelism, regalloc.Options{MachineCosts: opts.MachineAlloc})
+	allocRes, err := regalloc.AllocateProgram(prog, mach, opts.Parallelism, regalloc.Options{MachineCosts: opts.MachineAlloc})
 	if err != nil {
 		return nil, fmt.Errorf("bench %s: regalloc: %w", e.Name, err)
 	}
@@ -361,7 +350,7 @@ func computeSets(funcs []*ir.Func, s Strategy, parallelism int, cache *analysis.
 func measureReplacement(prog *ir.Program) (coldNs, sharedNs, incNs int64, rebuilds, funcs int, err error) {
 	for _, f := range strategy.NeedsPlacement(prog) {
 		info := analysis.For(f)
-		sets, err := strategy.ComputeCached(f, strategy.HierarchicalJump, info)
+		sets, err := strategy.ComputeCachedFor(f, strategy.HierarchicalJump, info, nil)
 		if err != nil {
 			return 0, 0, 0, 0, 0, fmt.Errorf("%s: %w", f.Name, err)
 		}
@@ -374,7 +363,7 @@ func measureReplacement(prog *ir.Program) (coldNs, sharedNs, incNs int64, rebuil
 		before := info.Counts()
 		start := time.Now()
 		info.ApplyDelta(delta)
-		if _, err := strategy.ComputeCached(f, strategy.HierarchicalJump, info); err != nil {
+		if _, err := strategy.ComputeCachedFor(f, strategy.HierarchicalJump, info, nil); err != nil {
 			return 0, 0, 0, 0, 0, fmt.Errorf("%s: incremental: %w", f.Name, err)
 		}
 		incNs += time.Since(start).Nanoseconds()
@@ -385,13 +374,13 @@ func measureReplacement(prog *ir.Program) (coldNs, sharedNs, incNs int64, rebuil
 		}
 
 		start = time.Now()
-		if _, err := strategy.ComputeCached(f, strategy.HierarchicalJump, info); err != nil {
+		if _, err := strategy.ComputeCachedFor(f, strategy.HierarchicalJump, info, nil); err != nil {
 			return 0, 0, 0, 0, 0, fmt.Errorf("%s: shared: %w", f.Name, err)
 		}
 		sharedNs += time.Since(start).Nanoseconds()
 
 		start = time.Now()
-		if _, err := strategy.ComputeCached(f, strategy.HierarchicalJump, analysis.For(f)); err != nil {
+		if _, err := strategy.ComputeCachedFor(f, strategy.HierarchicalJump, analysis.For(f), nil); err != nil {
 			return 0, 0, 0, 0, 0, fmt.Errorf("%s: cold: %w", f.Name, err)
 		}
 		coldNs += time.Since(start).Nanoseconds()
@@ -438,33 +427,17 @@ func applySets(clone *ir.Program, funcs []*ir.Func, sets [][]*core.Set, parallel
 	})
 }
 
-// RunAll runs every benchmark in the suite serially. RunAllWithOptions
-// is the sharded version; both produce identical results.
-func RunAll(suite []workload.BenchParams) ([]*Result, error) {
-	return RunAllWithOptions(suite, Options{Parallelism: 1})
-}
-
-// RunAllWithOptions shards the suite across a bounded pool of workers
-// (Options.Parallelism; <= 0 means GOMAXPROCS). Workers pull
-// benchmarks from a shared queue — so one heavyweight benchmark (gcc)
-// does not serialize a whole static shard behind it — and write
-// results back by suite position, so the result order and every
-// measured count in it are byte-for-byte identical to the serial
-// path; only wall-clock time changes. On error the lowest-positioned
-// failure is returned, as in the serial loop. When several benchmarks
-// run concurrently, each runs its inner stages serially; with a
-// single benchmark (or parallelism 1) the inner stages get the pool
-// instead.
-func RunAllWithOptions(suite []workload.BenchParams, opts Options) ([]*Result, error) {
-	entries := make([]Entry, len(suite))
-	for i, p := range suite {
-		entries[i] = EntryFor(p)
-	}
-	return RunEntries(entries, opts)
-}
-
-// RunEntries is RunAllWithOptions over arbitrary entries, e.g. a
-// mixed suite of SPEC stand-ins and irgen scenario families.
+// RunEntries runs every entry, sharded across a bounded pool of
+// workers (Options.Parallelism; <= 0 means GOMAXPROCS, 1 the serial
+// path). Workers pull entries from a shared queue — so one heavyweight
+// benchmark (gcc) does not serialize a whole static shard behind it —
+// and write results back by suite position, so the result order and
+// every measured count in it are byte-for-byte identical for any
+// parallelism; only wall-clock time changes. On error the
+// lowest-positioned failure is returned, as in the serial loop. When
+// several entries run concurrently, each runs its inner stages
+// serially; with a single entry (or parallelism 1) the inner stages
+// get the pool instead.
 func RunEntries(entries []Entry, opts Options) ([]*Result, error) {
 	inner := opts
 	if par.Limit(opts.Parallelism, len(entries)) > 1 {

@@ -24,11 +24,11 @@ func TestMeasuredEqualsModeled(t *testing.T) {
 			}
 		}
 		prog := workload.Generate(p)
-		if _, err := profile.Collect(prog, 0); err != nil {
+		if _, err := profile.Collect(prog, vm.Config{}, 0); err != nil {
 			t.Fatal(err)
 		}
 		mach := machine.PARISC()
-		if _, err := regalloc.AllocateProgram(prog, mach); err != nil {
+		if _, err := regalloc.AllocateProgram(prog, mach, 1, regalloc.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		for _, s := range Strategies {
@@ -76,11 +76,11 @@ func TestNonOverheadInstrsIdentical(t *testing.T) {
 		}
 	}
 	prog := workload.Generate(p)
-	if _, err := profile.Collect(prog, 0); err != nil {
+	if _, err := profile.Collect(prog, vm.Config{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	mach := machine.PARISC()
-	if _, err := regalloc.AllocateProgram(prog, mach); err != nil {
+	if _, err := regalloc.AllocateProgram(prog, mach, 1, regalloc.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	base := int64(-1)

@@ -33,11 +33,11 @@ func TestEstimatedProfileExperiment(t *testing.T) {
 			}
 		}
 		prog := workload.Generate(p)
-		if _, err := profile.Collect(prog, 0); err != nil {
+		if _, err := profile.Collect(prog, vm.Config{}, 0); err != nil {
 			t.Fatal(err)
 		}
 		mach := machine.PARISC()
-		if _, err := regalloc.AllocateProgram(prog, mach); err != nil {
+		if _, err := regalloc.AllocateProgram(prog, mach, 1, regalloc.Options{}); err != nil {
 			t.Fatal(err)
 		}
 
@@ -49,7 +49,7 @@ func TestEstimatedProfileExperiment(t *testing.T) {
 				// estimator parameters, like a compiler without a
 				// profile would; the VM run below still measures real
 				// dynamic overhead.
-				profile.EstimateProgramMachine(clone, mach, nil)
+				profile.Estimate(clone, mach)
 			}
 			for _, f := range clone.FuncsInOrder() {
 				if len(f.UsedCalleeSaved) == 0 {

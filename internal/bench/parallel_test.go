@@ -27,12 +27,12 @@ func smallSuite() []workload.BenchParams {
 
 func TestShardedRunAllMatchesSerial(t *testing.T) {
 	suite := smallSuite()
-	serial, err := RunAllWithOptions(suite, Options{Parallelism: 1})
+	serial, err := RunEntries(specEntries(suite), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 4, 0} {
-		sharded, err := RunAllWithOptions(suite, Options{Parallelism: par})
+		sharded, err := RunEntries(specEntries(suite), Options{Parallelism: par})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -72,7 +72,7 @@ func TestShardedRunAllMatchesSerial(t *testing.T) {
 
 func TestSuiteStatsMergesCalls(t *testing.T) {
 	suite := smallSuite()
-	results, err := RunAllWithOptions(suite, Options{Parallelism: 0})
+	results, err := RunEntries(specEntries(suite), Options{Parallelism: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

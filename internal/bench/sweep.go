@@ -167,13 +167,13 @@ func RunSweep(entries []Entry, machines []*machine.Desc, opts Options) (*Sweep, 
 // and a measurement run per clone.
 func runSweepEntry(e Entry, machines []*machine.Desc, opts Options) (*SweepBench, analysis.Counts, int, error) {
 	prog := e.Gen()
-	if _, err := profile.CollectWithConfig(prog, vm.Config{Engine: opts.Engine}, 0); err != nil {
+	if _, err := profile.Collect(prog, vm.Config{Engine: opts.Engine}, 0); err != nil {
 		return nil, analysis.Counts{}, 0, fmt.Errorf("sweep %s: profile: %w", e.Name, err)
 	}
 	if err := profile.Consistent(prog); err != nil {
 		return nil, analysis.Counts{}, 0, fmt.Errorf("sweep %s: %w", e.Name, err)
 	}
-	if _, err := regalloc.AllocateProgramOpts(prog, machines[0], opts.Parallelism, regalloc.Options{MachineCosts: opts.MachineAlloc}); err != nil {
+	if _, err := regalloc.AllocateProgram(prog, machines[0], opts.Parallelism, regalloc.Options{MachineCosts: opts.MachineAlloc}); err != nil {
 		return nil, analysis.Counts{}, 0, fmt.Errorf("sweep %s: regalloc: %w", e.Name, err)
 	}
 

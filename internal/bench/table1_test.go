@@ -24,7 +24,7 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
 	}
-	results, err := RunAll(workload.SPECInt2000())
+	results, err := RunEntries(specEntries(workload.SPECInt2000()), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestReportsRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
 	}
-	results, err := RunAll(workload.SPECInt2000()[:2])
+	results, err := RunEntries(specEntries(workload.SPECInt2000()[:2]), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +102,11 @@ func TestReportsRender(t *testing.T) {
 // TestDeterministicRuns checks the whole pipeline is reproducible.
 func TestDeterministicRuns(t *testing.T) {
 	p := workload.SPECInt2000()[3] // mcf, the smallest
-	r1, err := Run(p)
+	r1, err := RunEntry(EntryFor(p), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(p)
+	r2, err := RunEntry(EntryFor(p), Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

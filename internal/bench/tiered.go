@@ -140,8 +140,8 @@ func BenchTiered(entries []Entry, quantum int64, reps int) (*TieredBench, error)
 			var staticBest, tieredBest int64
 			for r := 0; r < reps; r++ {
 				prog := e.Gen()
-				profile.EstimateProgramMachine(prog, d, nil)
-				if _, err := regalloc.AllocateProgramParallel(prog, d, 0); err != nil {
+				profile.Estimate(prog, d)
+				if _, err := regalloc.AllocateProgram(prog, d, 0, regalloc.Options{}); err != nil {
 					return nil, fmt.Errorf("benchtiered %s/%s: regalloc: %w", d.Name, e.Name, err)
 				}
 

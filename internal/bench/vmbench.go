@@ -86,13 +86,13 @@ func BenchVM(suite []workload.BenchParams, reps int) (*VMBench, error) {
 	var progs []prepared
 	for _, p := range suite {
 		prog := workload.Generate(p)
-		if _, err := profile.Collect(prog, 0); err != nil {
+		if _, err := profile.Collect(prog, vm.Config{}, 0); err != nil {
 			return nil, fmt.Errorf("benchvm %s: profile: %w", p.Name, err)
 		}
-		if _, err := regalloc.AllocateProgramParallel(prog, mach, 0); err != nil {
+		if _, err := regalloc.AllocateProgram(prog, mach, 0, regalloc.Options{}); err != nil {
 			return nil, fmt.Errorf("benchvm %s: regalloc: %w", p.Name, err)
 		}
-		if err := strategy.PlaceProgram(prog, strategy.HierarchicalJump, 0); err != nil {
+		if err := strategy.PlaceProgramFor(prog, strategy.HierarchicalJump, nil, 0, nil); err != nil {
 			return nil, fmt.Errorf("benchvm %s: place: %w", p.Name, err)
 		}
 		progs = append(progs, prepared{p.Name, prog})

@@ -39,12 +39,12 @@ func TestDomGolden(t *testing.T) {
 			fmt.Fprintf(h, "%s %d\n", fam.name, seed)
 			p := irgen.Generate(seed, fam.cfg)
 			hashDomTrees(h, p)
-			if _, err := profile.CollectWithConfig(p, vm.Config{MaxSteps: 1 << 24}, 5); err != nil {
+			if _, err := profile.Collect(p, vm.Config{MaxSteps: 1 << 24}, 5); err != nil {
 				fmt.Fprintf(h, "profile: %v\n", err)
 				continue
 			}
 			hashDomTrees(h, p)
-			if _, err := regalloc.AllocateProgram(p, machine.PARISC()); err != nil {
+			if _, err := regalloc.AllocateProgram(p, machine.PARISC(), 1, regalloc.Options{}); err != nil {
 				fmt.Fprintf(h, "allocate: %v\n", err)
 				continue
 			}

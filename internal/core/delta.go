@@ -66,13 +66,3 @@ type Delta struct {
 func FullDelta(f *ir.Func) *Delta {
 	return &Delta{Func: f, Full: true}
 }
-
-// IsNewBlock reports whether b was inserted by this edit.
-func (d *Delta) IsNewBlock(b *ir.Block) bool {
-	for i := range d.Splits {
-		if d.Splits[i].NewBlock == b {
-			return true
-		}
-	}
-	return false
-}

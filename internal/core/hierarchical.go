@@ -163,7 +163,3 @@ func EntryExit(f *ir.Func) []*Set {
 	}
 	return sets
 }
-
-// PlacementCost is the total dynamic overhead of a placement under a
-// model (used for reporting; the VM measures the realized overhead).
-func PlacementCost(m CostModel, sets []*Set) int64 { return TotalCost(m, sets) }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/pst"
 	"repro/internal/regalloc"
 	"repro/internal/shrinkwrap"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -36,10 +37,10 @@ func randomFuncs(t *testing.T, n int) []*ir.Func {
 			StraightLen: 3, DriverIters: 20,
 		}
 		prog := workload.Generate(p)
-		if _, err := profile.Collect(prog, 0); err != nil {
+		if _, err := profile.Collect(prog, vm.Config{}, 0); err != nil {
 			t.Fatalf("seed %d: %v", seeds[i], err)
 		}
-		if _, err := regalloc.AllocateProgram(prog, machine.PARISC()); err != nil {
+		if _, err := regalloc.AllocateProgram(prog, machine.PARISC(), 1, regalloc.Options{}); err != nil {
 			t.Fatalf("seed %d: %v", seeds[i], err)
 		}
 		for _, f := range prog.FuncsInOrder() {

@@ -25,7 +25,7 @@ func BenchmarkLiveness(b *testing.B) {
 		for seed := uint64(1); seed <= 20; seed++ {
 			p := profiled(b, seed, fam.cfg)
 			before = append(before, p.Clone().FuncsInOrder()...)
-			if _, err := regalloc.AllocateProgram(p, machine.PARISC()); err != nil {
+			if _, err := regalloc.AllocateProgram(p, machine.PARISC(), 1, regalloc.Options{}); err != nil {
 				b.Fatal(err)
 			}
 			after = append(after, p.FuncsInOrder()...)
@@ -59,14 +59,14 @@ func BenchmarkPatchApply(b *testing.B) {
 	var edits []edit
 	for seed := uint64(1); seed <= 20; seed++ {
 		p := profiled(b, seed, irgen.Default())
-		if _, err := regalloc.AllocateProgram(p, machine.PARISC()); err != nil {
+		if _, err := regalloc.AllocateProgram(p, machine.PARISC(), 1, regalloc.Options{}); err != nil {
 			b.Fatal(err)
 		}
 		for _, f := range p.FuncsInOrder() {
 			if len(f.UsedCalleeSaved) == 0 {
 				continue
 			}
-			sets, err := strategy.Compute(f, strategy.HierarchicalJump)
+			sets, err := strategy.ComputeCachedFor(f, strategy.HierarchicalJump, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

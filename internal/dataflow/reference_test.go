@@ -149,7 +149,7 @@ var families = []struct {
 func profiled(t testing.TB, seed uint64, cfg irgen.Config) *ir.Program {
 	t.Helper()
 	p := irgen.Generate(seed, cfg)
-	if _, err := profile.CollectWithConfig(p, vm.Config{MaxSteps: 1 << 24}, 5); err != nil {
+	if _, err := profile.Collect(p, vm.Config{MaxSteps: 1 << 24}, 5); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	return p
@@ -168,7 +168,7 @@ func TestLivenessMatchesReferenceGenerated(t *testing.T) {
 				for _, f := range p.FuncsInOrder() {
 					checkReference(t, fmt.Sprintf("seed %d %s before allocation", seed, f.Name), f, dataflow.ComputeLiveness(f))
 				}
-				if _, err := regalloc.AllocateProgram(p, m); err != nil {
+				if _, err := regalloc.AllocateProgram(p, m, 1, regalloc.Options{}); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 				for _, f := range p.FuncsInOrder() {
@@ -215,7 +215,7 @@ func TestPatchedLivenessMatchesReference(t *testing.T) {
 	for _, fam := range families {
 		for seed := uint64(1); seed <= seeds; seed++ {
 			base := profiled(t, seed, fam.cfg)
-			if _, err := regalloc.AllocateProgram(base, m); err != nil {
+			if _, err := regalloc.AllocateProgram(base, m, 1, regalloc.Options{}); err != nil {
 				t.Fatalf("%s seed %d: %v", fam.name, seed, err)
 			}
 			for k := 0; k <= len(strategy.All); k++ {
@@ -229,7 +229,7 @@ func TestPatchedLivenessMatchesReference(t *testing.T) {
 					if k < len(strategy.All) {
 						tag = fmt.Sprintf("%s seed %d %s %v", fam.name, seed, f.Name, strategy.All[k])
 						var err error
-						if sets, err = strategy.Compute(f, strategy.All[k]); err != nil {
+						if sets, err = strategy.ComputeCachedFor(f, strategy.All[k], nil, nil); err != nil {
 							t.Fatalf("%s: %v", tag, err)
 						}
 					}

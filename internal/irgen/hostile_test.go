@@ -7,6 +7,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/machine"
 	"repro/internal/profile"
+	"repro/internal/vm"
 )
 
 // TestHostileOracleSweep: the estimator-hostile family passes the full
@@ -41,8 +42,8 @@ func TestHostileProfilesDivergeFromEstimates(t *testing.T) {
 	for seed := uint64(0); seed < n; seed++ {
 		est := Generate(seed, Hostile())
 		meas := Generate(seed, Hostile())
-		profile.EstimateProgramMachine(est, machine.PARISC(), nil)
-		if _, err := profile.Collect(meas, int64(seed%7)); err != nil {
+		profile.Estimate(est, machine.PARISC())
+		if _, err := profile.Collect(meas, vm.Config{}, int64(seed%7)); err != nil {
 			t.Fatalf("seed %d: profile: %v", seed, err)
 		}
 		if alignOrdersDiffer(est, meas) {

@@ -97,6 +97,25 @@ func CheckSource(src string, opts Options) *Report {
 	return Check(prog, opts)
 }
 
+// computeSets is strategy.ComputeCachedFor on the paper's machine,
+// except that a hierarchical strategy whose model opts overrides runs
+// the traversal under the override.
+func computeSets(f *ir.Func, s strategy.Strategy, info *analysis.Info, opts Options) ([]*core.Set, error) {
+	m := opts.JumpModel
+	if s == strategy.HierarchicalExec {
+		m = opts.ExecModel
+	}
+	if !s.IsHierarchical() || m == nil {
+		return strategy.ComputeCachedFor(f, s, info, nil)
+	}
+	t, err := info.PST()
+	if err != nil {
+		return nil, err
+	}
+	sets, _, err := core.Hierarchical(f, t, info.ShrinkwrapSeed(), m)
+	return sets, err
+}
+
 // Check runs every placement strategy on clones sharing one register
 // allocation and verifies the cross-strategy invariants:
 //
@@ -139,7 +158,7 @@ func Check(prog *ir.Program, opts Options) *Report {
 		r.violate("roundtrip", strategy.EntryExit, "unplaced program does not round-trip")
 	}
 
-	if _, err := profile.CollectWithConfig(base, vm.Config{MaxSteps: opts.MaxSteps, Engine: opts.Engine}, opts.Args...); err != nil {
+	if _, err := profile.Collect(base, vm.Config{MaxSteps: opts.MaxSteps, Engine: opts.Engine}, opts.Args...); err != nil {
 		r.violate("profile", strategy.EntryExit, "%v", err)
 		return r
 	}
@@ -148,7 +167,7 @@ func Check(prog *ir.Program, opts Options) *Report {
 		return r
 	}
 
-	if _, err := regalloc.AllocateProgramParallel(base, mach, opts.Parallelism); err != nil {
+	if _, err := regalloc.AllocateProgram(base, mach, opts.Parallelism, regalloc.Options{}); err != nil {
 		r.violate("alloc", strategy.EntryExit, "%v", err)
 		return r
 	}
@@ -183,15 +202,8 @@ func Check(prog *ir.Program, opts Options) *Report {
 		clone := base.Clone()
 		ok := true
 		for _, f := range placed {
-			var override core.CostModel
-			switch s {
-			case strategy.HierarchicalExec:
-				override = opts.ExecModel
-			case strategy.HierarchicalJump:
-				override = opts.JumpModel
-			}
 			info := cache.For(f)
-			sets, err := strategy.ComputeCachedWithModel(f, s, info, override)
+			sets, err := computeSets(f, s, info, opts)
 			if err != nil {
 				r.violate("verify-placed", s, "%s: compute: %v", f.Name, err)
 				ok = false

@@ -74,16 +74,16 @@ func EngineParitySweep(prog *ir.Program, e vm.Engine, args []int64, budgets []in
 		}
 	}
 	placed := prog.Clone()
-	if _, err := profile.CollectWithConfig(placed, vm.Config{MaxSteps: 1 << 22}, args...); err != nil {
+	if _, err := profile.Collect(placed, vm.Config{MaxSteps: 1 << 22}, args...); err != nil {
 		// Programs that fail to profile (e.g. nonterminating under the
 		// cap) already exercised halt parity above.
 		return ms
 	}
 	mach := machine.PARISC()
-	if _, err := regalloc.AllocateProgramParallel(placed, mach, 1); err != nil {
+	if _, err := regalloc.AllocateProgram(placed, mach, 1, regalloc.Options{}); err != nil {
 		return append(ms, "alloc: "+err.Error())
 	}
-	if err := strategy.PlaceProgram(placed, strategy.HierarchicalJump, 1); err != nil {
+	if err := strategy.PlaceProgramFor(placed, strategy.HierarchicalJump, nil, 1, nil); err != nil {
 		return append(ms, "place: "+err.Error())
 	}
 	for _, m := range EngineParity(placed, e, vm.Config{Machine: mach, CollectEdges: true, MaxSteps: 1 << 22}, args) {
@@ -149,8 +149,8 @@ func TierParitySweep(prog *ir.Program, e vm.Engine, args []int64, quantum, budge
 func tierOutcome(prog *ir.Program, e vm.Engine, quantum, budget int64, args []int64) (res *tier.Result, errStr string, prepErr error) {
 	p := prog.Clone()
 	mach := machine.PARISC()
-	profile.EstimateProgramMachine(p, mach, nil)
-	if _, err := regalloc.AllocateProgramParallel(p, mach, 1); err != nil {
+	profile.Estimate(p, mach)
+	if _, err := regalloc.AllocateProgram(p, mach, 1, regalloc.Options{}); err != nil {
 		return nil, "", err
 	}
 	res, err := tier.Run(p, tier.Config{

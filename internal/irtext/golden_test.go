@@ -78,15 +78,15 @@ var goldenRuns = sync.OnceValue(func() []goldenRun {
 // is reported as an error line.
 func printStages(p *ir.Program) (texts []string, failure string) {
 	texts = append(texts, irtext.Print(p))
-	if _, err := profile.CollectWithConfig(p, vm.Config{MaxSteps: 1 << 24}, 5); err != nil {
+	if _, err := profile.Collect(p, vm.Config{MaxSteps: 1 << 24}, 5); err != nil {
 		return texts, fmt.Sprintf("profile: %v\n", err)
 	}
 	texts = append(texts, irtext.Print(p))
-	if _, err := regalloc.AllocateProgram(p, machine.PARISC()); err != nil {
+	if _, err := regalloc.AllocateProgram(p, machine.PARISC(), 1, regalloc.Options{}); err != nil {
 		return texts, fmt.Sprintf("allocate: %v\n", err)
 	}
 	texts = append(texts, irtext.Print(p))
-	if err := strategy.PlaceProgram(p, strategy.HierarchicalJump, 1); err != nil {
+	if err := strategy.PlaceProgramFor(p, strategy.HierarchicalJump, nil, 1, nil); err != nil {
 		return texts, fmt.Sprintf("place: %v\n", err)
 	}
 	return append(texts, irtext.Print(p)), ""

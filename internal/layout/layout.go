@@ -86,17 +86,6 @@ func JumpWeight(f *ir.Func) int64 {
 	return total
 }
 
-// FallWeight sums the execution counts of fall-through edges.
-func FallWeight(f *ir.Func) int64 {
-	var total int64
-	for _, e := range f.Edges() {
-		if e.Kind == ir.FallThrough {
-			total += e.Weight
-		}
-	}
-	return total
-}
-
 // Cost prices a measured edge profile under a machine's control-flow
 // costs: every traversal of a jump edge at the taken-jump penalty,
 // every fall-through traversal at the (usually free) fall-through

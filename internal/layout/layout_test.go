@@ -55,7 +55,7 @@ func TestAlignPreservesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := profile.Collect(prog, 0); err != nil {
+	if _, err := profile.Collect(prog, vm.Config{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range prog.FuncsInOrder() {
@@ -79,7 +79,7 @@ func TestAlignReducesJumpWeightAggregate(t *testing.T) {
 	var before, after int64
 	for _, p := range workload.SPECInt2000()[:4] {
 		prog := workload.Generate(p)
-		if _, err := profile.Collect(prog, 0); err != nil {
+		if _, err := profile.Collect(prog, vm.Config{}, 0); err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range prog.FuncsInOrder() {
@@ -104,10 +104,10 @@ func TestAlignmentNarrowsCostModelGap(t *testing.T) {
 		var total int64
 		for _, p := range workload.SPECInt2000()[:4] {
 			prog := workload.Generate(p)
-			if _, err := profile.Collect(prog, 0); err != nil {
+			if _, err := profile.Collect(prog, vm.Config{}, 0); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := regalloc.AllocateProgram(prog, machine.PARISC()); err != nil {
+			if _, err := regalloc.AllocateProgram(prog, machine.PARISC(), 1, regalloc.Options{}); err != nil {
 				t.Fatal(err)
 			}
 			for _, f := range prog.FuncsInOrder() {

@@ -20,8 +20,8 @@ type Desc struct {
 	// zero value means the paper's unit costs; see Costs.
 	Costs Costs
 	// Estimate parameterizes static profile estimation for this
-	// machine's compiler (profile.EstimateMachine). The zero value
-	// means DefaultEstimate.
+	// machine's compiler (profile.Estimate). The zero value means
+	// DefaultEstimate.
 	Estimate EstimateParams
 	// NumRegs is the number of allocatable general purpose registers.
 	NumRegs int

@@ -26,6 +26,17 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("par: item %d panicked: %v", e.Index, e.Value)
 }
 
+// NamePanic prefixes err with name(i) when err is the *PanicError Do
+// returned for item i, so a recovered panic names its item the way the
+// item's own errors do. errors.As still finds the *PanicError; any
+// other error passes through unchanged.
+func NamePanic(err error, name func(i int) string) error {
+	if pe, ok := err.(*PanicError); ok {
+		return fmt.Errorf("%s: %w", name(pe.Index), pe)
+	}
+	return err
+}
+
 // call runs fn(i), turning a panic into a *PanicError.
 func call(fn func(i int) error, i int) (err error) {
 	defer func() {

@@ -1,32 +1,31 @@
 package profile
 
 import (
-	"repro/internal/analysis"
+	"repro/internal/cfg"
 	"repro/internal/ir"
 	"repro/internal/machine"
 )
 
-// Estimate synthesizes edge weights without running the program, the
-// way compilers fall back to static branch prediction when no profile
-// exists: the function is entered baseScale times, branches split
-// evenly, and each loop level multiplies frequency by loopFactor. The
-// paper's central claim is that real profile data is what lets the
-// hierarchical algorithm find minimum-cost placements; running the
-// pipeline with estimated weights instead quantifies how much of the
-// win survives static estimation (see the estimate-vs-profile
-// experiment in internal/bench).
-func Estimate(f *ir.Func, baseScale, loopFactor int64) {
-	EstimateInfo(analysis.For(f), baseScale, loopFactor)
+// Estimate synthesizes edge weights for every function of p without
+// running it, the way compilers fall back to static branch prediction
+// when no profile exists. With d's estimation parameters
+// (machine.DefaultEstimate when d leaves them unset), each function is
+// entered BaseScale times, branches split evenly, and each loop level
+// multiplies frequency by LoopFactor. The paper's central claim is
+// that real profile data is what lets the hierarchical algorithm find
+// minimum-cost placements; running the pipeline with estimated weights
+// instead quantifies how much of the win survives static estimation
+// (see the estimate-vs-profile experiment in internal/bench).
+func Estimate(p *ir.Program, d *machine.Desc) {
+	ep := d.EstimateParams()
+	for _, f := range p.FuncsInOrder() {
+		estimateFunc(f, ep.BaseScale, ep.LoopFactor)
+	}
 }
 
-// EstimateInfo is Estimate over the shared analysis layer: the
-// dominator tree and loop forest come from info instead of being
-// rebuilt. Estimation only rewrites edge weights — no memoized
-// structural analysis depends on those — so info stays valid.
-func EstimateInfo(info *analysis.Info, baseScale, loopFactor int64) {
-	f := info.Func()
-	dom := info.Dom()
-	loops := info.Loops()
+func estimateFunc(f *ir.Func, baseScale, loopFactor int64) {
+	dom := cfg.Dominators(f)
+	loops := cfg.FindLoops(f, dom)
 
 	// Block frequency: baseScale * loopFactor^depth.
 	freq := make([]int64, len(f.Blocks))
@@ -72,38 +71,4 @@ func EstimateInfo(info *analysis.Info, baseScale, loopFactor int64) {
 		}
 	}
 	f.EntryCount = baseScale
-}
-
-// EstimateMachine is Estimate driven by the machine description's
-// static-estimation parameters instead of caller-chosen constants, so
-// the estimator reads the same machine model as the placement cost
-// models and the VM's weighted accounting (machine.DefaultEstimate
-// when the description leaves them unset).
-func EstimateMachine(f *ir.Func, d *machine.Desc) {
-	p := d.EstimateParams()
-	Estimate(f, p.BaseScale, p.LoopFactor)
-}
-
-// EstimateProgramMachine is EstimateMachine over a whole program and
-// an optional shared analysis cache (nil means no sharing).
-func EstimateProgramMachine(p *ir.Program, d *machine.Desc, cache *analysis.Cache) {
-	ep := d.EstimateParams()
-	EstimateProgramCached(p, ep.BaseScale, ep.LoopFactor, cache)
-}
-
-// EstimateProgram applies Estimate to every function, scaling each by
-// a uniform invocation count.
-func EstimateProgram(p *ir.Program, baseScale, loopFactor int64) {
-	EstimateProgramCached(p, baseScale, loopFactor, nil)
-}
-
-// EstimateProgramCached is EstimateProgram over a shared analysis
-// cache: cache may be nil (no sharing); passing the pipeline's
-// analysis.Cache lets later passes reuse the dominator trees and loop
-// forests estimation builds. No in-repo caller passes one yet — it is
-// the extension point for the ROADMAP's cross-run reuse item.
-func EstimateProgramCached(p *ir.Program, baseScale, loopFactor int64, cache *analysis.Cache) {
-	for _, f := range p.FuncsInOrder() {
-		EstimateInfo(cache.For(f), baseScale, loopFactor)
-	}
 }

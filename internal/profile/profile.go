@@ -10,32 +10,20 @@ import (
 	"repro/internal/vm"
 )
 
-// Collect runs the program on the given arguments and writes the
-// observed execution counts onto every CFG edge (Edge.Weight) and
-// every function's EntryCount. It returns the VM statistics of the
-// profiling run.
-func Collect(prog *ir.Program, args ...int64) (*vm.Stats, error) {
-	return CollectWithConfig(prog, vm.Config{}, args...)
-}
-
-// CollectWithConfig is Collect with control over the profiling VM —
-// the fuzzing oracle caps MaxSteps so a reduced-but-nonterminating
-// candidate is rejected quickly instead of spinning for the default
-// step budget. CollectEdges is forced on.
-func CollectWithConfig(prog *ir.Program, cfg vm.Config, args ...int64) (*vm.Stats, error) {
+// Collect runs the program on the given arguments under cfg and
+// writes the observed execution counts onto every CFG edge
+// (Edge.Weight) and every function's EntryCount. It returns the VM
+// statistics of the profiling run. CollectEdges is forced on; the
+// zero Config is the VM's default engine and step budget, and the
+// fuzzing oracle caps MaxSteps so a reduced-but-nonterminating
+// candidate is rejected quickly.
+func Collect(prog *ir.Program, cfg vm.Config, args ...int64) (*vm.Stats, error) {
 	cfg.CollectEdges = true
 	m := vm.New(prog, cfg)
 	if _, err := m.Run(args...); err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
-	for _, f := range prog.FuncsInOrder() {
-		f.EntryCount = m.Stats.Calls[f.Name]
-		for _, b := range f.Blocks {
-			for _, e := range b.Succs {
-				e.Weight = m.EdgeCount[e]
-			}
-		}
-	}
+	writeCounts(prog, m)
 	return &m.Stats, nil
 }
 
@@ -48,8 +36,8 @@ func CollectWithConfig(prog *ir.Program, cfg vm.Config, args ...int64) (*vm.Stat
 //
 // The returned stats and value describe the (possibly truncated) run;
 // completed reports whether the program ran to the end. Unlike
-// CollectWithConfig, a step-limit halt is not an error — only other
-// execution failures are. A partial profile generally violates flow
+// Collect, a step-limit halt is not an error — only other execution
+// failures are. A partial profile generally violates flow
 // conservation (the halting path's counts are cut mid-flight), so
 // callers must not expect Consistent to hold.
 func CollectPartial(prog *ir.Program, cfg vm.Config, args ...int64) (stats *vm.Stats, value int64, completed bool, err error) {
@@ -64,6 +52,12 @@ func CollectPartial(prog *ir.Program, cfg vm.Config, args ...int64) (stats *vm.S
 	default:
 		return nil, 0, false, fmt.Errorf("profile: %w", err)
 	}
+	writeCounts(prog, m)
+	return &m.Stats, value, completed, nil
+}
+
+// writeCounts writes a profiling run's edge and call counts onto prog.
+func writeCounts(prog *ir.Program, m *vm.VM) {
 	for _, f := range prog.FuncsInOrder() {
 		f.EntryCount = m.Stats.Calls[f.Name]
 		for _, b := range f.Blocks {
@@ -72,7 +66,6 @@ func CollectPartial(prog *ir.Program, cfg vm.Config, args ...int64) (stats *vm.S
 			}
 		}
 	}
-	return &m.Stats, value, completed, nil
 }
 
 // Consistent checks flow conservation of the profile on every

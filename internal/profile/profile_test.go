@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/vm"
 )
 
 // countdown builds main(n): loop calling helper(i) n times; helper
@@ -54,7 +55,7 @@ func countdown() *ir.Program {
 
 func TestCollectAndConsistency(t *testing.T) {
 	p := countdown()
-	stats, err := Collect(p, 10)
+	stats, err := Collect(p, vm.Config{}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestCollectAndConsistency(t *testing.T) {
 
 func TestConsistentDetectsCorruption(t *testing.T) {
 	p := countdown()
-	if _, err := Collect(p, 10); err != nil {
+	if _, err := Collect(p, vm.Config{}, 10); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the entry edge (a self-edge would stay consistent since

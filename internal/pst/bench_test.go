@@ -7,6 +7,7 @@ import (
 	"repro/internal/irgen"
 	"repro/internal/profile"
 	"repro/internal/pst"
+	"repro/internal/vm"
 )
 
 // built keeps BenchmarkBuild's result live.
@@ -19,7 +20,7 @@ func BenchmarkBuild(b *testing.B) {
 	var funcs []*ir.Func
 	for seed := uint64(1); seed <= 20; seed++ {
 		p := irgen.Generate(seed, irgen.Default())
-		if _, err := profile.Collect(p, 5); err != nil {
+		if _, err := profile.Collect(p, vm.Config{}, 5); err != nil {
 			b.Fatal(err)
 		}
 		funcs = append(funcs, p.FuncsInOrder()...)

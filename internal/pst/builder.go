@@ -32,7 +32,6 @@ type Builder struct {
 	lastErr  error
 
 	splitDomBuilds int
-	reuses         int
 }
 
 // snapshot is a pointer-exact fingerprint of the CFG shape the memo
@@ -56,10 +55,6 @@ func NewBuilder(f *ir.Func) *Builder { return &Builder{f: f, mode: Maximal} }
 // the pair). The analysis layer surfaces it next to its Counts hook.
 func (b *Builder) SplitDomBuilds() int { return b.splitDomBuilds }
 
-// Reuses returns how many Build calls were answered entirely from the
-// memo (unchanged CFG shape).
-func (b *Builder) Reuses() int { return b.reuses }
-
 // Build returns the PST of the builder's function, reusing the
 // memoized internals — and the memoized tree — when the CFG shape is
 // pointer-identical to the last full build. Region boundary weights
@@ -67,7 +62,6 @@ func (b *Builder) Reuses() int { return b.reuses }
 // correct across profile or instruction changes.
 func (b *Builder) Build() (*PST, error) {
 	if b.memoOK && b.snapValid() {
-		b.reuses++
 		return b.lastTree, b.lastErr
 	}
 	b.memoOK = false

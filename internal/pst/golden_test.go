@@ -46,12 +46,12 @@ func TestPSTGolden(t *testing.T) {
 			fmt.Fprintf(h, "%s %d\n", fam.name, seed)
 			p := irgen.Generate(seed, fam.cfg)
 			hashBuilds(h, p)
-			if _, err := profile.CollectWithConfig(p, vm.Config{MaxSteps: 1 << 24}, 5); err != nil {
+			if _, err := profile.Collect(p, vm.Config{MaxSteps: 1 << 24}, 5); err != nil {
 				fmt.Fprintf(h, "profile: %v\n", err)
 				continue
 			}
 			hashBuilds(h, p)
-			if _, err := regalloc.AllocateProgram(p, machine.PARISC()); err != nil {
+			if _, err := regalloc.AllocateProgram(p, machine.PARISC(), 1, regalloc.Options{}); err != nil {
 				fmt.Fprintf(h, "allocate: %v\n", err)
 				continue
 			}
@@ -62,7 +62,7 @@ func TestPSTGolden(t *testing.T) {
 					fmt.Fprintf(h, "%s: pst: %v\n", f.Name, err)
 					continue
 				}
-				if err := strategy.PlaceCached(f, strategy.HierarchicalJump, info); err != nil {
+				if _, err := strategy.PlaceCachedFor(f, strategy.HierarchicalJump, info, nil); err != nil {
 					fmt.Fprintf(h, "%s: place: %v\n", f.Name, err)
 					continue
 				}

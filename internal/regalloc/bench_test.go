@@ -28,7 +28,7 @@ func benchmarkAllocate(b *testing.B, corpus []*ir.Program) {
 		}
 		b.StartTimer()
 		for _, p := range progs {
-			if _, err := regalloc.AllocateProgram(p, m); err != nil {
+			if _, err := regalloc.AllocateProgram(p, m, 1, regalloc.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -46,7 +46,7 @@ func profiled(t testing.TB, cfg irgen.Config, n uint64) []*ir.Program {
 	progs := make([]*ir.Program, n)
 	for i := range progs {
 		progs[i] = irgen.Generate(uint64(i+1), cfg)
-		if _, err := profile.CollectWithConfig(progs[i], vm.Config{MaxSteps: 1 << 24}, 5); err != nil {
+		if _, err := profile.Collect(progs[i], vm.Config{MaxSteps: 1 << 24}, 5); err != nil {
 			t.Fatalf("seed %d: %v", i+1, err)
 		}
 	}
@@ -89,7 +89,7 @@ func TestAllocateGolden(t *testing.T) {
 func allocDigest(h hash.Hash, p *ir.Program, d *machine.Desc, opts regalloc.Options) {
 	q := p.Clone()
 	fmt.Fprintf(h, "%s/%d/%d %v\n", d.Name, d.NumRegs, d.CalleeSavedFrom, opts.MachineCosts)
-	res, err := regalloc.AllocateProgramOpts(q, d, 1, opts)
+	res, err := regalloc.AllocateProgram(q, d, 1, opts)
 	if err != nil {
 		fmt.Fprintf(h, "error: %v\n", err)
 		return

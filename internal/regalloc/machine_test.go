@@ -20,7 +20,7 @@ import (
 func allocText(t *testing.T, seed uint64, cfg irgen.Config, m *machine.Desc, opts regalloc.Options) string {
 	t.Helper()
 	p := irgen.Generate(seed, cfg)
-	if _, err := regalloc.AllocateProgramOpts(p, m, 1, opts); err != nil {
+	if _, err := regalloc.AllocateProgram(p, m, 1, opts); err != nil {
 		t.Fatalf("seed %d @%s: %v", seed, m.Name, err)
 	}
 	return irtext.Print(p)
@@ -111,12 +111,12 @@ func TestMachinePricingCostMonotonic(t *testing.T) {
 		var uniTotal, machTotal int64
 		for seed := uint64(1); seed <= 100; seed++ {
 			pu := irgen.Generate(seed, irgen.Crossover())
-			ru, err := regalloc.AllocateProgramOpts(pu, d, 1, regalloc.Options{})
+			ru, err := regalloc.AllocateProgram(pu, d, 1, regalloc.Options{})
 			if err != nil {
 				t.Fatalf("seed %d @%s uniform: %v", seed, d.Name, err)
 			}
 			pm := irgen.Generate(seed, irgen.Crossover())
-			rm, err := regalloc.AllocateProgramOpts(pm, d, 1, regalloc.Options{MachineCosts: true})
+			rm, err := regalloc.AllocateProgram(pm, d, 1, regalloc.Options{MachineCosts: true})
 			if err != nil {
 				t.Fatalf("seed %d @%s machine: %v", seed, d.Name, err)
 			}
@@ -143,11 +143,11 @@ func TestMachineAllocParallelMatchesSerial(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		opts := regalloc.Options{MachineCosts: true}
 		p1 := irgen.Generate(seed, irgen.Crossover())
-		if _, err := regalloc.AllocateProgramOpts(p1, d, 1, opts); err != nil {
+		if _, err := regalloc.AllocateProgram(p1, d, 1, opts); err != nil {
 			t.Fatal(err)
 		}
 		p4 := irgen.Generate(seed, irgen.Crossover())
-		if _, err := regalloc.AllocateProgramOpts(p4, d, 4, opts); err != nil {
+		if _, err := regalloc.AllocateProgram(p4, d, 4, opts); err != nil {
 			t.Fatal(err)
 		}
 		if irtext.Print(p1) != irtext.Print(p4) {

@@ -93,26 +93,16 @@ func (p pricer) of(g *graph, i int32) int64 {
 // reduces live range lengths so this is never reached in practice.
 const maxRounds = 32
 
-// AllocateProgram allocates every function in the program, serially.
-func AllocateProgram(p *ir.Program, m *machine.Desc) (map[string]*Result, error) {
-	return AllocateProgramParallel(p, m, 1)
-}
-
-// AllocateProgramParallel allocates every function across a bounded
-// worker pool. Functions are independent — Allocate reads and writes
-// only its own *ir.Func — so the result is identical to the serial
-// path for any parallelism (<= 0 means GOMAXPROCS).
-func AllocateProgramParallel(p *ir.Program, m *machine.Desc, parallelism int) (map[string]*Result, error) {
-	return AllocateProgramOpts(p, m, parallelism, Options{})
-}
-
-// AllocateProgramOpts is AllocateProgramParallel with explicit
-// allocator options.
-func AllocateProgramOpts(p *ir.Program, m *machine.Desc, parallelism int, opts Options) (map[string]*Result, error) {
+// AllocateProgram allocates every function of p across a bounded
+// worker pool (parallelism <= 0 means GOMAXPROCS, 1 the serial path),
+// returning each function's Result by name. Functions are independent
+// — Allocate reads and writes only its own *ir.Func — so the result is
+// identical for any parallelism. A recovered panic names its function.
+func AllocateProgram(p *ir.Program, m *machine.Desc, parallelism int, opts Options) (map[string]*Result, error) {
 	funcs := p.FuncsInOrder()
 	results := make([]*Result, len(funcs))
 	err := par.Do(len(funcs), parallelism, func(i int) error {
-		r, err := AllocateOpts(funcs[i], m, opts)
+		r, err := Allocate(funcs[i], m, opts)
 		if err != nil {
 			return err
 		}
@@ -120,7 +110,7 @@ func AllocateProgramOpts(p *ir.Program, m *machine.Desc, parallelism int, opts O
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, par.NamePanic(err, func(i int) string { return funcs[i].Name })
 	}
 	out := make(map[string]*Result, len(funcs))
 	for i, f := range funcs {
@@ -131,12 +121,7 @@ func AllocateProgramOpts(p *ir.Program, m *machine.Desc, parallelism int, opts O
 
 // Allocate rewrites f in place, replacing every virtual register with
 // a physical register and inserting spill code where needed.
-func Allocate(f *ir.Func, m *machine.Desc) (*Result, error) {
-	return AllocateOpts(f, m, Options{})
-}
-
-// AllocateOpts is Allocate with explicit allocator options.
-func AllocateOpts(f *ir.Func, m *machine.Desc, opts Options) (*Result, error) {
+func Allocate(f *ir.Func, m *machine.Desc, opts Options) (*Result, error) {
 	if len(f.Params) > len(m.ArgRegs) {
 		return nil, fmt.Errorf("regalloc: %s has %d params, machine passes at most %d",
 			f.Name, len(f.Params), len(m.ArgRegs))

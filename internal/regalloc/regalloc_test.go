@@ -1,11 +1,14 @@
 package regalloc
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/machine"
+	"repro/internal/par"
 	"repro/internal/vm"
 )
 
@@ -59,7 +62,7 @@ func TestAllocateCallProgram(t *testing.T) {
 		t.Fatalf("reference result = %d, want 34", ref)
 	}
 
-	if _, err := AllocateProgram(p, m); err != nil {
+	if _, err := AllocateProgram(p, m, 1, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// No virtual registers remain.
@@ -145,7 +148,7 @@ func TestAllocateForcesSpills(t *testing.T) {
 	}
 
 	m := machine.Small(3, 1)
-	res, err := Allocate(f, m)
+	res, err := Allocate(f, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +234,7 @@ func TestAllocateDiamondControlFlow(t *testing.T) {
 		}
 		q := p.Clone()
 		m := machine.PARISC()
-		if _, err := Allocate(q.Func("absish"), m); err != nil {
+		if _, err := Allocate(q.Func("absish"), m, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		got, err := vm.New(q, vm.Config{Machine: m}).Run(in)
@@ -249,7 +252,7 @@ func TestTooManyParams(t *testing.T) {
 	bu.Block("entry")
 	bu.Ret(bu.F.Params[0])
 	f := bu.Finish()
-	if _, err := Allocate(f, machine.PARISC()); err == nil {
+	if _, err := Allocate(f, machine.PARISC(), Options{}); err == nil {
 		t.Fatal("expected error for 6 params with 4 arg registers")
 	}
 }
@@ -258,13 +261,31 @@ func TestDeterministicAllocation(t *testing.T) {
 	build := func() *ir.Program { return buildCallProg() }
 	p1, p2 := build(), build()
 	m := machine.PARISC()
-	if _, err := AllocateProgram(p1, m); err != nil {
+	if _, err := AllocateProgram(p1, m, 1, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AllocateProgram(p2, m); err != nil {
+	if _, err := AllocateProgram(p2, m, 1, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if p1.String() != p2.String() {
 		t.Error("allocation is not deterministic")
+	}
+}
+
+// TestAllocateProgramNamesPanickingFunction: a panic while allocating
+// one function comes back prefixed with that function's name and
+// still carries the *par.PanicError the service answers 500 for;
+// par.Do's own index counts within FuncsInOrder, which the caller
+// cannot map back to a function.
+func TestAllocateProgramNamesPanickingFunction(t *testing.T) {
+	for _, parallelism := range []int{1, 4} {
+		p := buildCallProg()
+		helper := p.Func("helper")
+		helper.Entry.Instrs = append([]*ir.Instr{nil}, helper.Entry.Instrs...)
+		_, err := AllocateProgram(p, machine.PARISC(), parallelism, Options{})
+		var pe *par.PanicError
+		if err == nil || !strings.HasPrefix(err.Error(), "helper: ") || !errors.As(err, &pe) {
+			t.Errorf("parallelism %d: error %v, want a *par.PanicError prefixed %q", parallelism, err, "helper: ")
+		}
 	}
 }

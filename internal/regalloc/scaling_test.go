@@ -58,7 +58,7 @@ func TestChainBytesLinear(t *testing.T) {
 		run  func(f *ir.Func) error
 	}{
 		{"liveness", func(f *ir.Func) error { dataflow.ComputeLiveness(f); return nil }},
-		{"allocate", func(f *ir.Func) error { _, err := regalloc.Allocate(f, m); return err }},
+		{"allocate", func(f *ir.Func) error { _, err := regalloc.Allocate(f, m, regalloc.Options{}); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var bytes [2]uint64

@@ -10,6 +10,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/profile"
 	"repro/internal/regalloc"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -22,11 +23,11 @@ func setsKey(sets []*core.Set) string {
 	return out
 }
 
-// TestComputeAllSharesAnalyses pins the refactor's core guarantee:
-// evaluating all five strategies through one analysis.Info builds
-// liveness, dominators, loops, the PST, and the shrink-wrap seed at
-// most once per function — and produces exactly the sets the
-// independent per-strategy path computes.
+// TestComputeAllSharesAnalyses pins the analysis layer's core
+// guarantee: evaluating all five strategies through one analysis.Info
+// builds liveness, dominators, loops, the PST, and the shrink-wrap
+// seed at most once per function — and produces exactly the sets the
+// independent path (a nil info, private analyses per call) computes.
 func TestComputeAllSharesAnalyses(t *testing.T) {
 	base := buildDemo(t)
 	funcs := NeedsPlacement(base)
@@ -35,38 +36,27 @@ func TestComputeAllSharesAnalyses(t *testing.T) {
 	}
 	for _, f := range funcs {
 		info := analysis.For(f)
-		all, err := ComputeAll(f, info)
-		if err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
-		}
-		c := info.Counts()
-		if c.Liveness > 1 || c.Dom > 1 || c.Loops > 1 || c.PST > 1 || c.Seed > 1 {
-			t.Errorf("%s: ComputeAll built an analysis more than once: %+v", f.Name, c)
-		}
+		var shared [Count][]*core.Set
 		for _, s := range All {
-			independent, err := Compute(f, s)
+			sets, err := ComputeCachedFor(f, s, info, nil)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", f.Name, s, err)
 			}
-			if got, want := setsKey(all[s]), setsKey(independent); got != want {
+			shared[s] = sets
+		}
+		c := info.Counts()
+		if c.Liveness > 1 || c.Dom > 1 || c.Loops > 1 || c.PST > 1 || c.Seed > 1 {
+			t.Errorf("%s: five strategies built an analysis more than once: %+v", f.Name, c)
+		}
+		for _, s := range All {
+			independent, err := ComputeCachedFor(f, s, nil, nil)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", f.Name, s, err)
+			}
+			if got, want := setsKey(shared[s]), setsKey(independent); got != want {
 				t.Errorf("%s/%v: cached sets differ from independent sets:\ncached:\n%swant:\n%s",
 					f.Name, s, got, want)
 			}
-		}
-	}
-}
-
-// TestComputeAllNilInfo: a nil info degrades to a throwaway build.
-func TestComputeAllNilInfo(t *testing.T) {
-	base := buildDemo(t)
-	f := NeedsPlacement(base)[0]
-	all, err := ComputeAll(f, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range All {
-		if len(all[s]) == 0 {
-			t.Errorf("%v: no sets", s)
 		}
 	}
 }
@@ -107,10 +97,10 @@ func benchFuncs(b *testing.B) []*ir.Func {
 	var funcs []*ir.Func
 	for _, params := range workload.SPECInt2000() {
 		prog := workload.Generate(params)
-		if _, err := profile.Collect(prog, 0); err != nil {
+		if _, err := profile.Collect(prog, vm.Config{}, 0); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := regalloc.AllocateProgram(prog, machine.PARISC()); err != nil {
+		if _, err := regalloc.AllocateProgram(prog, machine.PARISC(), 1, regalloc.Options{}); err != nil {
 			b.Fatal(err)
 		}
 		funcs = append(funcs, NeedsPlacement(prog)...)
@@ -121,8 +111,8 @@ func benchFuncs(b *testing.B) []*ir.Func {
 	return funcs
 }
 
-// BenchmarkComputeEach measures the pre-refactor shape: five
-// independent Compute calls per function, each rebuilding liveness,
+// BenchmarkComputeEach measures the unshared shape: five independent
+// computes per function with a nil info, each rebuilding liveness,
 // dominators, loops, PST, and the shrink-wrap seed from scratch.
 func BenchmarkComputeEach(b *testing.B) {
 	funcs := benchFuncs(b)
@@ -130,7 +120,7 @@ func BenchmarkComputeEach(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, f := range funcs {
 			for _, s := range All {
-				if _, err := Compute(f, s); err != nil {
+				if _, err := ComputeCachedFor(f, s, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -145,8 +135,11 @@ func BenchmarkComputeAll(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range funcs {
-			if _, err := ComputeAll(f, analysis.For(f)); err != nil {
-				b.Fatal(err)
+			info := analysis.For(f)
+			for _, s := range All {
+				if _, err := ComputeCachedFor(f, s, info, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}

@@ -69,88 +69,47 @@ func (s Strategy) IsHierarchical() bool {
 	return s == HierarchicalExec || s == HierarchicalJump
 }
 
-// Model returns the cost model the strategy optimizes on the paper's
-// machine (unit costs), or nil for the strategies that do not consume
-// one.
-func (s Strategy) Model() core.CostModel {
-	switch s {
-	case HierarchicalExec:
-		return core.ExecCountModel{}
-	case HierarchicalJump:
-		return core.JumpEdgeModel{}
-	}
-	return nil
-}
-
 // ModelFor returns the cost model the strategy optimizes on machine d:
-// the machine-priced execution count model for HierarchicalExec, the
-// machine-priced jump edge model for HierarchicalJump, nil otherwise.
-// A nil machine means the paper's unit-cost models (Model).
+// the execution count model for HierarchicalExec, the jump edge model
+// for HierarchicalJump, nil for the strategies that consume none. A
+// nil machine means the paper's unit-cost models; otherwise both are
+// priced with d's cost surface.
 func (s Strategy) ModelFor(d *machine.Desc) core.CostModel {
-	if d == nil {
-		return s.Model()
-	}
 	switch s {
 	case HierarchicalExec:
+		if d == nil {
+			return core.ExecCountModel{}
+		}
 		return core.MachineModel{Desc: d}
 	case HierarchicalJump:
+		if d == nil {
+			return core.JumpEdgeModel{}
+		}
 		return core.MachineModel{Desc: d, ChargeJumps: true}
 	}
 	return nil
 }
 
-// Compute returns the strategy's save/restore sets for one allocated
-// function, building every analysis from scratch. The function is not
-// mutated. It is the thin uncached path; callers evaluating several
-// strategies (or validating afterwards) should share an analysis.Info
-// via ComputeCached or ComputeAll instead.
-func Compute(f *ir.Func, s Strategy) ([]*core.Set, error) {
-	return ComputeCachedWithModel(f, s, nil, nil)
+// Parse maps a strategy name, as String renders it, back to the
+// Strategy.
+func Parse(name string) (Strategy, error) {
+	for _, s := range All {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("strategy: unknown strategy %q", name)
 }
 
-// ComputeWithModel is Compute with the hierarchical strategies' cost
-// model overridden when m is non-nil. The differential oracle uses the
-// override to prove it can catch a broken model; every production
-// caller passes nil and gets the paper's models.
-func ComputeWithModel(f *ir.Func, s Strategy, m core.CostModel) ([]*core.Set, error) {
-	return ComputeCachedWithModel(f, s, nil, m)
-}
-
-// ComputeCached is Compute over the shared analysis layer: liveness,
-// dominators, loops, the PST, and the shrink-wrap seed are taken from
-// info (built on first use) instead of being rebuilt per call.
-func ComputeCached(f *ir.Func, s Strategy, info *analysis.Info) ([]*core.Set, error) {
-	return ComputeCachedWithModel(f, s, info, nil)
-}
-
-// ComputeCachedWithModel is ComputeCached plus an optional cost model
-// override for the hierarchical strategies. A nil info degrades to a
-// throwaway analysis build, reproducing the uncached path.
-func ComputeCachedWithModel(f *ir.Func, s Strategy, info *analysis.Info, m core.CostModel) ([]*core.Set, error) {
-	return compute(f, s, info, nil, m)
-}
-
-// ComputeFor is Compute on machine d: the hierarchical strategies
-// optimize d's cost surface and Chow's shrink-wrapping reads d's
-// jump-edge rule. A nil machine means the paper's unit-cost machine.
-func ComputeFor(f *ir.Func, s Strategy, d *machine.Desc) ([]*core.Set, error) {
-	return compute(f, s, nil, d, nil)
-}
-
-// ComputeCachedFor is ComputeFor over the shared analysis layer. The
-// memoized analyses are machine-independent (every machine sweeps over
-// the same CFG, liveness, PST, and seed), so one info — and one
-// program-level Cache — serves any number of machine descriptions.
+// ComputeCachedFor returns the strategy's save/restore sets for one
+// allocated function on machine d, without mutating the function: the
+// hierarchical strategies optimize d's cost surface and Chow's
+// shrink-wrapping reads d's jump-edge rule. A nil machine means the
+// paper's unit-cost machine. Liveness, dominators, loops, the PST and
+// the shrink-wrap seed come from info; a nil info builds private ones.
+// The memoized analyses are machine-independent, so one info serves
+// every strategy and every machine.
 func ComputeCachedFor(f *ir.Func, s Strategy, info *analysis.Info, d *machine.Desc) ([]*core.Set, error) {
-	return compute(f, s, info, d, nil)
-}
-
-// compute is the single dispatch all Compute variants funnel through:
-// cached analyses, an optional machine description, and an optional
-// cost model override (the override wins over the machine's model for
-// the hierarchical strategies; the differential oracle uses it to
-// prove it can catch a broken model).
-func compute(f *ir.Func, s Strategy, info *analysis.Info, d *machine.Desc, m core.CostModel) ([]*core.Set, error) {
 	if info == nil {
 		info = analysis.For(f)
 	}
@@ -173,10 +132,7 @@ func compute(f *ir.Func, s Strategy, info *analysis.Info, d *machine.Desc, m cor
 		if err != nil {
 			return nil, err
 		}
-		if m == nil {
-			m = s.ModelFor(d)
-		}
-		sets, _, err := core.Hierarchical(f, t, info.ShrinkwrapSeed(), m)
+		sets, _, err := core.Hierarchical(f, t, info.ShrinkwrapSeed(), s.ModelFor(d))
 		if err != nil {
 			return nil, err
 		}
@@ -185,89 +141,48 @@ func compute(f *ir.Func, s Strategy, info *analysis.Info, d *machine.Desc, m cor
 	return nil, fmt.Errorf("strategy: unknown strategy %d", int(s))
 }
 
-// ComputeAll returns every strategy's save/restore sets for one
-// allocated function, indexed by Strategy, building each underlying
-// analysis at most once: all five strategies share info's liveness,
-// dominators, loops, PST, and shrink-wrap seed. The function is not
-// mutated.
-func ComputeAll(f *ir.Func, info *analysis.Info) ([Count][]*core.Set, error) {
-	var out [Count][]*core.Set
-	if info == nil {
-		info = analysis.For(f)
-	}
-	for _, s := range All {
-		sets, err := ComputeCached(f, s, info)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", s, err)
-		}
-		out[s] = sets
-	}
-	return out, nil
-}
-
-// Place computes the strategy's sets for f, validates them, and
-// applies them (inserting save/restore code and jump blocks).
-func Place(f *ir.Func, s Strategy) error {
-	return PlaceCached(f, s, nil)
-}
-
-// PlaceCached is Place over the shared analysis layer: the placement
-// computation and the validation reuse info's analyses, and info is
-// invalidated after Apply mutates the function, so no caller can read
-// stale results afterwards.
-func PlaceCached(f *ir.Func, s Strategy, info *analysis.Info) error {
-	return PlaceCachedFor(f, s, info, nil)
-}
-
-// PlaceCachedFor is PlaceCached on machine d (nil means the paper's
-// unit-cost machine).
-func PlaceCachedFor(f *ir.Func, s Strategy, info *analysis.Info, d *machine.Desc) error {
+// PlaceCachedFor computes the strategy's sets for f on machine d (nil
+// means the paper's unit-cost machine), validates them against info's
+// liveness, and applies them, inserting save/restore code and jump
+// blocks. A nil info builds private analyses. The returned delta
+// describes the edit; it has already patched info's memoized analyses
+// in place (or invalidated them, for an edit they cannot patch), so no
+// caller can read stale results afterwards.
+func PlaceCachedFor(f *ir.Func, s Strategy, info *analysis.Info, d *machine.Desc) (*core.Delta, error) {
 	if info == nil {
 		info = analysis.For(f)
 	}
 	sets, err := ComputeCachedFor(f, s, info, d)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := core.ValidateSetsLive(f, sets, info.Liveness()); err != nil {
-		return err
+		return nil, err
 	}
-	// Apply mutates f even on failure. The returned delta patches the
-	// memoized analyses in place (falling back to full invalidation for
-	// unrecognized edits — including the Full delta Apply reports on
-	// failure), so no caller can read stale results afterwards.
+	// Apply mutates f even on failure, and then reports a Full delta,
+	// which ApplyDelta turns into a full invalidation.
 	delta, err := core.ApplyWithDelta(f, sets)
 	info.ApplyDelta(delta)
-	return err
+	return delta, err
 }
 
-// PlaceProgram applies the strategy to every function of prog that
-// uses callee-saved registers, fanning the independent per-function
-// pipelines (PST build, seeding, traversal, validation, apply) across
-// a bounded worker pool. parallelism <= 0 means GOMAXPROCS.
-func PlaceProgram(prog *ir.Program, s Strategy, parallelism int) error {
-	return PlaceProgramCached(prog, s, parallelism, nil)
-}
-
-// PlaceProgramCached is PlaceProgram over a shared analysis cache (nil
-// degrades to unshared per-function builds). Each worker touches only
-// its own function's Info, so a program-wide cache is safe to share
-// across the pool.
-func PlaceProgramCached(prog *ir.Program, s Strategy, parallelism int, cache *analysis.Cache) error {
-	return PlaceProgramFor(prog, s, nil, parallelism, cache)
-}
-
-// PlaceProgramFor is PlaceProgramCached on machine d: the strategy
-// optimizes (and shrink-wrapping consults) d's cost surface. A nil
-// machine means the paper's unit-cost machine.
+// PlaceProgramFor places every function of prog that uses callee-saved
+// registers on machine d (nil means the paper's unit-cost machine),
+// fanning the independent per-function pipelines (PST build, seeding,
+// traversal, validation, apply) across a bounded worker pool;
+// parallelism <= 0 means GOMAXPROCS. Each worker touches only its own
+// function's Info, so one program-wide cache is safe to share across
+// the pool; a nil cache builds private analyses per function. Every
+// error, a recovered panic included, names its function.
 func PlaceProgramFor(prog *ir.Program, s Strategy, d *machine.Desc, parallelism int, cache *analysis.Cache) error {
 	funcs := NeedsPlacement(prog)
-	return par.Do(len(funcs), parallelism, func(i int) error {
-		if err := PlaceCachedFor(funcs[i], s, cache.For(funcs[i]), d); err != nil {
+	err := par.Do(len(funcs), parallelism, func(i int) error {
+		if _, err := PlaceCachedFor(funcs[i], s, cache.For(funcs[i]), d); err != nil {
 			return fmt.Errorf("%s: %w", funcs[i].Name, err)
 		}
 		return nil
 	})
+	return par.NamePanic(err, func(i int) string { return funcs[i].Name })
 }
 
 // NeedsPlacement returns the functions whose allocation uses

@@ -1,11 +1,15 @@
 package strategy
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/machine"
+	"repro/internal/par"
 	"repro/internal/profile"
 	"repro/internal/regalloc"
 	"repro/internal/vm"
@@ -69,10 +73,10 @@ func buildDemo(t *testing.T) *ir.Program {
 	if err := ir.VerifyProgram(prog); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := profile.Collect(prog, 100); err != nil {
+	if _, err := profile.Collect(prog, vm.Config{}, 100); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := regalloc.AllocateProgram(prog, machine.PARISC()); err != nil {
+	if _, err := regalloc.AllocateProgram(prog, machine.PARISC(), 1, regalloc.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	return prog
@@ -83,7 +87,7 @@ func TestPlaceProgramAllStrategies(t *testing.T) {
 	var ref int64
 	for i, s := range All {
 		clone := base.Clone()
-		if err := PlaceProgram(clone, s, 1); err != nil {
+		if err := PlaceProgramFor(clone, s, nil, 1, nil); err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
 		if err := ir.VerifyProgram(clone); err != nil {
@@ -104,7 +108,7 @@ func TestPlaceProgramAllStrategies(t *testing.T) {
 
 func TestComputeUnknownStrategy(t *testing.T) {
 	base := buildDemo(t)
-	if _, err := Compute(base.Func("work"), Strategy(99)); err == nil {
+	if _, err := ComputeCachedFor(base.Func("work"), Strategy(99), nil, nil); err == nil {
 		t.Error("unknown strategy should error")
 	}
 }
@@ -115,13 +119,18 @@ func TestComputeWithModelOverride(t *testing.T) {
 	if len(f.UsedCalleeSaved) == 0 {
 		t.Skip("work does not use callee-saved registers under this allocation")
 	}
-	real, err := Compute(f, HierarchicalExec)
+	real, err := ComputeCachedFor(f, HierarchicalExec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A model that prefers hot locations must not beat the real model
 	// under the real model's costing.
-	broken, err := ComputeWithModel(f, HierarchicalExec, hotModel{})
+	info := analysis.For(f)
+	tree, err := info.PST()
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken, _, err := core.Hierarchical(f, tree, info.ShrinkwrapSeed(), hotModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +159,10 @@ func TestModelFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unit := map[Strategy]core.CostModel{HierarchicalExec: core.ExecCountModel{}, HierarchicalJump: core.JumpEdgeModel{}}
 	for _, s := range All {
-		if got, want := s.ModelFor(nil), s.Model(); got != want {
-			t.Errorf("%s.ModelFor(nil) = %v, want Model() %v", s, got, want)
+		if got, want := s.ModelFor(nil), unit[s]; got != want {
+			t.Errorf("%s.ModelFor(nil) = %v, want %v", s, got, want)
 		}
 		if !s.IsHierarchical() {
 			if s.ModelFor(d) != nil {
@@ -181,7 +191,7 @@ func TestPlaceProgramForClassicIdentity(t *testing.T) {
 	for _, s := range All {
 		a := buildDemo(t)
 		b := a.Clone()
-		if err := PlaceProgram(a, s, 1); err != nil {
+		if err := PlaceProgramFor(a, s, nil, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := PlaceProgramFor(b, s, classic, 1, nil); err != nil {
@@ -200,6 +210,41 @@ func TestPlaceProgramForClassicIdentity(t *testing.T) {
 		if ra != rb || va.Stats.Overhead() != vb.Stats.Overhead() {
 			t.Errorf("%s: classic placement diverges from default (val %d/%d, overhead %d/%d)",
 				s, ra, rb, va.Stats.Overhead(), vb.Stats.Overhead())
+		}
+	}
+}
+
+// TestParse: every strategy's name parses back to it, and an unknown
+// name is an error naming it.
+func TestParse(t *testing.T) {
+	for _, s := range All {
+		got, err := Parse(s.String())
+		if err != nil || got != s {
+			t.Errorf("Parse(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	if _, err := Parse("best"); err == nil || !strings.Contains(err.Error(), `"best"`) {
+		t.Errorf("Parse(best) error = %v, want one naming it", err)
+	}
+}
+
+// TestPlaceProgramForNamesPanickingFunction: a panic while placing one
+// function comes back prefixed with that function's name, like every
+// other placement error, and still carries the *par.PanicError the
+// service answers 500 for. par.Do numbers items within NeedsPlacement,
+// so its index alone does not say which function failed.
+func TestPlaceProgramForNamesPanickingFunction(t *testing.T) {
+	for _, parallelism := range []int{1, 4} {
+		prog := buildDemo(t)
+		work := prog.Func("work")
+		if len(work.UsedCalleeSaved) == 0 {
+			t.Fatal("work does not need placement")
+		}
+		work.Entry.Instrs = append([]*ir.Instr{nil}, work.Entry.Instrs...)
+		err := PlaceProgramFor(prog, HierarchicalJump, nil, parallelism, nil)
+		var pe *par.PanicError
+		if err == nil || !strings.HasPrefix(err.Error(), "work: ") || !errors.As(err, &pe) {
+			t.Errorf("parallelism %d: error %v, want a *par.PanicError prefixed %q", parallelism, err, "work: ")
 		}
 	}
 }

@@ -66,11 +66,6 @@ type Config struct {
 	// be nil. The throwaway tier-0 clone always uses a private cache so
 	// its short-lived functions never pin entries in a shared one.
 	Cache *analysis.Cache
-	// NoAlign disables the layout.Align step. By default both tiers
-	// align: tier 0 with the static weights, tier 1 with the measured
-	// ones, so a measured-vs-static comparison isolates profile
-	// quality rather than alignment itself.
-	NoAlign bool
 	// Engine selects the VM engine for both tiers. The zero value is
 	// the VM default, regcode, whose fast path counts edges, so
 	// profiling tier 0 costs no fallback to a slower engine;
@@ -82,7 +77,7 @@ type Config struct {
 type Result struct {
 	// Final is the program that holds after the run: the input program
 	// itself, mutated — measured weights on its edges at a boundary,
-	// aligned unless NoAlign, and placed.
+	// aligned, and placed.
 	Final *ir.Program
 	// Value is the program result. Valid only when Run returned nil.
 	Value int64
@@ -103,10 +98,10 @@ type Result struct {
 
 // Run executes prog through the tiered pipeline. prog must be
 // allocated but not yet placed, and carry static-estimate edge weights
-// (profile.EstimateProgramMachine); Run mutates it into the final
-// tier-1 program. On a step-limit halt the returned error wraps
-// vm.ErrStepLimit and the Result still carries the exact merged
-// statistics (Stats.Instrs equals the total budget).
+// (profile.Estimate); Run mutates it into the final tier-1 program. On
+// a step-limit halt the returned error wraps vm.ErrStepLimit and the
+// Result still carries the exact merged statistics (Stats.Instrs
+// equals the total budget).
 func Run(prog *ir.Program, cfg Config, args ...int64) (*Result, error) {
 	budget := cfg.MaxSteps
 	if budget <= 0 {
@@ -129,10 +124,8 @@ func Run(prog *ir.Program, cfg Config, args ...int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.NoAlign {
-		for _, f := range p0.FuncsInOrder() {
-			layout.Align(f)
-		}
+	for _, f := range p0.FuncsInOrder() {
+		layout.Align(f)
 	}
 	splitFrom, err := placeWithSplits(p0, cfg, analysis.NewCache())
 	if err != nil {
@@ -205,20 +198,18 @@ func Run(prog *ir.Program, cfg Config, args ...int64) (*Result, error) {
 	return res, nil
 }
 
-// alignAndPlace aligns every function (unless NoAlign), invalidating
-// the shared cache for reordered analyses, then places the program
-// through the delta-aware shared-cache path. When res is non-nil the
-// alignment change count is recorded on it.
+// alignAndPlace aligns every function, invalidating the shared cache
+// for reordered analyses, then places the program through the
+// delta-aware shared-cache path. When res is non-nil the alignment
+// change count is recorded on it.
 func alignAndPlace(prog *ir.Program, cfg Config, res *Result) error {
-	if !cfg.NoAlign {
-		for _, f := range prog.FuncsInOrder() {
-			if alignFunc(f) && res != nil {
-				res.Realigned++
-			}
-			// Align renumbers blocks and reclassifies edge kinds, so
-			// any ID-indexed memoized analysis of f is stale.
-			cfg.Cache.Invalidate(f)
+	for _, f := range prog.FuncsInOrder() {
+		if alignFunc(f) && res != nil {
+			res.Realigned++
 		}
+		// Align renumbers blocks and reclassifies edge kinds, so any
+		// ID-indexed memoized analysis of f is stale.
+		cfg.Cache.Invalidate(f)
 	}
 	if err := strategy.PlaceProgramFor(prog, cfg.Strategy, cfg.Machine, cfg.Parallelism, cfg.Cache); err != nil {
 		return fmt.Errorf("tier: placement: %w", err)
@@ -261,33 +252,22 @@ func edgeCorrespondence(src, dst *ir.Program) (map[*ir.Edge]*ir.Edge, error) {
 	return m, nil
 }
 
-// placeWithSplits is the tier-0 variant of strategy.PlaceProgramFor:
-// the same compute/validate/apply-with-delta pipeline per function,
-// but it keeps each delta's edge splits so the boundary can map counts
-// measured on the placed clone back onto pre-placement edges.
+// placeWithSplits places prog like strategy.PlaceProgramFor, but keeps
+// each delta's edge splits so the boundary can map counts measured on
+// the placed clone back onto pre-placement edges.
 func placeWithSplits(prog *ir.Program, cfg Config, cache *analysis.Cache) (map[*ir.Edge]*ir.Edge, error) {
 	funcs := strategy.NeedsPlacement(prog)
 	splits := make([][]core.EdgeSplit, len(funcs))
 	err := par.Do(len(funcs), cfg.Parallelism, func(i int) error {
-		f := funcs[i]
-		info := cache.For(f)
-		sets, err := strategy.ComputeCachedFor(f, cfg.Strategy, info, cfg.Machine)
+		delta, err := strategy.PlaceCachedFor(funcs[i], cfg.Strategy, cache.For(funcs[i]), cfg.Machine)
 		if err != nil {
-			return fmt.Errorf("%s: %w", f.Name, err)
-		}
-		if err := core.ValidateSetsLive(f, sets, info.Liveness()); err != nil {
-			return fmt.Errorf("%s: %w", f.Name, err)
-		}
-		delta, err := core.ApplyWithDelta(f, sets)
-		info.ApplyDelta(delta)
-		if err != nil {
-			return fmt.Errorf("%s: %w", f.Name, err)
+			return fmt.Errorf("%s: %w", funcs[i].Name, err)
 		}
 		splits[i] = delta.Splits
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, par.NamePanic(err, func(i int) string { return funcs[i].Name })
 	}
 	splitFrom := make(map[*ir.Edge]*ir.Edge)
 	for _, ss := range splits {

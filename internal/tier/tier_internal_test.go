@@ -1,7 +1,9 @@
 package tier
 
 import (
+	"errors"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/irtext"
 	"repro/internal/layout"
 	"repro/internal/machine"
+	"repro/internal/par"
 	"repro/internal/profile"
 	"repro/internal/regalloc"
 	"repro/internal/strategy"
@@ -95,8 +98,8 @@ func TestStaticEqualProfileIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile.EstimateProgramMachine(base, mach, nil)
-	if _, err := regalloc.AllocateProgramParallel(base, mach, 1); err != nil {
+	profile.Estimate(base, mach)
+	if _, err := regalloc.AllocateProgram(base, mach, 1, regalloc.Options{}); err != nil {
 		t.Fatalf("allocate: %v", err)
 	}
 	a := base.Clone()
@@ -149,5 +152,31 @@ func TestStaticEqualProfileIsNoOp(t *testing.T) {
 	}
 	if got, want := irtext.Print(a), irtext.Print(b); got != want {
 		t.Errorf("static-equal tiering is not a no-op:\n-- tiered --\n%s\n-- static --\n%s", got, want)
+	}
+}
+
+// TestPlaceWithSplitsNamesPanickingFunction: a panic while placing one
+// function of the tier-0 clone comes back prefixed with that
+// function's name, like the placement's other errors, and still
+// carries the *par.PanicError.
+func TestPlaceWithSplitsNamesPanickingFunction(t *testing.T) {
+	mach := machine.PARISC()
+	for _, parallelism := range []int{1, 4} {
+		prog := buildTestProgram()
+		profile.Estimate(prog, mach)
+		if _, err := regalloc.AllocateProgram(prog, mach, 1, regalloc.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		f := prog.Func("main")
+		if len(f.UsedCalleeSaved) == 0 {
+			t.Fatal("main does not need placement")
+		}
+		f.Entry.Instrs = append([]*ir.Instr{nil}, f.Entry.Instrs...)
+		cfg := Config{Machine: mach, Strategy: strategy.HierarchicalJump, Parallelism: parallelism}
+		_, err := placeWithSplits(prog, cfg, analysis.NewCache())
+		var pe *par.PanicError
+		if err == nil || !strings.HasPrefix(err.Error(), "main: ") || !errors.As(err, &pe) {
+			t.Errorf("parallelism %d: error %v, want a *par.PanicError prefixed %q", parallelism, err, "main: ")
+		}
 	}
 }

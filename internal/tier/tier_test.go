@@ -21,8 +21,8 @@ import (
 func prep(t *testing.T, seed uint64, mach *machine.Desc) *ir.Program {
 	t.Helper()
 	prog := irgen.Generate(seed, irgen.Hostile())
-	profile.EstimateProgramMachine(prog, mach, nil)
-	if _, err := regalloc.AllocateProgramParallel(prog, mach, 1); err != nil {
+	profile.Estimate(prog, mach)
+	if _, err := regalloc.AllocateProgram(prog, mach, 1, regalloc.Options{}); err != nil {
 		t.Fatalf("seed %d: allocate: %v", seed, err)
 	}
 	return prog

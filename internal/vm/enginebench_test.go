@@ -29,14 +29,14 @@ func placedBench(b *testing.B, name string) *workloadProgram {
 			continue
 		}
 		prog := workload.Generate(p)
-		if _, err := profile.Collect(prog, 0); err != nil {
+		if _, err := profile.Collect(prog, vm.Config{}, 0); err != nil {
 			b.Fatal(err)
 		}
 		mach := machine.PARISC()
-		if _, err := regalloc.AllocateProgramParallel(prog, mach, 1); err != nil {
+		if _, err := regalloc.AllocateProgram(prog, mach, 1, regalloc.Options{}); err != nil {
 			b.Fatal(err)
 		}
-		if err := strategy.PlaceProgram(prog, strategy.HierarchicalJump, 1); err != nil {
+		if err := strategy.PlaceProgramFor(prog, strategy.HierarchicalJump, nil, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 		return &workloadProgram{prog: prog, mach: mach}

@@ -80,18 +80,18 @@ func checkProgram(t *testing.T, label string, prog *ir.Program, args []int64) {
 	}
 
 	base := prog.Clone()
-	if _, err := profile.CollectWithConfig(base, vm.Config{MaxSteps: maxSteps}, args...); err != nil {
+	if _, err := profile.Collect(base, vm.Config{MaxSteps: maxSteps}, args...); err != nil {
 		// Programs that fail to profile (e.g. nonterminating under the
 		// cap) already exercised the halt parity above.
 		return
 	}
 	mach := machine.PARISC()
-	if _, err := regalloc.AllocateProgramParallel(base, mach, 1); err != nil {
+	if _, err := regalloc.AllocateProgram(base, mach, 1, regalloc.Options{}); err != nil {
 		t.Fatalf("%s: alloc: %v", label, err)
 	}
 	for _, s := range strategy.All {
 		clone := base.Clone()
-		if err := strategy.PlaceProgram(clone, s, 1); err != nil {
+		if err := strategy.PlaceProgramFor(clone, s, nil, 1, nil); err != nil {
 			t.Fatalf("%s: place %v: %v", label, s, err)
 		}
 		assertParity(t, label+"/"+s.String(), clone,

@@ -10,30 +10,9 @@ import (
 	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/irtext"
-	"repro/internal/strategy"
 )
 
-// TestStrategyEnumsAligned pins the facade's Strategy constants to
-// internal/strategy's: Place converts by numeric cast.
-func TestStrategyEnumsAligned(t *testing.T) {
-	pairs := map[Strategy]strategy.Strategy{
-		EntryExit:        strategy.EntryExit,
-		Shrinkwrap:       strategy.Shrinkwrap,
-		ShrinkwrapSeed:   strategy.ShrinkwrapSeed,
-		HierarchicalExec: strategy.HierarchicalExec,
-		HierarchicalJump: strategy.HierarchicalJump,
-	}
-	for pub, internal := range pairs {
-		if computeStrategy(pub) != internal {
-			t.Errorf("spillopt.%v maps to strategy.%v", pub, computeStrategy(pub))
-		}
-		if pub.String() != internal.String() {
-			t.Errorf("name drift: %q vs %q", pub, internal)
-		}
-	}
-}
-
-// placementArgs profiles and allocates src, returning the facade
+// allocated profiles and allocates src, returning the facade
 // program ready for PlacementCost queries.
 func allocated(t *testing.T, src string, arg int64) *Program {
 	t.Helper()

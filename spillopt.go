@@ -37,50 +37,34 @@ import (
 )
 
 // Strategy selects a callee-saved spill code placement technique.
-type Strategy int
+// String names it; ParseStrategy maps a name back.
+type Strategy = strategy.Strategy
 
 const (
 	// EntryExit saves at procedure entry and restores at every exit
 	// (the paper's baseline).
-	EntryExit Strategy = iota
+	EntryExit = strategy.EntryExit
 	// Shrinkwrap is Chow's original technique: artificial data flow
 	// keeps spill code out of loops and off jump edges.
-	Shrinkwrap
+	Shrinkwrap = strategy.Shrinkwrap
 	// ShrinkwrapSeed is the paper's modified shrink-wrapping (no
 	// artificial data flow; spill code may sit on jump edges). It is
 	// the seed of the hierarchical algorithm, exposed for study.
-	ShrinkwrapSeed
+	ShrinkwrapSeed = strategy.ShrinkwrapSeed
 	// HierarchicalExec is the paper's algorithm under the execution
 	// count cost model (provably optimal, but ignores the jump
 	// instructions that jump blocks need).
-	HierarchicalExec
+	HierarchicalExec = strategy.HierarchicalExec
 	// HierarchicalJump is the paper's algorithm under the jump edge
 	// cost model — the configuration evaluated in the paper.
-	HierarchicalJump
+	HierarchicalJump = strategy.HierarchicalJump
 )
-
-// String names the strategy.
-func (s Strategy) String() string {
-	switch s {
-	case EntryExit:
-		return "entry-exit"
-	case Shrinkwrap:
-		return "shrinkwrap"
-	case ShrinkwrapSeed:
-		return "shrinkwrap-seed"
-	case HierarchicalExec:
-		return "hierarchical-exec"
-	case HierarchicalJump:
-		return "hierarchical-jump"
-	}
-	return "?"
-}
 
 // Strategies lists every strategy name in declaration order.
 func Strategies() []string {
 	out := make([]string, 0, len(strategy.All))
 	for _, s := range strategy.All {
-		out = append(out, Strategy(s).String())
+		out = append(out, s.String())
 	}
 	return out
 }
@@ -88,12 +72,11 @@ func Strategies() []string {
 // ParseStrategy maps a strategy name (as produced by String) back to
 // the Strategy, for tools that take the strategy as text.
 func ParseStrategy(name string) (Strategy, error) {
-	for _, s := range strategy.All {
-		if Strategy(s).String() == name {
-			return Strategy(s), nil
-		}
+	s, err := strategy.Parse(name)
+	if err != nil {
+		return 0, fmt.Errorf("spillopt: unknown strategy %q (have %s)", name, strings.Join(Strategies(), ", "))
 	}
-	return 0, fmt.Errorf("spillopt: unknown strategy %q (have %s)", name, strings.Join(Strategies(), ", "))
+	return s, nil
 }
 
 // Result reports a measured execution.
@@ -261,7 +244,7 @@ func (p *Program) Profile(args ...int64) error {
 	if p.allocated {
 		return fmt.Errorf("spillopt: Profile must run before Allocate")
 	}
-	if _, err := profile.CollectWithConfig(p.prog, vm.Config{Engine: p.eng, MaxSteps: p.MaxSteps}, args...); err != nil {
+	if _, err := profile.Collect(p.prog, vm.Config{Engine: p.eng, MaxSteps: p.MaxSteps}, args...); err != nil {
 		return err
 	}
 	if err := profile.Consistent(p.prog); err != nil {
@@ -329,9 +312,9 @@ func (p *Program) Allocate() error {
 	// them here lets the allocator's spill heuristic read the same
 	// weights the tier-0 placement optimizes.
 	if p.tiering && !p.profiled {
-		profile.EstimateProgramMachine(p.prog, p.mach, p.cache)
+		profile.Estimate(p.prog, p.mach)
 	}
-	if _, err := regalloc.AllocateProgramOpts(p.prog, p.mach, p.Parallelism, regalloc.Options{MachineCosts: p.allocMachine}); err != nil {
+	if _, err := regalloc.AllocateProgram(p.prog, p.mach, p.Parallelism, regalloc.Options{MachineCosts: p.allocMachine}); err != nil {
 		return err
 	}
 	// Allocation rewrote instructions (spill code, physical registers),
@@ -370,17 +353,12 @@ func (p *Program) Place(s Strategy) error {
 	// traversal, validation, apply) fans out across the pool. The
 	// machine description carries the cost surface the hierarchical
 	// strategies optimize.
-	if err := strategy.PlaceProgramFor(p.prog, computeStrategy(s), p.mach, p.Parallelism, p.cache); err != nil {
+	if err := strategy.PlaceProgramFor(p.prog, s, p.mach, p.Parallelism, p.cache); err != nil {
 		return err
 	}
 	p.placed = true
 	return nil
 }
-
-// computeStrategy maps the public enum to the shared dispatch in
-// internal/strategy. The two enums declare the same values in the same
-// order; the tests pin the correspondence.
-func computeStrategy(s Strategy) strategy.Strategy { return strategy.Strategy(s) }
 
 // AnalysisStats reports the shared analysis layer's activity: cache
 // lookups, per-analysis build counts, and how placement edits were
@@ -475,7 +453,7 @@ func (p *Program) PlacementCost(funcName string, s Strategy) (int64, error) {
 		// must price the aligned layout, not the parse-order one.
 		p.ensureAligned()
 	}
-	sets, err := strategy.ComputeCachedFor(f, computeStrategy(s), p.cache.For(f), p.mach)
+	sets, err := strategy.ComputeCachedFor(f, s, p.cache.For(f), p.mach)
 	if err != nil {
 		return 0, err
 	}
@@ -565,7 +543,12 @@ func (p *Program) Run(args ...int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := m.Stats
+	return p.result(v, &m.Stats), nil
+}
+
+// result reports a run's value and counters, pricing the overhead with
+// the pipeline's machine.
+func (p *Program) result(v int64, st *vm.Stats) *Result {
 	return &Result{
 		Value:          v,
 		Instrs:         st.Instrs,
@@ -576,7 +559,7 @@ func (p *Program) Run(args ...int64) (*Result, error) {
 		Saves:          st.Saves,
 		Restores:       st.Restores,
 		JumpBlockJumps: st.JumpBlockJmps,
-	}, nil
+	}
 }
 
 // runTiered executes the deferred tiered pipeline: tier 0 on a
@@ -587,7 +570,7 @@ func (p *Program) Run(args ...int64) (*Result, error) {
 func (p *Program) runTiered(args []int64) (*Result, error) {
 	res, err := tier.Run(p.prog, tier.Config{
 		Machine:     p.mach,
-		Strategy:    computeStrategy(p.tierStrategy),
+		Strategy:    p.tierStrategy,
 		Quantum:     p.tierQuantum,
 		MaxSteps:    p.MaxSteps,
 		Parallelism: p.Parallelism,
@@ -604,18 +587,7 @@ func (p *Program) runTiered(args []int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := res.Stats
-	return &Result{
-		Value:          res.Value,
-		Instrs:         st.Instrs,
-		Overhead:       st.Overhead(),
-		Cost:           st.WeightedOverhead(p.mach.Costs),
-		SpillLoads:     st.SpillLoads,
-		SpillStores:    st.SpillStores,
-		Saves:          st.Saves,
-		Restores:       st.Restores,
-		JumpBlockJumps: st.JumpBlockJmps,
-	}, nil
+	return p.result(res.Value, &res.Stats), nil
 }
 
 // TierReport describes the last tiered Run: whether the quantum
