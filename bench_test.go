@@ -22,25 +22,37 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/pst"
 	"repro/internal/shrinkwrap"
 	"repro/internal/workload"
 )
 
+// paperSweep runs the paper's evaluation, the one-machine sweep on the
+// unit-cost classic preset, b.N times over entries and returns the
+// last run.
+func paperSweep(b *testing.B, entries ...bench.Entry) *bench.Sweep {
+	classic, err := machine.Preset("classic")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sw *bench.Sweep
+	for i := 0; i < b.N; i++ {
+		sw, err = bench.RunSweep(entries, []*machine.Desc{classic}, bench.Options{Parallelism: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	return sw
+}
+
 func BenchmarkFigure5(b *testing.B) {
 	for _, p := range workload.SPECInt2000() {
 		b.Run(p.Name, func(b *testing.B) {
-			var r *bench.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				r, err = bench.RunEntry(bench.EntryFor(p), bench.Options{Parallelism: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(r.Overhead[bench.Optimized]), "optimized")
-			b.ReportMetric(float64(r.Overhead[bench.Shrinkwrap]), "shrinkwrap")
-			b.ReportMetric(float64(r.Overhead[bench.Baseline]), "baseline")
+			c := paperSweep(b, bench.EntryFor(p)).Results[0].Cells[0]
+			b.ReportMetric(float64(c[bench.Optimized].WeightedOverhead), "optimized")
+			b.ReportMetric(float64(c[bench.Shrinkwrap].WeightedOverhead), "shrinkwrap")
+			b.ReportMetric(float64(c[bench.Baseline].WeightedOverhead), "baseline")
 		})
 	}
 }
@@ -50,18 +62,11 @@ func BenchmarkTable1(b *testing.B) {
 	for _, p := range workload.SPECInt2000() {
 		entries = append(entries, bench.EntryFor(p))
 	}
-	var results []*bench.Result
-	var err error
-	for i := 0; i < b.N; i++ {
-		results, err = bench.RunEntries(entries, bench.Options{Parallelism: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	results := paperSweep(b, entries...).Results
 	var so, ss float64
 	for _, r := range results {
-		so += r.Ratio(bench.Optimized)
-		ss += r.Ratio(bench.Shrinkwrap)
+		so += r.Ratio(0, bench.Optimized)
+		ss += r.Ratio(0, bench.Shrinkwrap)
 	}
 	n := float64(len(results))
 	b.ReportMetric(so/n, "opt-pct") // paper: 84.8
@@ -71,16 +76,9 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkTable2(b *testing.B) {
 	for _, p := range workload.SPECInt2000() {
 		b.Run(p.Name, func(b *testing.B) {
-			var r *bench.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				r, err = bench.RunEntry(bench.EntryFor(p), bench.Options{Parallelism: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			sw := float64(r.PlacementTime[bench.Shrinkwrap].Nanoseconds())
-			opt := float64(r.PlacementTime[bench.Optimized].Nanoseconds())
+			c := paperSweep(b, bench.EntryFor(p)).Results[0].Cells[0]
+			sw := float64(c[bench.Shrinkwrap].PlacementTime.Nanoseconds())
+			opt := float64(c[bench.Optimized].PlacementTime.Nanoseconds())
 			b.ReportMetric(sw, "sw-ns")
 			b.ReportMetric(opt, "opt-ns")
 			if sw > 0 {

@@ -206,45 +206,44 @@ func main() {
 		return
 	}
 
-	if *machines != "" {
-		descs, err := machine.ParsePresets(*machines)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
-			os.Exit(2)
-		}
-		sw, err := bench.RunSweep(suite(), descs, bench.Options{Align: *align, Parallelism: *jobs, Engine: eng, MachineAlloc: *allocMachine})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(bench.SweepTables(sw))
-		return
+	// The paper's evaluation is the sweep on its unit-cost machine, the
+	// classic preset; -machines swaps in other presets and the
+	// per-machine report.
+	presets := *machines
+	if presets == "" {
+		presets = "classic"
 	}
-
-	results, err := bench.RunEntries(suite(), bench.Options{Align: *align, Parallelism: *jobs, Engine: eng, MachineAlloc: *allocMachine})
+	descs, err := machine.ParsePresets(presets)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
+		os.Exit(2)
+	}
+	sw, err := bench.RunSweep(suite(), descs, bench.Options{Align: *align, Parallelism: *jobs, Engine: eng, MachineAlloc: *allocMachine})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
 		os.Exit(1)
 	}
 
 	switch {
+	case *machines != "":
+		fmt.Print(bench.SweepTables(sw))
 	case *figure == 5:
-		fmt.Print(bench.Figure5(results))
+		fmt.Print(bench.Figure5(sw))
 	case *table == 1:
-		fmt.Print(bench.Table1(results))
+		fmt.Print(bench.Table1(sw))
 	case *table == 2:
-		fmt.Print(bench.Table2(results))
+		fmt.Print(bench.Table2(sw))
 	default:
-		fmt.Print(bench.Figure5(results))
+		fmt.Print(bench.Figure5(sw))
 		fmt.Println()
-		fmt.Print(bench.Table1(results))
+		fmt.Print(bench.Table1(sw))
 		fmt.Println()
-		fmt.Print(bench.Table2(results))
+		fmt.Print(bench.Table2(sw))
 		fmt.Println()
-		fmt.Print(bench.Totals(results))
+		fmt.Print(bench.Totals(sw))
 		if *only != "" {
 			fmt.Println()
-			for _, r := range results {
+			for _, r := range sw.Results {
 				fmt.Printf("%s: %d procedures, %d instructions, %d spilled vregs, result %d\n",
 					r.Name, r.Procedures, r.Instrs, r.SpilledVregs, r.ReturnValue)
 			}

@@ -86,20 +86,24 @@ func main() {
 	var failures []failure
 	var checked, interesting int
 	var dynInstrs int64
-
-	// One analysis cache spans the whole sweep: every seed's five
-	// strategies read it, and its counters aggregated over the sweep
-	// prove each function's analyses were built once, not per strategy.
-	cache := analysis.NewCache()
+	// builds sums every check's analysis build counters: each check
+	// shares one private cache across its five strategies, so each
+	// count stays at most the number of placed functions.
+	var builds analysis.Counts
 	err = sweep(*n, *jobs, *base, func(seed uint64) {
 		prog := irgen.Generate(seed, cfg)
 		// Seeds already fan out across the pool; a nested GOMAXPROCS
 		// allocation pool per check would only oversubscribe.
-		r := irgen.Check(prog, irgen.Options{Args: []int64{int64(seed % 17)}, Parallelism: 1, Engine: eng, Cache: cache})
+		r := irgen.Check(prog, irgen.Options{Args: []int64{int64(seed % 17)}, Parallelism: 1, Engine: eng})
 		mu.Lock()
 		defer mu.Unlock()
 		checked++
 		dynInstrs += r.Instrs
+		builds.Liveness += r.Analysis.Liveness
+		builds.Dom += r.Analysis.Dom
+		builds.Loops += r.Analysis.Loops
+		builds.PST += r.Analysis.PST
+		builds.Seed += r.Analysis.Seed
 		if r.CalleeSavedFuncs > 0 {
 			interesting++
 		}
@@ -118,10 +122,8 @@ func main() {
 	sort.Slice(failures, func(i, j int) bool { return failures[i].seed < failures[j].seed })
 	fmt.Printf("spillfuzz: %d seeds in %v, %d with callee-saved placement, %d dynamic instrs, %d failures\n",
 		checked, time.Since(start).Round(time.Millisecond), interesting, dynInstrs, len(failures))
-	hits, misses := cache.Stats()
-	c := cache.Counts()
-	fmt.Printf("spillfuzz: analysis cache %d hits / %d misses; builds: liveness=%d dom=%d loops=%d pst=%d seed=%d\n",
-		hits, misses, c.Liveness, c.Dom, c.Loops, c.PST, c.Seed)
+	fmt.Printf("spillfuzz: analysis builds: liveness=%d dom=%d loops=%d pst=%d seed=%d\n",
+		builds.Liveness, builds.Dom, builds.Loops, builds.PST, builds.Seed)
 
 	for i, f := range failures {
 		fmt.Printf("seed %d:\n", f.seed)

@@ -5,7 +5,7 @@
 // Serve mode:
 //
 //	spillserve -addr :8080
-//	spillserve -addr :8080 -j 4 -analysis-budget 1024 -timeout 30s
+//	spillserve -addr :8080 -j 4 -timeout 30s
 //
 // Endpoints: POST /v1/place (IR in, placements and priced overhead
 // breakdowns out), GET /metrics (live counters), GET /healthz
@@ -51,7 +51,6 @@ func main() {
 		progMB      = flag.Int64("program-mb", 256, "serve: program cache byte budget in MiB")
 		funcEntries = flag.Int("function-entries", 65536, "serve: function cache entry budget")
 		funcMB      = flag.Int64("function-mb", 64, "serve: function cache byte budget in MiB")
-		anaBudget   = flag.Int("analysis-budget", 512, "serve: analysis cache entry budget (LRU eviction beyond)")
 
 		loadgen  = flag.Bool("loadgen", false, "run the loadgen sweep instead of serving")
 		target   = flag.String("target", "", "loadgen: base URL of a running service (empty = in-process)")
@@ -76,7 +75,6 @@ func main() {
 		ProgramCacheBytes:    *progMB << 20,
 		FunctionCacheEntries: *funcEntries,
 		FunctionCacheBytes:   *funcMB << 20,
-		AnalysisBudget:       *anaBudget,
 	}
 	srv := &http.Server{
 		Addr:              *addr,
@@ -86,8 +84,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Printf("spillserve: listening on %s (analysis budget %d, body limit %d bytes)\n",
-		*addr, *anaBudget, *maxBody)
+	fmt.Printf("spillserve: listening on %s (body limit %d bytes)\n", *addr, *maxBody)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -132,8 +129,8 @@ func runLoadgen(target string, distinct, dups, workers int, seed uint64) {
 		record.Requests, record.Distinct, record.Dups, record.Workers, record.Functions)
 	fmt.Printf("loadgen: cold %.0f ns/req, cached %.0f ns/req, speedup %.2fx\n",
 		record.ColdNsPerReq, record.CachedNsPerReq, record.CachedSpeedup)
-	fmt.Printf("loadgen: program hits %d, function hits %d, analysis len max %d (budget %d, drops %d)\n",
-		record.ProgramHits, record.FunctionHits, record.AnalysisLenMax, record.AnalysisBudget, record.AnalysisDrops)
+	fmt.Printf("loadgen: program hits %d, function hits %d, analysis len max %d (drops %d)\n",
+		record.ProgramHits, record.FunctionHits, record.AnalysisLenMax, record.AnalysisDrops)
 }
 
 func fatal(err error) {

@@ -14,8 +14,8 @@ import (
 	"math/rand"
 	"os"
 
-	"repro/internal/analysis"
 	"repro/internal/bench"
+	"repro/internal/machine"
 	"repro/internal/par"
 	"repro/internal/workload"
 )
@@ -36,6 +36,14 @@ func main() {
 	jobs := flag.Int("j", 0, "benchmarks tuned concurrently (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
+	// Every trial runs the paper's evaluation: the one-machine sweep
+	// on its unit-cost machine, the classic preset.
+	classic, err := machine.ParsePresets("classic")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "spilltune:", err)
+		os.Exit(1)
+	}
+
 	type job struct {
 		base workload.BenchParams
 		pos  int // position in the full suite, not the filtered list
@@ -51,25 +59,20 @@ func main() {
 	// runs are independent, the output is identical for any -j, and a
 	// -bench run reproduces that benchmark's line from a full run.
 	lines := make([]string, len(jobsList))
-	err := par.Do(len(jobsList), *jobs, func(i int) error {
+	err = par.Do(len(jobsList), *jobs, func(i int) error {
 		base := jobsList[i].base
 		rng := rand.New(rand.NewSource(*seed + int64(jobsList[i].pos)))
-		// One analysis cache serves every trial of this benchmark's hill
-		// climb: within a trial it shares liveness/dom/loops/PST across
-		// the five strategies and the validator, and its counters prove
-		// the search never rebuilds an analysis it already has.
-		cache := analysis.NewCache()
-		best, bestScore := tune(base, *trials, rng, cache)
-		opt, sw, err := measure(best, cache)
+		best, bestScore := tune(base, *trials, rng, classic)
+		sw, err := measure(best, classic)
 		if err != nil {
 			return fmt.Errorf("%s: %w", base.Name, err)
 		}
-		hits, misses := cache.Stats()
-		c := cache.Counts()
+		r, c := sw.Results[0], sw.Builds
 		lines[i] = fmt.Sprintf("%-8s score=%6.2f  opt=%6.1f%% (want %5.1f)  sw=%6.1f%% (want %5.1f)\n  %+v\n"+
-			"  analysis cache: %d hits / %d misses; builds: liveness=%d dom=%d loops=%d pst=%d seed=%d; delta: patched=%d full=%d\n",
-			base.Name, bestScore, opt, target[base.Name][0], sw, target[base.Name][1], best,
-			hits, misses, c.Liveness, c.Dom, c.Loops, c.PST, c.Seed, c.DeltaPatched, c.DeltaFull)
+			"  analysis builds: liveness=%d dom=%d loops=%d pst=%d seed=%d\n",
+			base.Name, bestScore, r.Ratio(0, bench.Optimized), target[base.Name][0],
+			r.Ratio(0, bench.Shrinkwrap), target[base.Name][1], best,
+			c.Liveness, c.Dom, c.Loops, c.PST, c.Seed)
 		return nil
 	})
 	if err != nil {
@@ -81,34 +84,31 @@ func main() {
 	}
 }
 
-func tune(base workload.BenchParams, trials int, rng *rand.Rand, cache *analysis.Cache) (workload.BenchParams, float64) {
+func tune(base workload.BenchParams, trials int, rng *rand.Rand, machines []*machine.Desc) (workload.BenchParams, float64) {
 	best := base
-	bestScore := score(base, cache)
+	bestScore := score(base, machines)
 	for i := 0; i < trials; i++ {
 		cand := perturb(best, rng)
-		if s := score(cand, cache); s < bestScore {
+		if s := score(cand, machines); s < bestScore {
 			best, bestScore = cand, s
 		}
 	}
 	return best, bestScore
 }
 
-func score(p workload.BenchParams, cache *analysis.Cache) float64 {
-	opt, sw, err := measure(p, cache)
+func score(p workload.BenchParams, machines []*machine.Desc) float64 {
+	sw, err := measure(p, machines)
 	if err != nil {
 		return math.Inf(1)
 	}
-	t := target[p.Name]
+	r, t := sw.Results[0], target[p.Name]
 	// Optimized ratio matters more (it is the headline result).
-	return 1.5*math.Abs(opt-t[0]) + math.Abs(sw-t[1])
+	return 1.5*math.Abs(r.Ratio(0, bench.Optimized)-t[0]) + math.Abs(r.Ratio(0, bench.Shrinkwrap)-t[1])
 }
 
-func measure(p workload.BenchParams, cache *analysis.Cache) (opt, sw float64, err error) {
-	r, err := bench.RunEntry(bench.EntryFor(p), bench.Options{Cache: cache})
-	if err != nil {
-		return 0, 0, err
-	}
-	return r.Ratio(bench.Optimized), r.Ratio(bench.Shrinkwrap), nil
+// measure sweeps the one benchmark p describes over machines.
+func measure(p workload.BenchParams, machines []*machine.Desc) (*bench.Sweep, error) {
+	return bench.RunSweep([]bench.Entry{bench.EntryFor(p)}, machines, bench.Options{})
 }
 
 func perturb(p workload.BenchParams, rng *rand.Rand) workload.BenchParams {

@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"repro/internal/bench"
+	"repro/internal/machine"
 	"repro/internal/workload"
 )
 
@@ -22,18 +23,26 @@ func main() {
 	fmt.Printf("traits: cold calls %.0f%%, live-across %.0f%%, outer loop %.0f%%\n\n",
 		params.ColdCallProb*100, params.LiveAcrossProb*100, params.OuterLoopProb*100)
 
-	r, err := bench.RunEntry(bench.EntryFor(params), bench.Options{Parallelism: 1})
+	// The paper's evaluation is a sweep over one machine, its unit-cost
+	// classic preset.
+	classic, err := machine.Preset("classic")
 	if err != nil {
 		log.Fatal(err)
 	}
+	sw, err := bench.RunSweep([]bench.Entry{bench.EntryFor(params)}, []*machine.Desc{classic}, bench.Options{Parallelism: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	r := sw.Results[0]
 	fmt.Printf("program: %d procedures, %d instructions after allocation, %d spilled vregs\n",
 		r.Procedures, r.Instrs, r.SpilledVregs)
 	fmt.Printf("all strategies computed the same result: %d\n\n", r.ReturnValue)
 
 	fmt.Printf("%-12s %10s %9s %14s\n", "strategy", "overhead", "ratio", "placement time")
 	for _, s := range bench.Strategies {
+		c := r.Cells[0][s]
 		fmt.Printf("%-12s %10d %8.1f%% %14v\n",
-			s, r.Overhead[s], r.Ratio(s), r.PlacementTime[s])
+			s, c.WeightedOverhead, r.Ratio(0, s), c.PlacementTime)
 	}
 	fmt.Println("\n(the paper's crafty row: optimized 44.0%, shrink-wrap 93.3%)")
 }

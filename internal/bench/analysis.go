@@ -13,9 +13,13 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/analysis"
+	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/profile"
 	"repro/internal/regalloc"
+	"repro/internal/strategy"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -104,4 +108,61 @@ func BenchAnalysis(suite []workload.BenchParams, reps int) (*AnalysisBench, erro
 		out.IncrementalSpeedup = float64(out.ColdNs) / float64(out.IncrementalNs)
 	}
 	return out, nil
+}
+
+// measureReplacement measures the cost of re-placing the paper's
+// configuration (HierarchicalJump) after its own placement edit, for
+// every function of prog that needs placement. Per function it places
+// once untimed through the delta path, then times three re-placements
+// of the edited function:
+//
+//   - incremental: ApplyDelta patches the warmed analyses in place and
+//     the compute rebuilds only the derived shrink-wrap seed;
+//   - shared: a second compute over the now fully warmed handle (the
+//     floor — pure hierarchical traversal);
+//   - cold: a compute over a fresh handle, rebuilding liveness,
+//     dominators, loops, the PST, and the seed from scratch.
+//
+// rebuilds counts functions whose incremental pass performed any full
+// analysis rebuild (checked via analysis.Counts); a healthy tree
+// reports 0. The sums feed the BENCH_analysis.json gate.
+func measureReplacement(prog *ir.Program) (coldNs, sharedNs, incNs int64, rebuilds, funcs int, err error) {
+	for _, f := range strategy.NeedsPlacement(prog) {
+		info := analysis.For(f)
+		sets, err := strategy.ComputeCachedFor(f, strategy.HierarchicalJump, info, nil)
+		if err != nil {
+			return 0, 0, 0, 0, 0, fmt.Errorf("%s: %w", f.Name, err)
+		}
+		delta, err := core.ApplyWithDelta(f, sets)
+		if err != nil {
+			return 0, 0, 0, 0, 0, fmt.Errorf("%s: %w", f.Name, err)
+		}
+		funcs++
+
+		before := info.Counts()
+		start := time.Now()
+		info.ApplyDelta(delta)
+		if _, err := strategy.ComputeCachedFor(f, strategy.HierarchicalJump, info, nil); err != nil {
+			return 0, 0, 0, 0, 0, fmt.Errorf("%s: incremental: %w", f.Name, err)
+		}
+		incNs += time.Since(start).Nanoseconds()
+		after := info.Counts()
+		if after.Liveness != before.Liveness || after.Dom != before.Dom ||
+			after.Loops != before.Loops || after.PST != before.PST || after.SplitDom != before.SplitDom {
+			rebuilds++
+		}
+
+		start = time.Now()
+		if _, err := strategy.ComputeCachedFor(f, strategy.HierarchicalJump, info, nil); err != nil {
+			return 0, 0, 0, 0, 0, fmt.Errorf("%s: shared: %w", f.Name, err)
+		}
+		sharedNs += time.Since(start).Nanoseconds()
+
+		start = time.Now()
+		if _, err := strategy.ComputeCachedFor(f, strategy.HierarchicalJump, analysis.For(f), nil); err != nil {
+			return 0, 0, 0, 0, 0, fmt.Errorf("%s: cold: %w", f.Name, err)
+		}
+		coldNs += time.Since(start).Nanoseconds()
+	}
+	return coldNs, sharedNs, incNs, rebuilds, funcs, nil
 }

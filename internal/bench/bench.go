@@ -2,8 +2,10 @@
 // benchmark program, profile it by execution, register-allocate it
 // once, apply each callee-saved spill placement strategy to identical
 // clones, execute each clone under convention checking, and report the
-// measured dynamic spill overhead (Figure 5, Table 1) and incremental
-// placement time (Table 2).
+// measured dynamic spill overhead and placement time. RunSweep is the
+// one driver: on the paper's unit-cost classic preset it yields
+// Figure 5 and Tables 1-2, and across several machine presets the
+// crossover report.
 package bench
 
 import (
@@ -15,11 +17,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/irgen"
-	"repro/internal/layout"
 	"repro/internal/machine"
 	"repro/internal/par"
-	"repro/internal/profile"
-	"repro/internal/regalloc"
 	"repro/internal/strategy"
 	"repro/internal/vm"
 	"repro/internal/workload"
@@ -78,46 +77,6 @@ func (s Strategy) technique() strategy.Strategy {
 	return strategy.EntryExit
 }
 
-// Result holds one benchmark's measurements.
-type Result struct {
-	Name string
-	// Overhead is the measured dynamic spill overhead per strategy:
-	// every spill load/store, callee-saved save/restore, and
-	// jump-block jump executed.
-	Overhead [numStrategies]int64
-	// PlacementTime is the incremental compile time each strategy
-	// added (Baseline's is the reference and is ~0).
-	PlacementTime [numStrategies]time.Duration
-	// ReturnValue is the program result, identical across strategies.
-	ReturnValue int64
-	// Stats holds the full VM execution counters per strategy
-	// (deep-copied, so concurrent runs never share a Calls map).
-	Stats [numStrategies]vm.Stats
-	// Procedures and Instrs describe the allocated program.
-	Procedures int
-	Instrs     int
-	// SpilledVregs counts allocator-spilled virtual registers.
-	SpilledVregs int
-	// ReplaceCold, ReplaceShared, and ReplaceIncremental time
-	// re-placing the paper's configuration after its own placement edit
-	// (summed over all functions): cold recomputes every analysis from
-	// scratch, shared reads a fully warmed cache, and incremental
-	// patches the warmed cache through core.Delta + ApplyDelta and
-	// recomputes only the derived seed. Table 2's re-placement columns.
-	ReplaceCold, ReplaceShared, ReplaceIncremental time.Duration
-	// ReplaceRebuilds counts functions whose incremental re-placement
-	// fell back to a full analysis rebuild; 0 in a healthy tree.
-	ReplaceRebuilds int
-}
-
-// Ratio returns overhead(s) / overhead(Baseline) as a percentage.
-func (r *Result) Ratio(s Strategy) float64 {
-	if r.Overhead[Baseline] == 0 {
-		return 100
-	}
-	return 100 * float64(r.Overhead[s]) / float64(r.Overhead[Baseline])
-}
-
 // Options tweaks the pipeline.
 type Options struct {
 	// Align runs the jump-alignment layout pass (internal/layout) on
@@ -126,7 +85,7 @@ type Options struct {
 	// model more accurate.
 	Align bool
 	// Parallelism bounds the worker pools of the concurrent stages:
-	// benchmark sharding in RunEntries, the per-strategy VM
+	// benchmark sharding in RunSweep, the per-strategy VM
 	// measurement fan-out, and per-function allocation and placement.
 	// Only one level fans out at a time (benchmarks when there are
 	// several, strategies/functions otherwise), so pools never
@@ -142,11 +101,6 @@ type Options struct {
 	// reference). Measured counts are engine-independent — the parity
 	// tests prove it — only wall-clock time changes.
 	Engine vm.Engine
-	// Cache, when non-nil, is used as the shared analysis layer instead
-	// of a fresh per-entry cache, so a caller running many entries (for
-	// example spilltune's per-trial loop) can accumulate the sharing
-	// counters across runs in one place.
-	Cache *analysis.Cache
 	// MachineAlloc prices the allocator's spill choices with the
 	// machine's cost surface (regalloc.Options.MachineCosts). In
 	// RunSweep it requires a single-machine sweep, because the
@@ -187,113 +141,6 @@ func GeneratedSuite(base uint64, n int) []Entry {
 	return out
 }
 
-// RunEntry executes the pipeline for one entry: generate, profile,
-// allocate once, place every strategy on identical clones, execute
-// each clone under convention checking.
-func RunEntry(e Entry, opts Options) (*Result, error) {
-	prog := e.Gen()
-	mach := machine.PARISC()
-
-	// Profile by execution, then check flow conservation.
-	if _, err := profile.Collect(prog, vm.Config{Engine: opts.Engine}, 0); err != nil {
-		return nil, fmt.Errorf("bench %s: profile: %w", e.Name, err)
-	}
-	if err := profile.Consistent(prog); err != nil {
-		return nil, fmt.Errorf("bench %s: %w", e.Name, err)
-	}
-
-	// One register allocation shared by all strategies; functions are
-	// independent, so allocation fans out per function.
-	allocRes, err := regalloc.AllocateProgram(prog, mach, opts.Parallelism, regalloc.Options{MachineCosts: opts.MachineAlloc})
-	if err != nil {
-		return nil, fmt.Errorf("bench %s: regalloc: %w", e.Name, err)
-	}
-
-	if opts.Align {
-		for _, f := range prog.FuncsInOrder() {
-			layout.Align(f)
-		}
-	}
-
-	res := &Result{Name: e.Name, Procedures: len(prog.Funcs)}
-	for _, f := range prog.FuncsInOrder() {
-		res.Instrs += f.Instrs()
-	}
-	for _, ar := range allocRes {
-		res.SpilledVregs += len(ar.Spilled)
-	}
-
-	// Placement is the timed stage (Table 2), so it runs serially
-	// across strategies — two strategies' placements of the same
-	// benchmark never compete for CPUs and pollute each other's
-	// timings. Each strategy's placement may still fan out per
-	// function. All strategies compute their sets on the shared
-	// allocated program through one analysis cache — liveness,
-	// dominators, loops, PST, and the shrink-wrap seed are built once
-	// per function, by whichever strategy first needs them — and the
-	// sets are then translated onto a per-strategy clone for the
-	// mutation. Placement is cheap; the VM runs below dominate.
-	clones := make([]*ir.Program, numStrategies)
-	cache := opts.Cache
-	if cache == nil {
-		cache = analysis.NewCache()
-	}
-	funcs := strategy.NeedsPlacement(prog)
-	for _, s := range Strategies {
-		sets, elapsed, err := computeSets(funcs, s, opts.Parallelism, cache, nil)
-		if err != nil {
-			return nil, fmt.Errorf("bench %s: %s: %w", e.Name, s, err)
-		}
-		res.PlacementTime[s] = elapsed
-		clone := prog.Clone()
-		if err := applySets(clone, funcs, sets, opts.Parallelism); err != nil {
-			return nil, fmt.Errorf("bench %s: %s: %w", e.Name, s, err)
-		}
-		clones[s] = clone
-	}
-
-	// Re-placement timing (Table 2's incremental columns) runs on its
-	// own clone, serially, after the timed placements above and before
-	// the VM fan-out, so it never contends with either.
-	coldNs, sharedNs, incNs, rebuilds, _, err := measureReplacement(prog.Clone())
-	if err != nil {
-		return nil, fmt.Errorf("bench %s: re-placement: %w", e.Name, err)
-	}
-	res.ReplaceCold = time.Duration(coldNs)
-	res.ReplaceShared = time.Duration(sharedNs)
-	res.ReplaceIncremental = time.Duration(incNs)
-	res.ReplaceRebuilds = rebuilds
-
-	// Every strategy executes on its own clone in its own VM, so the
-	// four measurement runs fan out across the pool. Each slot is
-	// written by exactly one worker; the cross-strategy return value
-	// check runs after the barrier, in strategy order, so failures are
-	// reported exactly as the serial loop would report them.
-	var vals [numStrategies]int64
-	err = par.Do(len(Strategies), opts.Parallelism, func(i int) error {
-		s := Strategies[i]
-		v := vm.New(clones[s], vm.Config{Machine: mach, Engine: opts.Engine})
-		val, err := v.Run(0)
-		if err != nil {
-			return fmt.Errorf("bench %s: %s run: %w", e.Name, s, err)
-		}
-		vals[s] = val
-		res.Overhead[s] = v.Stats.Overhead()
-		res.Stats[s] = v.Stats.Snapshot()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.ReturnValue = vals[Baseline]
-	for _, s := range Strategies {
-		if vals[s] != res.ReturnValue {
-			return nil, fmt.Errorf("bench %s: %s computed %d, want %d", e.Name, s, vals[s], res.ReturnValue)
-		}
-	}
-	return res, nil
-}
-
 // computeSets computes and validates one strategy's placement for
 // every function in funcs (the shared allocated program), returning
 // the per-function sets and the time spent computing them (the
@@ -331,85 +178,6 @@ func computeSets(funcs []*ir.Func, s Strategy, parallelism int, cache *analysis.
 	return sets, elapsed, nil
 }
 
-// measureReplacement measures the cost of re-placing the paper's
-// configuration (HierarchicalJump) after its own placement edit, for
-// every function of prog that needs placement. Per function it places
-// once untimed through the delta path, then times three re-placements
-// of the edited function:
-//
-//   - incremental: ApplyDelta patches the warmed analyses in place and
-//     the compute rebuilds only the derived shrink-wrap seed;
-//   - shared: a second compute over the now fully warmed handle (the
-//     floor — pure hierarchical traversal);
-//   - cold: a compute over a fresh handle, rebuilding liveness,
-//     dominators, loops, the PST, and the seed from scratch.
-//
-// rebuilds counts functions whose incremental pass performed any full
-// analysis rebuild (checked via analysis.Counts); a healthy tree
-// reports 0. The sums feed Table 2 and the BENCH_analysis.json gate.
-func measureReplacement(prog *ir.Program) (coldNs, sharedNs, incNs int64, rebuilds, funcs int, err error) {
-	for _, f := range strategy.NeedsPlacement(prog) {
-		info := analysis.For(f)
-		sets, err := strategy.ComputeCachedFor(f, strategy.HierarchicalJump, info, nil)
-		if err != nil {
-			return 0, 0, 0, 0, 0, fmt.Errorf("%s: %w", f.Name, err)
-		}
-		delta, err := core.ApplyWithDelta(f, sets)
-		if err != nil {
-			return 0, 0, 0, 0, 0, fmt.Errorf("%s: %w", f.Name, err)
-		}
-		funcs++
-
-		before := info.Counts()
-		start := time.Now()
-		info.ApplyDelta(delta)
-		if _, err := strategy.ComputeCachedFor(f, strategy.HierarchicalJump, info, nil); err != nil {
-			return 0, 0, 0, 0, 0, fmt.Errorf("%s: incremental: %w", f.Name, err)
-		}
-		incNs += time.Since(start).Nanoseconds()
-		after := info.Counts()
-		if after.Liveness != before.Liveness || after.Dom != before.Dom ||
-			after.Loops != before.Loops || after.PST != before.PST || after.SplitDom != before.SplitDom {
-			rebuilds++
-		}
-
-		start = time.Now()
-		if _, err := strategy.ComputeCachedFor(f, strategy.HierarchicalJump, info, nil); err != nil {
-			return 0, 0, 0, 0, 0, fmt.Errorf("%s: shared: %w", f.Name, err)
-		}
-		sharedNs += time.Since(start).Nanoseconds()
-
-		start = time.Now()
-		if _, err := strategy.ComputeCachedFor(f, strategy.HierarchicalJump, analysis.For(f), nil); err != nil {
-			return 0, 0, 0, 0, 0, fmt.Errorf("%s: cold: %w", f.Name, err)
-		}
-		coldNs += time.Since(start).Nanoseconds()
-	}
-	return coldNs, sharedNs, incNs, rebuilds, funcs, nil
-}
-
-// place computes, validates, and applies one strategy's placement to
-// every procedure of prog in place, returning the compute time. The
-// consistency tests use it to place a single program without the
-// per-strategy clone-and-translate dance of RunEntry.
-func place(prog *ir.Program, s Strategy, parallelism int) (time.Duration, error) {
-	funcs := strategy.NeedsPlacement(prog)
-	sets, elapsed, err := computeSets(funcs, s, parallelism, analysis.NewCache(), nil)
-	if err != nil {
-		return 0, err
-	}
-	err = par.Do(len(funcs), parallelism, func(i int) error {
-		if err := core.Apply(funcs[i], sets[i]); err != nil {
-			return fmt.Errorf("%s: %w", funcs[i].Name, err)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return elapsed, nil
-}
-
 // applySets translates the sets computed on the shared base onto the
 // strategy's clone and applies them there.
 func applySets(clone *ir.Program, funcs []*ir.Func, sets [][]*core.Set, parallelism int) error {
@@ -425,35 +193,4 @@ func applySets(clone *ir.Program, funcs []*ir.Func, sets [][]*core.Set, parallel
 		}
 		return nil
 	})
-}
-
-// RunEntries runs every entry, sharded across a bounded pool of
-// workers (Options.Parallelism; <= 0 means GOMAXPROCS, 1 the serial
-// path). Workers pull entries from a shared queue — so one heavyweight
-// benchmark (gcc) does not serialize a whole static shard behind it —
-// and write results back by suite position, so the result order and
-// every measured count in it are byte-for-byte identical for any
-// parallelism; only wall-clock time changes. On error the
-// lowest-positioned failure is returned, as in the serial loop. When
-// several entries run concurrently, each runs its inner stages
-// serially; with a single entry (or parallelism 1) the inner stages
-// get the pool instead.
-func RunEntries(entries []Entry, opts Options) ([]*Result, error) {
-	inner := opts
-	if par.Limit(opts.Parallelism, len(entries)) > 1 {
-		inner.Parallelism = 1
-	}
-	out := make([]*Result, len(entries))
-	err := par.Do(len(entries), opts.Parallelism, func(i int) error {
-		r, err := RunEntry(entries[i], inner)
-		if err != nil {
-			return err
-		}
-		out[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

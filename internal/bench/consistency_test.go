@@ -7,6 +7,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/profile"
 	"repro/internal/regalloc"
+	"repro/internal/strategy"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -33,7 +34,7 @@ func TestMeasuredEqualsModeled(t *testing.T) {
 		}
 		for _, s := range Strategies {
 			clone := prog.Clone()
-			if _, err := place(clone, s, 1); err != nil {
+			if err := strategy.PlaceProgramFor(clone, s.technique(), nil, 1, nil); err != nil {
 				t.Fatalf("%s/%s: %v", name, s, err)
 			}
 			var modeled int64
@@ -86,7 +87,7 @@ func TestNonOverheadInstrsIdentical(t *testing.T) {
 	base := int64(-1)
 	for _, s := range Strategies {
 		clone := prog.Clone()
-		if _, err := place(clone, s, 1); err != nil {
+		if err := strategy.PlaceProgramFor(clone, s.technique(), nil, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 		v := vm.New(clone, vm.Config{Machine: mach})

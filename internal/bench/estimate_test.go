@@ -9,6 +9,7 @@ import (
 	"repro/internal/pst"
 	"repro/internal/regalloc"
 	"repro/internal/shrinkwrap"
+	"repro/internal/strategy"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -87,7 +88,7 @@ func TestEstimatedProfileExperiment(t *testing.T) {
 
 		baseline := func() int64 {
 			clone := prog.Clone()
-			if _, err := place(clone, Baseline, 1); err != nil {
+			if err := strategy.PlaceProgramFor(clone, Baseline.technique(), nil, 1, nil); err != nil {
 				t.Fatal(err)
 			}
 			v := vm.New(clone, vm.Config{Machine: mach})

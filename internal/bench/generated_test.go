@@ -9,10 +9,7 @@ import (
 // ordering claims intact.
 func TestGeneratedSuite(t *testing.T) {
 	entries := GeneratedSuite(5, 3)
-	results, err := RunEntries(entries, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := paperSweep(t, entries, Options{Parallelism: 1}).Results
 	if len(results) != 3 {
 		t.Fatalf("got %d results", len(results))
 	}
@@ -20,11 +17,12 @@ func TestGeneratedSuite(t *testing.T) {
 		if r.Name != entries[i].Name {
 			t.Errorf("result %d named %q, want %q", i, r.Name, entries[i].Name)
 		}
-		if r.Overhead[Optimized] > r.Overhead[Baseline] {
-			t.Errorf("%s: Optimized overhead %d > Baseline %d", r.Name, r.Overhead[Optimized], r.Overhead[Baseline])
+		o := overheads(r)
+		if o[Optimized] > o[Baseline] {
+			t.Errorf("%s: Optimized overhead %d > Baseline %d", r.Name, o[Optimized], o[Baseline])
 		}
-		if r.Overhead[Optimized] > r.Overhead[Shrinkwrap] {
-			t.Errorf("%s: Optimized overhead %d > Shrinkwrap %d", r.Name, r.Overhead[Optimized], r.Overhead[Shrinkwrap])
+		if o[Optimized] > o[Shrinkwrap] {
+			t.Errorf("%s: Optimized overhead %d > Shrinkwrap %d", r.Name, o[Optimized], o[Shrinkwrap])
 		}
 	}
 }
@@ -32,18 +30,12 @@ func TestGeneratedSuite(t *testing.T) {
 // TestGeneratedSuiteDeterministic: the same seeds measure identically
 // across runs and parallelism levels.
 func TestGeneratedSuiteDeterministic(t *testing.T) {
-	a, err := RunEntries(GeneratedSuite(9, 2), Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunEntries(GeneratedSuite(9, 2), Options{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := paperSweep(t, GeneratedSuite(9, 2), Options{Parallelism: 1}).Results
+	b := paperSweep(t, GeneratedSuite(9, 2), Options{Parallelism: 4}).Results
 	for i := range a {
-		if a[i].Overhead != b[i].Overhead || a[i].ReturnValue != b[i].ReturnValue {
+		if overheads(a[i]) != overheads(b[i]) || a[i].ReturnValue != b[i].ReturnValue {
 			t.Errorf("%s: serial and sharded runs disagree: %v/%d vs %v/%d",
-				a[i].Name, a[i].Overhead, a[i].ReturnValue, b[i].Overhead, b[i].ReturnValue)
+				a[i].Name, overheads(a[i]), a[i].ReturnValue, overheads(b[i]), b[i].ReturnValue)
 		}
 	}
 }

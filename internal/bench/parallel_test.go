@@ -27,32 +27,26 @@ func smallSuite() []workload.BenchParams {
 
 func TestShardedRunAllMatchesSerial(t *testing.T) {
 	suite := smallSuite()
-	serial, err := RunEntries(specEntries(suite), Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := paperSweep(t, specEntries(suite), Options{Parallelism: 1})
 	for _, par := range []int{2, 4, 0} {
-		sharded, err := RunEntries(specEntries(suite), Options{Parallelism: par})
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
+		sharded := paperSweep(t, specEntries(suite), Options{Parallelism: par})
+		if len(sharded.Results) != len(serial.Results) {
+			t.Fatalf("parallelism %d: %d results, want %d", par, len(sharded.Results), len(serial.Results))
 		}
-		if len(sharded) != len(serial) {
-			t.Fatalf("parallelism %d: %d results, want %d", par, len(sharded), len(serial))
-		}
-		for i, r := range sharded {
-			ref := serial[i]
+		for i, r := range sharded.Results {
+			ref := serial.Results[i]
 			if r.Name != ref.Name {
 				t.Fatalf("parallelism %d: result %d is %s, want %s (ordering broken)", par, i, r.Name, ref.Name)
 			}
-			if r.Overhead != ref.Overhead {
-				t.Errorf("parallelism %d: %s overheads %v != serial %v", par, r.Name, r.Overhead, ref.Overhead)
+			if overheads(r) != overheads(ref) {
+				t.Errorf("parallelism %d: %s overheads %v != serial %v", par, r.Name, overheads(r), overheads(ref))
 			}
 			if r.ReturnValue != ref.ReturnValue {
 				t.Errorf("parallelism %d: %s value %d != serial %d", par, r.Name, r.ReturnValue, ref.ReturnValue)
 			}
 			for _, s := range Strategies {
-				if !reflect.DeepEqual(r.Stats[s], ref.Stats[s]) {
-					t.Errorf("parallelism %d: %s/%s stats diverge:\n%+v\nwant\n%+v", par, r.Name, s, r.Stats[s], ref.Stats[s])
+				if !reflect.DeepEqual(r.Cells[0][s].Stats, ref.Cells[0][s].Stats) {
+					t.Errorf("parallelism %d: %s/%s stats diverge:\n%+v\nwant\n%+v", par, r.Name, s, r.Cells[0][s].Stats, ref.Cells[0][s].Stats)
 				}
 			}
 		}
@@ -72,18 +66,16 @@ func TestShardedRunAllMatchesSerial(t *testing.T) {
 
 func TestSuiteStatsMergesCalls(t *testing.T) {
 	suite := smallSuite()
-	results, err := RunEntries(specEntries(suite), Options{Parallelism: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := SuiteStats(results)
+	sw := paperSweep(t, specEntries(suite), Options{Parallelism: 0})
+	results := sw.Results
+	merged := SuiteStats(sw)
 	for _, s := range Strategies {
 		var instrs, overhead int64
 		calls := map[string]int64{}
 		for _, r := range results {
-			instrs += r.Stats[s].Instrs
-			overhead += r.Stats[s].Overhead()
-			for name, n := range r.Stats[s].Calls {
+			instrs += r.Cells[0][s].Stats.Instrs
+			overhead += r.Cells[0][s].Stats.Overhead()
+			for name, n := range r.Cells[0][s].Stats.Calls {
 				calls[name] += n
 			}
 		}

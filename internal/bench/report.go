@@ -7,17 +7,23 @@ import (
 	"repro/internal/vm"
 )
 
+// The paper's tables read a one-machine sweep: every function below
+// reports the sweep's first machine, which for the paper's evaluation
+// is the unit-cost classic preset, where the weighted overhead is the
+// executed overhead instruction count.
+
 // Figure5 formats the total dynamic spill overhead chart data: one row
 // per benchmark, one column per strategy, mirroring the paper's
 // Figure 5.
-func Figure5(results []*Result) string {
+func Figure5(sw *Sweep) string {
 	var b strings.Builder
 	b.WriteString("Figure 5: total dynamic spill code overhead (executed overhead instructions)\n\n")
 	fmt.Fprintf(&b, "%-10s %14s %14s %14s %14s\n", "benchmark", "Optimized", "Shrinkwrap", "Baseline", "Opt(exec)*")
-	for _, r := range results {
+	for _, r := range sw.Results {
+		c := &r.Cells[0]
 		fmt.Fprintf(&b, "%-10s %14d %14d %14d %14d\n",
-			r.Name, r.Overhead[Optimized], r.Overhead[Shrinkwrap], r.Overhead[Baseline],
-			r.Overhead[OptimizedExec])
+			r.Name, c[Optimized].WeightedOverhead, c[Shrinkwrap].WeightedOverhead, c[Baseline].WeightedOverhead,
+			c[OptimizedExec].WeightedOverhead)
 	}
 	b.WriteString("\n*Opt(exec): exec-count cost model realized with jump blocks — an ablation\n")
 	b.WriteString(" the paper could not run (GCC cannot execute spill code on jump edges).\n")
@@ -27,17 +33,17 @@ func Figure5(results []*Result) string {
 // Table1 formats the overhead ratios relative to entry/exit placement,
 // mirroring the paper's Table 1 (paper averages: optimized 84.8%,
 // shrink-wrap 99.3%).
-func Table1(results []*Result) string {
+func Table1(sw *Sweep) string {
 	var b strings.Builder
 	b.WriteString("Table 1: dynamic spill overhead relative to entry/exit placement\n\n")
 	fmt.Fprintf(&b, "%-10s %22s %22s\n", "benchmark", "Optimized/Baseline", "Shrinkwrap/Baseline")
 	var so, ss float64
-	for _, r := range results {
-		fmt.Fprintf(&b, "%-10s %21.1f%% %21.1f%%\n", r.Name, r.Ratio(Optimized), r.Ratio(Shrinkwrap))
-		so += r.Ratio(Optimized)
-		ss += r.Ratio(Shrinkwrap)
+	for _, r := range sw.Results {
+		fmt.Fprintf(&b, "%-10s %21.1f%% %21.1f%%\n", r.Name, r.Ratio(0, Optimized), r.Ratio(0, Shrinkwrap))
+		so += r.Ratio(0, Optimized)
+		ss += r.Ratio(0, Shrinkwrap)
 	}
-	n := float64(len(results))
+	n := float64(len(sw.Results))
 	fmt.Fprintf(&b, "%-10s %21.1f%% %21.1f%%\n", "Average", so/n, ss/n)
 	return b.String()
 }
@@ -45,75 +51,45 @@ func Table1(results []*Result) string {
 // Table2 formats the incremental compile time of shrink-wrapping and
 // the hierarchical algorithm relative to entry/exit placement,
 // mirroring the paper's Table 2 (paper average ratio: 5.44).
-func Table2(results []*Result) string {
+// BenchAnalysis times re-placement after an edit.
+func Table2(sw *Sweep) string {
 	var b strings.Builder
 	b.WriteString("Table 2: incremental placement time vs entry/exit placement\n\n")
 	fmt.Fprintf(&b, "%-10s %18s %18s %8s\n", "benchmark", "Shrinkwrap", "Optimized", "Ratio")
 	var sumSw, sumOpt float64
 	var sumRatio float64
 	n := 0
-	for _, r := range results {
-		sw := r.PlacementTime[Shrinkwrap].Seconds() * 1e3
-		opt := r.PlacementTime[Optimized].Seconds() * 1e3
+	for _, r := range sw.Results {
+		wrap := r.Cells[0][Shrinkwrap].PlacementTime.Seconds() * 1e3
+		opt := r.Cells[0][Optimized].PlacementTime.Seconds() * 1e3
 		ratio := 0.0
-		if sw > 0 {
-			ratio = opt / sw
+		if wrap > 0 {
+			ratio = opt / wrap
 			sumRatio += ratio
 			n++
 		}
-		sumSw += sw
+		sumSw += wrap
 		sumOpt += opt
-		fmt.Fprintf(&b, "%-10s %15.3fms %15.3fms %8.2f\n", r.Name, sw, opt, ratio)
+		fmt.Fprintf(&b, "%-10s %15.3fms %15.3fms %8.2f\n", r.Name, wrap, opt, ratio)
 	}
 	avgRatio := 0.0
 	if n > 0 {
 		avgRatio = sumRatio / float64(n)
 	}
 	fmt.Fprintf(&b, "%-10s %15.3fms %15.3fms %8.2f\n", "Average",
-		sumSw/float64(len(results)), sumOpt/float64(len(results)), avgRatio)
+		sumSw/float64(len(sw.Results)), sumOpt/float64(len(sw.Results)), avgRatio)
 
 	// All-strategy placement total: the suite's whole compile-side
 	// placement cost, the number the shared analysis layer shrinks
 	// (per-strategy columns hide sharing, since whichever strategy
 	// first needs an analysis is charged for building it).
 	var total float64
-	for _, r := range results {
+	for _, r := range sw.Results {
 		for _, s := range Strategies {
-			total += r.PlacementTime[s].Seconds() * 1e3
+			total += r.Cells[0][s].PlacementTime.Seconds() * 1e3
 		}
 	}
 	fmt.Fprintf(&b, "\nTotal placement compute time, all %d strategies: %.3fms\n", len(Strategies), total)
-
-	// Re-placement: the cost of computing the optimized placement again
-	// after a one-edge edit to an already-placed function — cold (fresh
-	// analyses), shared (warm cache), and incremental (analyses patched
-	// via core.Delta instead of rebuilt).
-	b.WriteString("\nRe-placement after edit: cold vs shared vs incremental analyses\n\n")
-	fmt.Fprintf(&b, "%-10s %15s %15s %15s %9s %9s\n",
-		"benchmark", "Cold", "Shared", "Incremental", "Cold/Inc", "rebuilds")
-	var sumCold, sumShared, sumInc float64
-	rebuilds := 0
-	for _, r := range results {
-		cold := r.ReplaceCold.Seconds() * 1e3
-		shared := r.ReplaceShared.Seconds() * 1e3
-		inc := r.ReplaceIncremental.Seconds() * 1e3
-		speedup := 0.0
-		if inc > 0 {
-			speedup = cold / inc
-		}
-		sumCold += cold
-		sumShared += shared
-		sumInc += inc
-		rebuilds += r.ReplaceRebuilds
-		fmt.Fprintf(&b, "%-10s %13.3fms %13.3fms %13.3fms %8.2fx %9d\n",
-			r.Name, cold, shared, inc, speedup, r.ReplaceRebuilds)
-	}
-	totalSpeedup := 0.0
-	if sumInc > 0 {
-		totalSpeedup = sumCold / sumInc
-	}
-	fmt.Fprintf(&b, "%-10s %13.3fms %13.3fms %13.3fms %8.2fx %9d\n",
-		"Total", sumCold, sumShared, sumInc, totalSpeedup, rebuilds)
 	return b.String()
 }
 
@@ -130,14 +106,10 @@ func SweepTables(sw *Sweep) string {
 		fmt.Fprintf(&b, "%-10s %14s %14s %14s %14s %9s\n",
 			"benchmark", "Optimized", "Shrinkwrap", "Baseline", "Opt(exec)", "Opt/Base")
 		for _, r := range sw.Results {
-			c := r.Cells[mi]
-			ratio := 100.0
-			if c[Baseline].WeightedOverhead != 0 {
-				ratio = 100 * float64(c[Optimized].WeightedOverhead) / float64(c[Baseline].WeightedOverhead)
-			}
+			c := &r.Cells[mi]
 			fmt.Fprintf(&b, "%-10s %14d %14d %14d %14d %8.1f%%\n",
 				r.Name, c[Optimized].WeightedOverhead, c[Shrinkwrap].WeightedOverhead,
-				c[Baseline].WeightedOverhead, c[OptimizedExec].WeightedOverhead, ratio)
+				c[Baseline].WeightedOverhead, c[OptimizedExec].WeightedOverhead, r.Ratio(mi, Optimized))
 		}
 		totalRatio := 100.0
 		if t.Overhead[Baseline] != 0 {
@@ -168,16 +140,16 @@ func SweepTables(sw *Sweep) string {
 
 // SuiteStats merges every benchmark's VM execution counters into one
 // suite-wide total per strategy. Merging is order-independent, so the
-// totals are identical whether the results came from the serial loop
-// or from concurrent shards.
-func SuiteStats(results []*Result) [numStrategies]vm.Stats {
+// totals are identical whether the benchmarks ran serially or in
+// concurrent shards.
+func SuiteStats(sw *Sweep) [numStrategies]vm.Stats {
 	var out [numStrategies]vm.Stats
 	for s := range out {
 		out[s].Calls = make(map[string]int64)
 	}
-	for _, r := range results {
+	for _, r := range sw.Results {
 		for _, s := range Strategies {
-			out[s].Merge(&r.Stats[s])
+			out[s].Merge(&r.Cells[0][s].Stats)
 		}
 	}
 	return out
@@ -185,8 +157,8 @@ func SuiteStats(results []*Result) [numStrategies]vm.Stats {
 
 // Totals formats the merged suite-wide execution counters: dynamic
 // instructions, total spill overhead, and its breakdown per strategy.
-func Totals(results []*Result) string {
-	stats := SuiteStats(results)
+func Totals(sw *Sweep) string {
+	stats := SuiteStats(sw)
 	var b strings.Builder
 	b.WriteString("Suite totals: merged dynamic counts across all benchmarks\n\n")
 	fmt.Fprintf(&b, "%-14s %16s %14s %10s %10s %10s %10s %8s\n",

@@ -3,10 +3,11 @@ package bench
 // sweep.go runs the evaluation across machine descriptions: every
 // strategy placed and measured under every machine cost preset, all
 // presets sharing one register allocation and one analysis cache per
-// benchmark. The paper evaluates one hard-coded machine; the sweep
-// shows where its claim — optimal placement beats shrink-wrapping and
-// entry/exit placement — holds and where the winner crosses over as
-// the jump:spill latency ratio moves.
+// benchmark. The paper evaluates one machine, the unit-cost classic
+// preset, and its Figure 5 and Tables 1-2 are that one-machine sweep;
+// across presets the sweep shows where the paper's claim — optimal
+// placement beats shrink-wrapping and entry/exit placement — holds and
+// where the winner crosses over as the jump:spill latency ratio moves.
 
 import (
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/layout"
 	"repro/internal/machine"
 	"repro/internal/par"
 	"repro/internal/profile"
@@ -36,6 +38,9 @@ type SweepCell struct {
 	// this machine (analyses shared through the benchmark's cache are
 	// charged to whichever machine/strategy builds them first).
 	PlacementTime time.Duration
+	// Stats holds the measurement run's full VM execution counters
+	// (deep-copied, so concurrent runs never share a Calls map).
+	Stats vm.Stats
 }
 
 // SweepBench holds one benchmark's cells, indexed [machine][strategy].
@@ -43,6 +48,21 @@ type SweepBench struct {
 	Name        string
 	Cells       [][numStrategies]SweepCell
 	ReturnValue int64
+	// Procedures and Instrs describe the allocated program.
+	Procedures int
+	Instrs     int
+	// SpilledVregs counts allocator-spilled virtual registers.
+	SpilledVregs int
+}
+
+// Ratio returns the weighted overhead of strategy s under machine mi
+// as a percentage of Baseline's.
+func (r *SweepBench) Ratio(mi int, s Strategy) float64 {
+	c := &r.Cells[mi]
+	if c[Baseline].WeightedOverhead == 0 {
+		return 100
+	}
+	return 100 * float64(c[s].WeightedOverhead) / float64(c[Baseline].WeightedOverhead)
 }
 
 // Winner returns the benchmark's winning strategy under machine mi:
@@ -111,14 +131,19 @@ func (sw *Sweep) MachineTotals() []MachineTotal {
 }
 
 // RunSweep evaluates every strategy under every machine description
-// over the given entries. All machines must share one register file
-// (machine.Presets do): each benchmark is generated, profiled, and
-// register-allocated once, and every (machine, strategy) placement
-// computes its sets through that benchmark's single analysis.Cache —
-// liveness, dominators, loops, PST, and the shrink-wrap seed are built
-// at most once per function for the whole sweep. Only the hierarchical
-// traversals (which read the machine's cost model) and the measurement
-// runs repeat per machine.
+// over the given entries; an empty list sweeps every preset, and the
+// classic preset alone is the paper's evaluation. All machines must
+// share one register file (machine.Presets do): each benchmark is
+// generated, profiled, and register-allocated once, and every
+// (machine, strategy) placement computes its sets through that
+// benchmark's single analysis.Cache — liveness, dominators, loops,
+// PST, and the shrink-wrap seed are built at most once per function
+// for the whole sweep. Only the hierarchical traversals (which read
+// the machine's cost model) and the measurement runs repeat per
+// machine. Entries are sharded across the pool and their results kept
+// in input order, so every measured count is identical for any
+// Options.Parallelism; when several entries run concurrently, each
+// runs its inner stages serially.
 func RunSweep(entries []Entry, machines []*machine.Desc, opts Options) (*Sweep, error) {
 	if len(machines) == 0 {
 		machines = machine.Presets()
@@ -163,8 +188,9 @@ func RunSweep(entries []Entry, machines []*machine.Desc, opts Options) (*Sweep, 
 }
 
 // runSweepEntry runs one benchmark through the sweep: one generate/
-// profile/allocate, then per (machine, strategy) placement on clones
-// and a measurement run per clone.
+// profile/allocate (and align, under Options.Align), then per
+// (machine, strategy) placement on clones and a measurement run per
+// clone.
 func runSweepEntry(e Entry, machines []*machine.Desc, opts Options) (*SweepBench, analysis.Counts, int, error) {
 	prog := e.Gen()
 	if _, err := profile.Collect(prog, vm.Config{Engine: opts.Engine}, 0); err != nil {
@@ -173,11 +199,21 @@ func runSweepEntry(e Entry, machines []*machine.Desc, opts Options) (*SweepBench
 	if err := profile.Consistent(prog); err != nil {
 		return nil, analysis.Counts{}, 0, fmt.Errorf("sweep %s: %w", e.Name, err)
 	}
-	if _, err := regalloc.AllocateProgram(prog, machines[0], opts.Parallelism, regalloc.Options{MachineCosts: opts.MachineAlloc}); err != nil {
+	allocRes, err := regalloc.AllocateProgram(prog, machines[0], opts.Parallelism, regalloc.Options{MachineCosts: opts.MachineAlloc})
+	if err != nil {
 		return nil, analysis.Counts{}, 0, fmt.Errorf("sweep %s: regalloc: %w", e.Name, err)
 	}
 
-	res := &SweepBench{Name: e.Name, Cells: make([][numStrategies]SweepCell, len(machines))}
+	res := &SweepBench{Name: e.Name, Cells: make([][numStrategies]SweepCell, len(machines)), Procedures: len(prog.Funcs)}
+	for _, f := range prog.FuncsInOrder() {
+		if opts.Align {
+			layout.Align(f)
+		}
+		res.Instrs += f.Instrs()
+	}
+	for _, ar := range allocRes {
+		res.SpilledVregs += len(ar.Spilled)
+	}
 	cache := analysis.NewCache()
 	funcs := strategy.NeedsPlacement(prog)
 
@@ -229,7 +265,7 @@ func runSweepEntry(e Entry, machines []*machine.Desc, opts Options) (*SweepBench
 	// fan out across the pool. The convention checker uses the shared
 	// register file; only the pricing differs per machine.
 	vals := make([]int64, len(runs))
-	err := par.Do(len(runs), opts.Parallelism, func(i int) error {
+	err = par.Do(len(runs), opts.Parallelism, func(i int) error {
 		r := runs[i]
 		v := vm.New(r.clone, vm.Config{Machine: machines[0], Engine: opts.Engine})
 		val, err := v.Run(0)
@@ -237,12 +273,12 @@ func runSweepEntry(e Entry, machines []*machine.Desc, opts Options) (*SweepBench
 			return fmt.Errorf("sweep %s: %s@%s run: %w", e.Name, r.s, machines[r.mi].Name, err)
 		}
 		vals[i] = val
-		if r.all {
-			for pm, pd := range machines {
+		st := v.Stats.Snapshot()
+		for pm, pd := range machines {
+			if pm == r.mi || r.all {
 				res.Cells[pm][r.s].WeightedOverhead = v.Stats.WeightedOverhead(pd.Costs)
+				res.Cells[pm][r.s].Stats = st
 			}
-		} else {
-			res.Cells[r.mi][r.s].WeightedOverhead = v.Stats.WeightedOverhead(machines[r.mi].Costs)
 		}
 		return nil
 	})

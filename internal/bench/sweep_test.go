@@ -46,36 +46,6 @@ func TestSweepSharesAnalyses(t *testing.T) {
 	}
 }
 
-// TestSweepClassicMatchesRunEntry: under the classic (unit-cost)
-// preset the sweep's weighted overheads must equal RunEntry's measured
-// counts exactly — the machine parameterization changes nothing on the
-// paper's machine.
-func TestSweepClassicMatchesRunEntry(t *testing.T) {
-	entries := sweepEntries()
-	classic, err := machine.Preset("classic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := RunSweep(entries, []*machine.Desc{classic}, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range entries {
-		ref, err := RunEntry(e, Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range Strategies {
-			if got, want := sw.Results[i].Cells[0][s].WeightedOverhead, ref.Overhead[s]; got != want {
-				t.Errorf("%s/%s: classic sweep overhead %d != RunEntry %d", e.Name, s, got, want)
-			}
-		}
-		if sw.Results[i].ReturnValue != ref.ReturnValue {
-			t.Errorf("%s: sweep value %d != RunEntry %d", e.Name, sw.Results[i].ReturnValue, ref.ReturnValue)
-		}
-	}
-}
-
 // TestSweepWinners: every machine total names a winner that really has
 // the lowest weighted overhead, and the baseline never beats the
 // paper's configuration on any preset (the claim's graceful

@@ -24,16 +24,13 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
 	}
-	results, err := RunEntries(specEntries(workload.SPECInt2000()), Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]*Result{}
+	results := paperSweep(t, specEntries(workload.SPECInt2000()), Options{Parallelism: 1}).Results
+	byName := map[string]*SweepBench{}
 	var sumOpt, sumSw, paperOpt, paperSw float64
 	for _, r := range results {
 		byName[r.Name] = r
-		sumOpt += r.Ratio(Optimized)
-		sumSw += r.Ratio(Shrinkwrap)
+		sumOpt += r.Ratio(0, Optimized)
+		sumSw += r.Ratio(0, Shrinkwrap)
 		paperOpt += paperTable1[r.Name][0]
 		paperSw += paperTable1[r.Name][1]
 	}
@@ -44,13 +41,13 @@ func TestTable1Shape(t *testing.T) {
 		if r == nil {
 			t.Fatalf("missing benchmark %s", name)
 		}
-		if d := math.Abs(r.Ratio(Optimized) - want[0]); d > perBench {
+		if d := math.Abs(r.Ratio(0, Optimized) - want[0]); d > perBench {
 			t.Errorf("%s optimized ratio %.1f%%, paper %.1f%% (off by %.1f)",
-				name, r.Ratio(Optimized), want[0], d)
+				name, r.Ratio(0, Optimized), want[0], d)
 		}
-		if d := math.Abs(r.Ratio(Shrinkwrap) - want[1]); d > perBench {
+		if d := math.Abs(r.Ratio(0, Shrinkwrap) - want[1]); d > perBench {
 			t.Errorf("%s shrinkwrap ratio %.1f%%, paper %.1f%% (off by %.1f)",
-				name, r.Ratio(Shrinkwrap), want[1], d)
+				name, r.Ratio(0, Shrinkwrap), want[1], d)
 		}
 	}
 
@@ -64,20 +61,21 @@ func TestTable1Shape(t *testing.T) {
 
 	// Qualitative facts from the paper's discussion:
 	// the biggest hierarchical wins are gcc and crafty;
-	if byName["crafty"].Ratio(Optimized) > 60 || byName["gcc"].Ratio(Optimized) > 70 {
+	if byName["crafty"].Ratio(0, Optimized) > 60 || byName["gcc"].Ratio(0, Optimized) > 70 {
 		t.Error("gcc and crafty should show the deepest optimized wins")
 	}
 	// mcf has almost no callee-saved spill overhead;
-	if byName["mcf"].Overhead[Baseline] > 100 {
-		t.Errorf("mcf overhead should be tiny, got %d", byName["mcf"].Overhead[Baseline])
+	if mcf := byName["mcf"].Cells[0][Baseline].WeightedOverhead; mcf > 100 {
+		t.Errorf("mcf overhead should be tiny, got %d", mcf)
 	}
 	// shrink-wrapping loses to entry/exit on twolf (its worst case);
-	if byName["twolf"].Ratio(Shrinkwrap) <= 100 {
+	if byName["twolf"].Ratio(0, Shrinkwrap) <= 100 {
 		t.Error("twolf shrink-wrap should exceed entry/exit placement")
 	}
 	// and the optimized placement never exceeds either technique.
 	for _, r := range results {
-		if r.Overhead[Optimized] > r.Overhead[Baseline] || r.Overhead[Optimized] > r.Overhead[Shrinkwrap] {
+		c := &r.Cells[0]
+		if c[Optimized].WeightedOverhead > c[Baseline].WeightedOverhead || c[Optimized].WeightedOverhead > c[Shrinkwrap].WeightedOverhead {
 			t.Errorf("%s: never-worse guarantee violated", r.Name)
 		}
 	}
@@ -88,11 +86,8 @@ func TestReportsRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in short mode")
 	}
-	results, err := RunEntries(specEntries(workload.SPECInt2000()[:2]), Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []string{Figure5(results), Table1(results), Table2(results)} {
+	sw := paperSweep(t, specEntries(workload.SPECInt2000()[:2]), Options{Parallelism: 1})
+	for _, s := range []string{Figure5(sw), Table1(sw), Table2(sw)} {
 		if len(s) < 50 {
 			t.Errorf("report suspiciously short:\n%s", s)
 		}
@@ -102,15 +97,19 @@ func TestReportsRender(t *testing.T) {
 // TestDeterministicRuns checks the whole pipeline is reproducible.
 func TestDeterministicRuns(t *testing.T) {
 	p := workload.SPECInt2000()[3] // mcf, the smallest
-	r1, err := RunEntry(EntryFor(p), Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := RunEntry(EntryFor(p), Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Overhead != r2.Overhead || r1.ReturnValue != r2.ReturnValue {
+	r1 := paperSweep(t, []Entry{EntryFor(p)}, Options{Parallelism: 1}).Results[0]
+	r2 := paperSweep(t, []Entry{EntryFor(p)}, Options{Parallelism: 1}).Results[0]
+	if overheads(r1) != overheads(r2) || r1.ReturnValue != r2.ReturnValue {
 		t.Error("pipeline is not deterministic")
 	}
+}
+
+// overheads returns the benchmark's per-strategy weighted overheads on
+// the sweep's first machine.
+func overheads(r *SweepBench) [numStrategies]int64 {
+	var out [numStrategies]int64
+	for _, s := range Strategies {
+		out[s] = r.Cells[0][s].WeightedOverhead
+	}
+	return out
 }

@@ -65,7 +65,7 @@ type VMBench struct {
 // allocate, place the paper's configuration) and then executes the
 // placed program reps times per engine under the measurement
 // configuration — convention checking on, a fresh VM per run, exactly
-// as RunEntry measures — timing only the VM executions.
+// as RunSweep measures — timing only the VM executions.
 func BenchVM(suite []workload.BenchParams, reps int) (*VMBench, error) {
 	if reps <= 0 {
 		reps = 3

@@ -2,13 +2,8 @@
 // behind the placement service: a concurrency-safe LRU keyed on
 // arbitrary comparable keys (in the service, content hashes of
 // canonical IR plus the machine preset and strategy) with a dual
-// entry-count and byte-budget eviction policy.
-//
-// The same eviction machinery bounds the lifetime of the shared
-// analysis.Cache in long-running processes: an eviction callback lets
-// the owner drop the evicted key's derived state (the server drops the
-// evicted function's analysis handle), which closes the
-// grows-monotonically leak the batch tools never hit.
+// entry-count and byte-budget eviction policy. An optional eviction
+// callback lets the owner drop state derived from an evicted key.
 package contentcache
 
 import (

@@ -37,11 +37,6 @@ type Options struct {
 	// runs (default regcode; the legacy tree interpreter is the
 	// differential reference).
 	Engine vm.Engine
-	// Cache, when non-nil, is the shared analysis layer the check's
-	// five strategies read instead of a private per-check cache. A
-	// sweep driver (cmd/spillfuzz) passes one cache across every seed
-	// so its hit/build counters prove sharing end to end.
-	Cache *analysis.Cache
 }
 
 // Violation is one broken invariant.
@@ -75,6 +70,10 @@ type Report struct {
 	// CalleeSavedFuncs counts functions whose allocation uses
 	// callee-saved registers — zero means the check was trivial.
 	CalleeSavedFuncs int
+	// Analysis holds the build counters of the check's private
+	// analysis cache, which the five strategies share: each analysis
+	// is built at most once per placed function.
+	Analysis analysis.Counts
 }
 
 // Failed reports whether any invariant broke.
@@ -192,10 +191,7 @@ func Check(prog *ir.Program, opts Options) *Report {
 	// PST, and the shrink-wrap seed are built once per function instead
 	// of once per strategy — then each strategy's sets are translated
 	// onto its own clone for the mutation and the measurement run.
-	cache := opts.Cache
-	if cache == nil {
-		cache = analysis.NewCache()
-	}
+	cache := analysis.NewCache()
 	for _, s := range strategy.All {
 		execCost[s] = make(map[string]int64, len(placed))
 		jumpCost[s] = make(map[string]int64, len(placed))
@@ -286,6 +282,7 @@ func Check(prog *ir.Program, opts Options) *Report {
 			}
 		}
 	}
+	r.Analysis = cache.Counts()
 
 	// Cross-strategy invariants need the runs they compare.
 	for _, s := range strategy.All {

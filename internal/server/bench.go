@@ -40,10 +40,9 @@ type BenchRecord struct {
 	ProgramMisses int64 `json:"program_misses"`
 	FunctionHits  int64 `json:"function_hits"`
 
-	// Eviction policy observability: the analysis cache's high-water
-	// mark must stay within budget plus in-flight slack, and the
-	// policy must have dropped handles.
-	AnalysisBudget int `json:"analysis_budget"`
+	// Analysis cache observability: the high-water mark must stay
+	// within the handles of requests in flight, and finished requests
+	// must have dropped theirs.
 	AnalysisLenMax int `json:"analysis_len_max"`
 	AnalysisDrops  int `json:"analysis_drops"`
 }
@@ -52,17 +51,12 @@ type BenchRecord struct {
 // shape is not comparable.
 const benchSuite = "irgen small corpus"
 
-// BenchAnalysisBudget is the standing benchmark's analysis-cache
-// budget: far below the corpus's function population, so the sweep
-// only passes if the eviction policy actually evicts.
-const BenchAnalysisBudget = 64
-
 // Bench boots an in-process service and drives the full loadgen
 // sweep: Distinct cold submissions, Distinct*Dups cached
 // resubmissions, and Distinct reordered variants that must be
 // assembled from the function-level cache.
 func Bench(distinct, dups, workers int) (*BenchRecord, error) {
-	s := New(Config{AnalysisBudget: BenchAnalysisBudget})
+	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -98,7 +92,6 @@ func NewRecord(res *LoadgenResult) *BenchRecord {
 		ProgramHits:    res.ProgramHits,
 		ProgramMisses:  res.ProgramMisses,
 		FunctionHits:   res.FunctionHits,
-		AnalysisBudget: res.AnalysisBudget,
 		AnalysisLenMax: res.AnalysisLenMax,
 		AnalysisDrops:  res.AnalysisDrops,
 	}

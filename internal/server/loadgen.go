@@ -83,7 +83,6 @@ type LoadgenResult struct {
 	ProgramMisses  int64 `json:"program_misses"`
 	FunctionHits   int64 `json:"function_hits"`
 	AnalysisLenMax int   `json:"analysis_len_max"`
-	AnalysisBudget int   `json:"analysis_budget"`
 	AnalysisDrops  int   `json:"analysis_drops"`
 }
 
@@ -174,7 +173,6 @@ func Loadgen(client *http.Client, baseURL string, opt LoadgenOptions) (*LoadgenR
 	res.ProgramMisses = s3.ProgramCache.Misses - s0.ProgramCache.Misses
 	res.FunctionHits = s3.FunctionCache.Hits - s2.FunctionCache.Hits
 	res.AnalysisLenMax = s3.AnalysisCache.LenMax
-	res.AnalysisBudget = s3.AnalysisCache.Budget
 	res.AnalysisDrops = s3.AnalysisCache.Drops - s0.AnalysisCache.Drops
 	return res, nil
 }

@@ -80,18 +80,16 @@ type RequestCounters struct {
 	InFlight   int64 `json:"in_flight"`
 }
 
-// AnalysisCacheStats reports the shared analysis cache and the
-// eviction policy bounding it.
+// AnalysisCacheStats reports the shared analysis cache.
 type AnalysisCacheStats struct {
 	// Len is the number of per-function analysis handles currently
 	// retained; LenMax its high-water mark over the process lifetime.
-	// The eviction policy keeps Len within Budget plus the functions
-	// of requests still in flight.
+	// Every request drops its handles when it finishes, so Len counts
+	// only the functions of requests still in flight: 0 at rest.
 	Len    int `json:"len"`
 	LenMax int `json:"len_max"`
-	Budget int `json:"budget"`
 	// Hits/Misses count per-function lookups inside the pipeline;
-	// Drops counts handles removed by the eviction policy.
+	// Drops counts handles finished requests removed.
 	Hits   int `json:"hits"`
 	Misses int `json:"misses"`
 	Drops  int `json:"drops"`

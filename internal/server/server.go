@@ -4,7 +4,7 @@
 // report, and returns per-function placements with machine-priced
 // overhead breakdowns. Results are content-cached at two levels
 // (whole program and single function, see internal/contentcache), the
-// shared analysis cache is bounded by an LRU eviction policy, and
+// shared analysis cache holds only the requests in flight, and
 // /metrics exposes every live counter. /healthz is a benchdiff-style
 // self-check: it pushes a canned program through the real pipeline
 // and reports invariant violations as findings.
@@ -24,7 +24,6 @@ import (
 	"repro"
 	"repro/internal/analysis"
 	"repro/internal/contentcache"
-	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/irtext"
 	"repro/internal/par"
@@ -57,10 +56,6 @@ type Config struct {
 	// Defaults 65536 / 64 MiB.
 	FunctionCacheEntries int
 	FunctionCacheBytes   int64
-	// AnalysisBudget bounds the shared analysis.Cache: an LRU over
-	// function handles drops the least recently placed function's
-	// analyses once more than this many are retained. Default 512.
-	AnalysisBudget int
 }
 
 func (c Config) withDefaults() Config {
@@ -89,9 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FunctionCacheBytes == 0 {
 		c.FunctionCacheBytes = 64 << 20
-	}
-	if c.AnalysisBudget == 0 {
-		c.AnalysisBudget = 512
 	}
 	return c
 }
@@ -177,17 +169,17 @@ const (
 	cacheFunction = "function"
 )
 
-// Server is the service state: the two content caches, the bounded
-// shared analysis cache, and the metrics. It has no background
-// goroutines; lifecycle is the HTTP server's (see cmd/spillserve).
+// Server is the service state: the two content caches, the shared
+// analysis cache, and the metrics. It has no background goroutines;
+// lifecycle is the HTTP server's (see cmd/spillserve).
 type Server struct {
 	cfg Config
 
-	// ac is shared across every request's pipeline; analysisLRU is the
-	// eviction policy bounding it — each finished request registers its
-	// functions, and evicted functions drop their analysis handles.
-	ac          *analysis.Cache
-	analysisLRU *contentcache.Cache[*ir.Func, struct{}]
+	// ac is shared across every request's pipeline. Each request
+	// parses fresh functions, so no request can reuse another's
+	// handles: a request drops its own when it finishes, and at rest
+	// the cache is empty. It exists for its counters (/metrics).
+	ac *analysis.Cache
 
 	progCache *contentcache.Cache[string, []byte]
 	funcCache *contentcache.Cache[funcKey, FunctionEntry]
@@ -204,7 +196,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, ac: analysis.NewCache(), metrics: newMetrics()}
-	s.analysisLRU = contentcache.New(cfg.AnalysisBudget, 0, func(f *ir.Func, _ struct{}) { s.ac.Drop(f) })
 	s.progCache = contentcache.New[string, []byte](cfg.ProgramCacheEntries, cfg.ProgramCacheBytes, nil)
 	s.funcCache = contentcache.New[funcKey, FunctionEntry](cfg.FunctionCacheEntries, cfg.FunctionCacheBytes, nil)
 	s.canned = irtext.Print(irgen.Generate(1, irgen.Small()))
@@ -371,6 +362,7 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 	}
 
 	prog.UseAnalysisCache(s.ac)
+	defer prog.Close()
 	prog.Parallelism = s.cfg.Parallelism
 	prog.MaxSteps = s.cfg.MaxVMSteps
 	if err := prog.UseEngine(req.Engine); err != nil {
@@ -412,14 +404,9 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 		}
 	}
 
-	// Full pipeline. However it exits, register the functions with the
-	// eviction policy: any analysis handles created below stay bounded.
-	defer func() {
-		for _, f := range funcs {
-			s.analysisLRU.Put(f, struct{}{}, 1)
-		}
-		s.metrics.placed(len(funcs), s.ac.Len())
-	}()
+	// Full pipeline. However it exits, record the analysis cache's
+	// size before the deferred Close drops this request's handles.
+	defer func() { s.metrics.placed(len(funcs), s.ac.Len()) }()
 	if err := prog.Allocate(); err != nil {
 		return fail(http.StatusBadRequest, err)
 	}
@@ -600,7 +587,6 @@ func (s *Server) snapshot() Snapshot {
 	sn.AnalysisCache = AnalysisCacheStats{
 		Len:    s.ac.Len(),
 		LenMax: lenMax,
-		Budget: s.cfg.AnalysisBudget,
 		Hits:   hits,
 		Misses: misses,
 		Drops:  s.ac.Drops(),

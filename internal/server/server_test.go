@@ -343,7 +343,7 @@ func TestTierPlacement(t *testing.T) {
 // (run under -race): mixed distinct and duplicate programs, every
 // response 200, and every duplicate byte-identical.
 func TestConcurrentSubmissions(t *testing.T) {
-	s, ts := newTestServer(t, Config{AnalysisBudget: 8})
+	s, ts := newTestServer(t, Config{})
 	const clients, iters = 8, 6
 	bodies := make([][][]byte, clients)
 	var wg sync.WaitGroup
@@ -385,35 +385,38 @@ func TestConcurrentSubmissions(t *testing.T) {
 			bySeed[seed] = bodies[c][i]
 		}
 	}
-	// The analysis cache stayed within budget plus in-flight slack.
+	// The analysis cache held only in-flight handles: empty at rest.
 	sn := s.snapshot()
-	if sn.AnalysisCache.LenMax > sn.AnalysisCache.Budget+8*clients {
-		t.Errorf("analysis cache LenMax %d exceeds budget %d + slack", sn.AnalysisCache.LenMax, sn.AnalysisCache.Budget)
+	if sn.AnalysisCache.LenMax > 8*clients {
+		t.Errorf("analysis cache LenMax %d exceeds 8 per client", sn.AnalysisCache.LenMax)
 	}
-	if sn.AnalysisCache.Len > sn.AnalysisCache.Budget {
-		t.Errorf("analysis cache Len %d exceeds budget %d at rest", sn.AnalysisCache.Len, sn.AnalysisCache.Budget)
+	if sn.AnalysisCache.Len != 0 {
+		t.Errorf("analysis cache Len %d at rest, want 0", sn.AnalysisCache.Len)
 	}
 	if sn.AnalysisCache.Drops == 0 {
-		t.Error("eviction policy never dropped an analysis handle")
+		t.Error("no request dropped an analysis handle")
 	}
 }
 
-// TestAnalysisCacheBounded: with a tiny budget, a serial stream of
-// distinct programs cannot grow the shared analysis cache — the LRU
-// eviction policy drops handles as new functions retire.
+// TestAnalysisCacheBounded: a serial stream of distinct programs
+// cannot grow the shared analysis cache — every request drops its
+// handles when it finishes.
 func TestAnalysisCacheBounded(t *testing.T) {
-	s, ts := newTestServer(t, Config{AnalysisBudget: 4})
+	s, ts := newTestServer(t, Config{})
 	for seed := uint64(20); seed < 35; seed++ {
 		resp, body := post(t, ts, PlaceRequest{IR: testProgram(seed), Args: []int64{5}})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("seed %d: status %d: %s", seed, resp.StatusCode, body)
 		}
-		if got := s.ac.Len(); got > 4 {
-			t.Fatalf("analysis cache Len %d exceeds budget 4 after serial request", got)
+		if got := s.ac.Len(); got != 0 {
+			t.Fatalf("analysis cache Len %d after serial request, want 0", got)
 		}
 	}
+	if sn := s.snapshot(); sn.AnalysisCache.LenMax > 8 {
+		t.Errorf("analysis cache LenMax %d exceeds 8 for one client", sn.AnalysisCache.LenMax)
+	}
 	if s.ac.Drops() == 0 {
-		t.Error("no drops despite 15 distinct programs against budget 4")
+		t.Error("no drops after 15 distinct programs")
 	}
 }
 
@@ -448,8 +451,9 @@ func TestMetricsAndHealthz(t *testing.T) {
 	if sn.ProgramCache.Hits == 0 || sn.ProgramCache.Misses == 0 {
 		t.Errorf("healthz did not exercise the program cache: %+v", sn.ProgramCache)
 	}
-	if sn.AnalysisCache.Budget == 0 {
-		t.Error("metrics reports no analysis budget")
+	// The self-check's requests dropped their analysis handles.
+	if sn.AnalysisCache.Drops == 0 || sn.AnalysisCache.Len != 0 {
+		t.Errorf("healthz left analysis handles behind: %+v", sn.AnalysisCache)
 	}
 	// healthz runs place() directly, not through HTTP, so request
 	// counters only reflect real requests.
@@ -480,8 +484,15 @@ func TestLoadgenSmoke(t *testing.T) {
 	if res.CachedSpeedup <= 1 {
 		t.Errorf("cached speedup = %.2f, want > 1", res.CachedSpeedup)
 	}
-	if res.AnalysisLenMax > res.AnalysisBudget+8*opt.Workers {
-		t.Errorf("analysis LenMax %d exceeds budget %d + slack", res.AnalysisLenMax, res.AnalysisBudget)
+	if res.AnalysisLenMax > 8*opt.Workers {
+		t.Errorf("analysis LenMax %d exceeds 8 per client", res.AnalysisLenMax)
+	}
+	sn, err := metricsSnapshot(ts.Client(), ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn.AnalysisCache.Len != 0 {
+		t.Errorf("analysis cache Len %d at rest, want 0", sn.AnalysisCache.Len)
 	}
 }
 

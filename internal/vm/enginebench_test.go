@@ -3,7 +3,7 @@ package vm_test
 // Engine throughput benchmarks: the same placed SPEC stand-in program
 // executed by each engine under the measurement configuration
 // (convention checking on, edge collection off — exactly what
-// bench.RunEntry measures). CI runs these with -benchtime=1x as a
+// bench.RunSweep measures). CI runs these with -benchtime=1x as a
 // smoke test; EXPERIMENTS.md records full runs.
 
 import (

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/irtext"
+	"repro/internal/machine"
 )
 
 // allocated profiles and allocates src, returning the facade
@@ -69,7 +70,11 @@ func TestPlacementCostMatchesMeasurement(t *testing.T) {
 // strategy (bench profiles and runs with argument 0).
 func TestPlacementCostMatchesBench(t *testing.T) {
 	src := irtext.Print(irgen.Generate(11, irgen.Default()))
-	res, err := bench.RunEntry(bench.Entry{
+	classic, err := machine.Preset("classic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := bench.RunSweep([]bench.Entry{{
 		Name: "gen11",
 		Gen: func() *ir.Program {
 			prog, err := irtext.Parse(src)
@@ -78,11 +83,11 @@ func TestPlacementCostMatchesBench(t *testing.T) {
 			}
 			return prog
 		},
-	}, bench.Options{Parallelism: 1})
+	}}, []*machine.Desc{classic}, bench.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := res.Stats[bench.Baseline]
+	st := sw.Results[0].Cells[0][bench.Baseline].Stats
 	measured := st.Saves + st.Restores + st.JumpBlockJmps
 
 	p := allocated(t, src, 0)
