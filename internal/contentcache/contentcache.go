@@ -2,8 +2,7 @@
 // behind the placement service: a concurrency-safe LRU keyed on
 // arbitrary comparable keys (in the service, content hashes of
 // canonical IR plus the machine preset and strategy) with a dual
-// entry-count and byte-budget eviction policy. An optional eviction
-// callback lets the owner drop state derived from an evicted key.
+// entry-count and byte-budget eviction policy.
 package contentcache
 
 import (
@@ -34,7 +33,6 @@ type Cache[K comparable, V any] struct {
 	hits       int64
 	misses     int64
 	evictions  int64
-	onEvict    func(K, V)
 }
 
 type entry[K comparable, V any] struct {
@@ -44,16 +42,13 @@ type entry[K comparable, V any] struct {
 }
 
 // New returns a cache bounded to maxEntries entries and maxBytes total
-// entry size (either may be <= 0 for unbounded). onEvict, if non-nil,
-// runs outside the cache lock for every evicted entry — eviction
-// policy hook for derived per-key state (e.g. analysis.Cache.Drop).
-func New[K comparable, V any](maxEntries int, maxBytes int64, onEvict func(K, V)) *Cache[K, V] {
+// entry size (either may be <= 0 for unbounded).
+func New[K comparable, V any](maxEntries int, maxBytes int64) *Cache[K, V] {
 	return &Cache[K, V]{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 		ll:         list.New(),
 		m:          make(map[K]*list.Element),
-		onEvict:    onEvict,
 	}
 }
 
@@ -83,8 +78,8 @@ func (c *Cache[K, V]) Put(k K, v V, size int64) {
 	if c.maxBytes > 0 && size > c.maxBytes {
 		return
 	}
-	var evicted []*entry[K, V]
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.m[k]; ok {
 		e := el.Value.(*entry[K, V])
 		c.bytes += size - e.size
@@ -105,13 +100,6 @@ func (c *Cache[K, V]) Put(k K, v V, size int64) {
 		delete(c.m, e.key)
 		c.bytes -= e.size
 		c.evictions++
-		evicted = append(evicted, e)
-	}
-	c.mu.Unlock()
-	if c.onEvict != nil {
-		for _, e := range evicted {
-			c.onEvict(e.key, e.val)
-		}
 	}
 }
 

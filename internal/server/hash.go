@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"io"
 
 	"repro/internal/ir"
 	"repro/internal/irtext"
@@ -13,21 +12,29 @@ import (
 // programKey is the program-level content-cache key: a digest of the
 // canonical IR text (irtext.Print of the parsed program, so comment
 // and whitespace variants collapse) plus every request option that
-// shapes the response bytes.
+// shapes the response bytes. Strings reach the digest through a fixed
+// chunk buffer: sha256's digest has no WriteString, and io.WriteString
+// would copy the whole program text.
 func programKey(canonical string, req *PlaceRequest) string {
 	h := sha256.New()
-	io.WriteString(h, canonical)
+	var chunk [512]byte
+	writeString := func(s string) {
+		for len(s) > 0 {
+			n := copy(chunk[:], s)
+			h.Write(chunk[:n])
+			s = s[n:]
+		}
+	}
+	writeString(canonical)
 	h.Write([]byte{0})
-	io.WriteString(h, req.Machine)
+	writeString(req.Machine)
 	h.Write([]byte{0})
-	io.WriteString(h, req.Strategy)
+	writeString(req.Strategy)
 	h.Write([]byte{0})
-	io.WriteString(h, req.Alloc)
+	writeString(req.Alloc)
 	h.Write([]byte{0})
-	var buf [8]byte
 	for _, a := range req.Args {
-		binary.LittleEndian.PutUint64(buf[:], uint64(a))
-		h.Write(buf[:])
+		h.Write(binary.LittleEndian.AppendUint64(chunk[:0], uint64(a)))
 	}
 	flags := byte(0)
 	if req.Run {
@@ -40,23 +47,30 @@ func programKey(canonical string, req *PlaceRequest) string {
 		flags |= 4
 	}
 	h.Write([]byte{0, flags})
-	binary.LittleEndian.PutUint64(buf[:], uint64(req.Quantum))
-	h.Write(buf[:])
+	h.Write(binary.LittleEndian.AppendUint64(chunk[:0], uint64(req.Quantum)))
 	// The engine never changes response bytes (the engines are
 	// parity-tested), but the key covers every request field so no two
 	// distinct requests ever alias an entry.
-	io.WriteString(h, req.Engine)
-	return hex.EncodeToString(h.Sum(nil))
+	writeString(req.Engine)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
-// funcHash digests one function's canonical text. It must be taken
-// after Profile and before Allocate: PrintFunc round-trips the entry
-// count and edge weights, so the digest covers exactly what placement
-// depends on (body + profile), while allocation would bake
-// machine-specific spill code into it.
-func funcHash(f *ir.Func) string {
-	sum := sha256.Sum256(irtext.AppendFunc(nil, f))
-	return hex.EncodeToString(sum[:])
+// funcHashes digests each function's canonical text, printing every
+// function into one buffer. The digests must be taken after Profile
+// and before Allocate: PrintFunc round-trips the entry count and edge
+// weights, so a digest covers exactly what placement depends on (body
+// + profile), while allocation would bake machine-specific spill code
+// into it.
+func funcHashes(funcs []*ir.Func) []string {
+	hashes := make([]string, len(funcs))
+	var text []byte
+	for i, f := range funcs {
+		text = irtext.AppendFunc(text[:0], f)
+		sum := sha256.Sum256(text)
+		hashes[i] = hex.EncodeToString(sum[:])
+	}
+	return hashes
 }
 
 // funcKey is the function-level content-cache key: placement is a

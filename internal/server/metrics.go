@@ -77,7 +77,9 @@ type RequestCounters struct {
 	BadRequest int64 `json:"bad_request"`
 	TooLarge   int64 `json:"too_large"`
 	Errors     int64 `json:"errors"`
-	InFlight   int64 `json:"in_flight"`
+	// Panics counts the Errors answered 500 for a recovered panic.
+	Panics   int64 `json:"panics"`
+	InFlight int64 `json:"in_flight"`
 }
 
 // AnalysisCacheStats reports the shared analysis cache.
@@ -158,25 +160,29 @@ func (m *metrics) begin() {
 }
 
 // done records a finished request: its HTTP status, whether it was
-// served from a cache (program- or function-level), and its latency.
-func (m *metrics) done(status int, fromCache bool, d time.Duration) {
+// served from a cache (program- or function-level) or answered a
+// recovered panic, and its latency.
+func (m *metrics) done(o placeOutcome, d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.requests.InFlight--
 	switch {
-	case status >= 200 && status < 300:
+	case o.status >= 200 && o.status < 300:
 		m.requests.OK++
-		if fromCache {
+		if o.cache != cacheMiss {
 			m.cached.observe(d)
 		} else {
 			m.cold.observe(d)
 		}
-	case status == 413:
+	case o.status == 413:
 		m.requests.TooLarge++
-	case status >= 400 && status < 500:
+	case o.status >= 400 && o.status < 500:
 		m.requests.BadRequest++
 	default:
 		m.requests.Errors++
+		if o.panicked {
+			m.requests.Panics++
+		}
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"maps"
 	"net/http"
 	"strings"
@@ -196,8 +195,8 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, ac: analysis.NewCache(), metrics: newMetrics()}
-	s.progCache = contentcache.New[string, []byte](cfg.ProgramCacheEntries, cfg.ProgramCacheBytes, nil)
-	s.funcCache = contentcache.New[funcKey, FunctionEntry](cfg.FunctionCacheEntries, cfg.FunctionCacheBytes, nil)
+	s.progCache = contentcache.New[string, []byte](cfg.ProgramCacheEntries, cfg.ProgramCacheBytes)
+	s.funcCache = contentcache.New[funcKey, FunctionEntry](cfg.FunctionCacheEntries, cfg.FunctionCacheBytes)
 	s.canned = irtext.Print(irgen.Generate(1, irgen.Small()))
 	s.cannedArgs = []int64{5}
 	return s
@@ -220,38 +219,35 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.metrics.begin()
-	status, fromCache := s.servePlace(w, r)
-	s.metrics.done(status, fromCache, time.Since(start))
+	o := s.servePlace(w, r)
+	s.metrics.done(o, time.Since(start))
 }
 
-func (s *Server) servePlace(w http.ResponseWriter, r *http.Request) (status int, fromCache bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	data, err := io.ReadAll(r.Body)
+// servePlace answers one /v1/place request and returns its outcome for
+// the metrics; the body has already been written.
+func (s *Server) servePlace(w http.ResponseWriter, r *http.Request) placeOutcome {
+	data, err := readBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			return writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return http.StatusRequestEntityTooLarge, false
 		}
-		writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
-		return http.StatusBadRequest, false
+		return writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
 	}
 	var req PlaceRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
-		return http.StatusBadRequest, false
+	if err := decodeRequest(data, &req); err != nil {
+		return writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
 	}
 	if strings.TrimSpace(req.IR) == "" {
-		writeError(w, http.StatusBadRequest, "empty ir")
-		return http.StatusBadRequest, false
+		return writeError(w, http.StatusBadRequest, "empty ir")
 	}
 	o := s.place(&req)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", o.cache)
 	w.WriteHeader(o.status)
 	w.Write(o.body)
-	return o.status, o.cache != cacheMiss
+	return o
 }
 
 // placeOutcome is one placement's result, independent of HTTP
@@ -260,6 +256,8 @@ type placeOutcome struct {
 	status int
 	body   []byte
 	cache  string
+	// panicked marks a 500 answered for a recovered panic.
+	panicked bool
 }
 
 // fail answers err with status, or with 500 when err is a recovered
@@ -267,11 +265,12 @@ type placeOutcome struct {
 // not the input's.
 func fail(status int, err error) placeOutcome {
 	var pe *par.PanicError
-	if errors.As(err, &pe) {
+	panicked := errors.As(err, &pe)
+	if panicked {
 		status = http.StatusInternalServerError
 	}
 	body, _ := json.Marshal(map[string]string{"error": err.Error()})
-	return placeOutcome{status: status, body: body, cache: cacheMiss}
+	return placeOutcome{status: status, body: body, cache: cacheMiss, panicked: panicked}
 }
 
 // place runs one placement request through the caches and, on miss,
@@ -352,9 +351,11 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 
 	// Canonical tier: keyed on the re-printed text, so formatting
 	// variants of the same program share one entry. For already
-	// canonical submissions both tiers are one entry.
-	pkey := programKey(prog.Text(), req)
-	if pkey != rawKey {
+	// canonical submissions both tiers are one entry, and the text is
+	// not hashed twice.
+	pkey := rawKey
+	if text := prog.Text(); text != req.IR {
+		pkey = programKey(text, req)
 		if body, ok := s.progCache.Get(pkey); ok {
 			s.progCache.Put(rawKey, body, int64(len(body)))
 			return placeOutcome{status: http.StatusOK, body: body, cache: cacheProgram}
@@ -380,12 +381,9 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 
 	// Function hashes are taken after Profile (the digest must cover
 	// the edge weights placement optimizes) and before Allocate (which
-	// rewrites the body). See funcHash.
+	// rewrites the body). See funcHashes.
 	funcs := prog.IRFuncs()
-	hashes := make([]string, len(funcs))
-	for i, f := range funcs {
-		hashes[i] = funcHash(f)
-	}
+	hashes := funcHashes(funcs)
 
 	// Function-level cache: a program the service never saw can still
 	// be assembled entirely from per-function results (same bodies and
@@ -652,8 +650,10 @@ func (s *Server) SelfCheck() []string {
 	return findings
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
+// writeError answers a request that never reached place.
+func writeError(w http.ResponseWriter, status int, msg string) placeOutcome {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	return placeOutcome{status: status, cache: cacheMiss}
 }

@@ -74,10 +74,7 @@ func TestPlaceMatchesDirectPipeline(t *testing.T) {
 	if err := prog.Profile(args...); err != nil {
 		t.Fatal(err)
 	}
-	var hashes []string
-	for _, f := range prog.IRFuncs() {
-		hashes = append(hashes, funcHash(f))
-	}
+	hashes := funcHashes(prog.IRFuncs())
 	if err := prog.Allocate(); err != nil {
 		t.Fatal(err)
 	}
@@ -706,13 +703,21 @@ func TestAllocOption(t *testing.T) {
 }
 
 // TestCachedEntriesDoNotPinRequest: a function-cache entry outlives
-// its request, so the function name it carries must not point into the
-// request's IR text. A parsed name is a substring of that text, and
-// caching it would keep the whole body alive while entrySize charges
-// only the name against the byte budget.
+// its request, so neither the function name it carries nor the
+// machine, strategy and alloc strings of its key may point into the
+// request's IR text or body. A parsed name is a substring of that
+// text, and caching it would keep the whole body alive while entrySize
+// charges only the name against the byte budget.
 func TestCachedEntriesDoNotPinRequest(t *testing.T) {
 	s := New(Config{})
-	req := PlaceRequest{IR: testProgram(5), Args: []int64{5}}
+	body, err := json.Marshal(PlaceRequest{IR: testProgram(5), Machine: "classic", Strategy: "hierarchical-jump", Alloc: "uniform", Args: []int64{5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req PlaceRequest
+	if err := decodeRequest(body, &req); err != nil {
+		t.Fatal(err)
+	}
 	o := s.place(&req)
 	if o.status != http.StatusOK {
 		t.Fatalf("status %d: %s", o.status, o.body)
@@ -721,14 +726,21 @@ func TestCachedEntriesDoNotPinRequest(t *testing.T) {
 	if err := json.Unmarshal(o.body, &resp); err != nil {
 		t.Fatal(err)
 	}
-	lo := uintptr(unsafe.Pointer(unsafe.StringData(req.IR)))
-	hi := lo + uintptr(len(req.IR))
+	within := func(str string, data *byte, n int) bool {
+		lo, p := uintptr(unsafe.Pointer(data)), uintptr(unsafe.Pointer(unsafe.StringData(str)))
+		return p >= lo && p < lo+uintptr(n)
+	}
+	for _, str := range []string{req.IR, req.Machine, req.Strategy, req.Alloc} {
+		if within(str, unsafe.SliceData(body), len(body)) {
+			t.Errorf("decoded %.20q points into the body", str)
+		}
+	}
 	for _, fe := range resp.Functions {
 		e, ok := s.funcCache.Get(funcKey{fe.Hash, req.Machine, req.Strategy, req.Alloc})
 		if !ok {
 			t.Fatalf("%s: no function-cache entry", fe.Function)
 		}
-		if p := uintptr(unsafe.Pointer(unsafe.StringData(e.Function))); p >= lo && p < hi {
+		if within(e.Function, unsafe.StringData(req.IR), len(req.IR)) {
 			t.Errorf("cached entry for %s points into the request text", e.Function)
 		}
 	}
@@ -737,8 +749,10 @@ func TestCachedEntriesDoNotPinRequest(t *testing.T) {
 // TestWorkerPanicAnswers500: a panic in a per-function worker comes
 // back from par.Do as a *par.PanicError, on the serial path and the
 // pooled one, and the reply is 500 even from a stage whose errors are
-// otherwise the input's fault (400).
+// otherwise the input's fault (400). /metrics counts the request as a
+// panic; a plain error is not one.
 func TestWorkerPanicAnswers500(t *testing.T) {
+	var panicked placeOutcome
 	for _, parallelism := range []int{1, 4} {
 		err := par.Do(8, parallelism, func(i int) error {
 			if i == 5 {
@@ -746,12 +760,21 @@ func TestWorkerPanicAnswers500(t *testing.T) {
 			}
 			return nil
 		})
-		o := fail(http.StatusBadRequest, fmt.Errorf("allocate: %w", err))
-		if o.status != http.StatusInternalServerError || !strings.Contains(string(o.body), "item 5 panicked: boom") {
-			t.Errorf("parallelism %d: status %d body %s, want 500 naming the panic", parallelism, o.status, o.body)
+		panicked = fail(http.StatusBadRequest, fmt.Errorf("allocate: %w", err))
+		if panicked.status != http.StatusInternalServerError || !strings.Contains(string(panicked.body), "item 5 panicked: boom") {
+			t.Errorf("parallelism %d: status %d body %s, want 500 naming the panic", parallelism, panicked.status, panicked.body)
 		}
 	}
-	if o := fail(http.StatusBadRequest, errors.New("bad input")); o.status != http.StatusBadRequest {
-		t.Errorf("plain error: status %d, want 400", o.status)
+	plain := fail(http.StatusBadRequest, errors.New("bad input"))
+	if plain.status != http.StatusBadRequest {
+		t.Errorf("plain error: status %d, want 400", plain.status)
+	}
+	s := New(Config{})
+	for _, o := range []placeOutcome{panicked, plain} {
+		s.metrics.begin()
+		s.metrics.done(o, time.Millisecond)
+	}
+	if r := s.snapshot().Requests; r.Panics != 1 || r.Errors != 1 || r.BadRequest != 1 {
+		t.Errorf("requests = %+v, want 1 panic among 1 error, and 1 bad request", r)
 	}
 }
