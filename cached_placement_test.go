@@ -147,9 +147,9 @@ func TestConcurrentCachedPlacementIdentity(t *testing.T) {
 		if irtext.Print(parallel) != irtext.Print(serial) {
 			t.Errorf("%v: parallel cached placement differs from serial uncached", s)
 		}
-		// PlaceCachedFor patched each Info after Apply: the cache must
-		// now describe the placed (mutated) functions, not the stale
-		// pre-placement shape.
+		// PlaceCachedFor invalidated each Info after Apply: the cache
+		// must now describe the placed (mutated) functions, not the
+		// stale pre-placement shape.
 		for _, f := range strategy.NeedsPlacement(parallel) {
 			info := cache.For(f)
 			if got, want := info.Liveness().Blocks(), len(f.Blocks); got != want {

@@ -12,8 +12,8 @@
 // Every value must reproduce exactly unless the record's gate names it
 // host-dependent; the only other checks are the declared timing ratios
 // and absolute bounds. Regenerating a record is copying its fresh run
-// over it; for the records with timing ratios (vm, analysis, serve),
-// copy the run whose ratios are the median of three.
+// over it; for the records with timing ratios (vm, serve), copy the
+// run whose ratios are the median of three.
 package main
 
 import (
@@ -35,8 +35,7 @@ import (
 // also a leaf of its record, so a change here fails the gate until the
 // record is regenerated.
 const (
-	vmReps       = 7
-	analysisReps = 5
+	vmReps = 7
 
 	serveDistinct = 500
 	serveDups     = 19
@@ -81,16 +80,8 @@ var records = []record{
 		return sw.Record("SPEC CPU2000 integer stand-ins"), nil
 	}},
 
-	// The cold side rebuilds every analysis, so a faster build lowers
-	// both speedups; the record is regenerated when the cold path
-	// changes, and the ratio has no absolute floor.
-	{"analysis", bench.Gate{
-		Host:  []string{"cold_ns", "shared_ns", "incremental_ns", "shared_speedup"},
-		Ratio: map[string]float64{"incremental_speedup": 30},
-	}, func() (any, error) { return bench.BenchAnalysis(workload.SPECInt2000(), analysisReps) }},
-
-	// As for analysis, a faster cold path lowers the cached speedup, so
-	// it has no absolute floor. The analysis cache's high-water mark and
+	// A faster cold path lowers the cached speedup, so it has no
+	// absolute floor. The analysis cache's high-water mark and
 	// drop count depend on scheduling; every request drops its handles
 	// when it finishes, so the cache holds only those in flight, at
 	// most 8 per worker.

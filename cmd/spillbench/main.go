@@ -13,9 +13,6 @@
 //	spillbench -engine tree       # measure on the legacy VM engine
 //	spillbench -machines all        # sweep every machine cost preset:
 //	                                # per-machine tables + crossover
-//	spillbench -analysis            # benchmark the analysis layer:
-//	                                # cold vs shared vs incremental
-//	                                # re-placement after an edit
 //	spillbench -cpuprofile cpu.pprof
 //	                                # the evaluation under the pprof
 //	                                # CPU profiler
@@ -58,9 +55,8 @@ func main() {
 	irgenSeed := flag.Uint64("irgen-seed", 1, "first seed of the appended irgen families")
 	engine := flag.String("engine", "regcode", "VM engine for the measurement runs: regcode|tree")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the measurement run to this file")
-	reps := flag.Int("reps", 3, "with -analysis or -tier: repetitions per benchmark (each timing keeps the minimum)")
+	reps := flag.Int("reps", 3, "with -tier: repetitions per benchmark (each timing keeps the minimum)")
 	machines := flag.String("machines", "", "sweep these machine cost presets (comma-separated, or \"all\") and print per-machine tables plus the crossover report")
-	analysisBench := flag.Bool("analysis", false, "benchmark the analysis layer (cold vs shared vs incremental re-placement)")
 	tierBench := flag.Bool("tier", false, "benchmark the tiered pipeline (static-estimate placement vs measured re-placement on the estimator-hostile suite)")
 	quantum := flag.Int64("quantum", 2000, "with -tier: tier-0 step quantum before the measured re-placement")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile of the measurement run to this file")
@@ -185,24 +181,6 @@ func main() {
 		}
 		fmt.Printf("best gain %.3fx at quantum %d over %d hostile programs\n",
 			rec.BestGain, rec.Quantum, len(rec.Benchmarks))
-		return
-	}
-
-	if *analysisBench {
-		rec, err := bench.BenchAnalysis(workload.SPECInt2000(), *reps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "spillbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("%-10s %12s %12s %12s\n", "benchmark", "cold", "shared", "incremental")
-		for _, r := range rec.Benchmarks {
-			fmt.Printf("%-10s %10.3fms %10.3fms %10.3fms\n",
-				r.Benchmark, float64(r.ColdNs)/1e6, float64(r.SharedNs)/1e6, float64(r.IncrementalNs)/1e6)
-		}
-		fmt.Printf("%-10s %10.3fms %10.3fms %10.3fms\n", "Total",
-			float64(rec.ColdNs)/1e6, float64(rec.SharedNs)/1e6, float64(rec.IncrementalNs)/1e6)
-		fmt.Printf("speedup over cold: shared %.2fx, incremental %.2fx; full-rebuild fallbacks: %d\n",
-			rec.SharedSpeedup, rec.IncrementalSpeedup, rec.Rebuilds)
 		return
 	}
 

@@ -37,12 +37,10 @@ import (
 // built over the Info's lifetime (cumulative across invalidations).
 // The tests use it to pin the "at most once per function" guarantee.
 //
-// SplitDom counts how often the PST builder computed the split-graph
-// dominator/postdominator tree pair — the expensive core of a PST
-// build, memoized across invalidations while the CFG shape is
-// unchanged, so it can stay flat even when PST advances. DeltaPatched
-// and DeltaFull count ApplyDelta outcomes: in-place patches versus
-// falls back to full invalidation.
+// SplitDom counts the split-graph dominator/postdominator tree pairs
+// the PST builds computed, one per PST build. DeltaFull counts
+// ApplyDelta calls, each of which invalidates; DeltaPatched stays 0,
+// because no edit is patched in place.
 type Counts struct {
 	Liveness, Dom, Loops, PST, Seed, Busy int
 
@@ -66,21 +64,12 @@ type Info struct {
 	seedOK  bool
 	busy    map[ir.Reg][]bool
 	counts  Counts
-
-	// builder survives Invalidate: it revalidates itself against the
-	// live CFG shape, so a PST rebuild after an invalidation that did
-	// not change the CFG (e.g. register allocation) reuses the
-	// memoized split-graph dominator trees instead of recomputing.
-	builder *pst.Builder
 }
 
 // For returns a fresh handle for f with nothing memoized. Callers that
 // want cross-call sharing should hold on to the Info (or use a Cache);
 // a throwaway For(f) per call reproduces the unshared behavior.
 func For(f *ir.Func) *Info { return &Info{f: f} }
-
-// Func returns the function the handle analyzes.
-func (i *Info) Func() *ir.Func { return i.f }
 
 // Liveness returns the function's per-block live-in/out sets.
 func (i *Info) Liveness() *dataflow.Liveness {
@@ -128,23 +117,14 @@ func (i *Info) loopsLocked() *cfg.LoopForest {
 }
 
 // PST returns the program structure tree of maximal SESE regions. The
-// build error, if any, is memoized too. Builds go through a retained
-// pst.Builder, so the split-graph dominator trees are recomputed only
-// when the CFG shape actually changed (Counts.SplitDom tracks this).
+// build error, if any, is memoized too.
 func (i *Info) PST() (*pst.PST, error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return i.pstLocked()
-}
-
-func (i *Info) pstLocked() (*pst.PST, error) {
 	if !i.treeOK {
 		i.counts.PST++
-		if i.builder == nil {
-			i.builder = pst.NewBuilder(i.f)
-		}
-		i.tree, i.treeErr = i.builder.Build()
-		i.counts.SplitDom = i.builder.SplitDomBuilds()
+		i.counts.SplitDom++
+		i.tree, i.treeErr = pst.Build(i.f)
 		i.treeOK = true
 	}
 	return i.tree, i.treeErr
@@ -206,9 +186,23 @@ func (i *Info) invalidateLocked() {
 	i.tree, i.treeErr, i.treeOK = nil, nil, false
 	i.seed, i.seedOK = nil, false
 	i.busy = nil
-	// i.builder is kept: it self-validates against the CFG shape, so a
-	// stale memo can never be served, and an invalidation that did not
-	// touch the CFG gets its PST back without a dominator recompute.
+}
+
+// ApplyDelta invalidates the memoized analyses after a placement edit
+// (normally the delta core.ApplyWithDelta returned for this function)
+// and counts the call in Counts.DeltaFull. The delta is not read, nil
+// included: placement runs once per function, and nothing reads the
+// function's analyses afterwards, so patching them would be wasted
+// work. It reports false, meaning nothing was patched in place.
+//
+// Like Invalidate, ApplyDelta must not run concurrently with readers
+// of the same function.
+func (i *Info) ApplyDelta(*core.Delta) bool {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	i.counts.DeltaFull++
+	i.invalidateLocked()
+	return false
 }
 
 // Counts returns the cumulative build counters.

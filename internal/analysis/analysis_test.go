@@ -7,10 +7,12 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/irgen"
 	"repro/internal/irtext"
 	"repro/internal/machine"
 	"repro/internal/profile"
 	"repro/internal/regalloc"
+	"repro/internal/strategy"
 	"repro/internal/vm"
 )
 
@@ -66,10 +68,6 @@ exit:
 func TestMemoization(t *testing.T) {
 	f := demoFunc(t)
 	info := analysis.For(f)
-	if info.Func() != f {
-		t.Fatal("Func() does not return the analyzed function")
-	}
-
 	lv := info.Liveness()
 	dom := info.Dom()
 	loops := info.Loops()
@@ -188,11 +186,6 @@ func TestCache(t *testing.T) {
 	if c.For(f).Liveness() == lv {
 		t.Error("cache served stale liveness after Invalidate")
 	}
-	lv = c.For(f).Liveness()
-	c.InvalidateAll()
-	if c.For(f).Liveness() == lv {
-		t.Error("cache served stale liveness after InvalidateAll")
-	}
 
 	var nilCache *analysis.Cache
 	if nilCache.For(f) == nil {
@@ -202,13 +195,12 @@ func TestCache(t *testing.T) {
 		t.Error("nil cache must not memoize")
 	}
 	nilCache.Invalidate(f) // must not panic
-	nilCache.InvalidateAll()
 }
 
 // TestDropShrinksLen pins the fix for the long-lived-process leak:
 // Invalidate marks results stale but keeps the *ir.Func-keyed entry
-// (and so the function) alive forever, while Drop/DropAll actually
-// remove entries and Len() shrinks.
+// (and so the function) alive forever, while Drop actually removes the
+// entry and Len() shrinks.
 func TestDropShrinksLen(t *testing.T) {
 	f := demoFunc(t)
 	g := ir.NewFunc("g")
@@ -221,9 +213,8 @@ func TestDropShrinksLen(t *testing.T) {
 
 	// Invalidate never shrinks the cache — that is the leak.
 	c.Invalidate(f)
-	c.InvalidateAll()
 	if c.Len() != 2 {
-		t.Fatalf("Len after Invalidate/InvalidateAll = %d, want 2 (entries kept)", c.Len())
+		t.Fatalf("Len after Invalidate = %d, want 2 (entries kept)", c.Len())
 	}
 
 	c.Drop(f)
@@ -243,18 +234,137 @@ func TestDropShrinksLen(t *testing.T) {
 		t.Errorf("Len after re-For = %d, want 2", c.Len())
 	}
 
-	c.DropAll()
-	if c.Len() != 0 {
-		t.Errorf("Len after DropAll = %d, want 0", c.Len())
-	}
-	if c.Drops() != 3 {
-		t.Errorf("Drops after DropAll = %d, want 3", c.Drops())
-	}
-
 	var nilCache *analysis.Cache
 	nilCache.Drop(f) // must not panic
-	nilCache.DropAll()
 	if nilCache.Drops() != 0 {
 		t.Error("nil cache Drops != 0")
+	}
+}
+
+// TestApplyDeltaInvalidates: whatever delta ApplyDelta gets, nil
+// included, it leaves no stale analysis behind. After an edit that
+// splits edges, the next reads cover the edited function's blocks, and
+// Counts.DeltaFull counts every call.
+func TestApplyDeltaInvalidates(t *testing.T) {
+	f := demoFunc(t)
+	info := analysis.For(f)
+	read := func() {
+		t.Helper()
+		info.Liveness()
+		info.Loops()
+		if _, err := info.PST(); err != nil {
+			t.Fatal(err)
+		}
+		info.ShrinkwrapSeed()
+	}
+	read()
+	before := info.Counts()
+	lv := info.Liveness()
+	if info.ApplyDelta(nil) {
+		t.Error("ApplyDelta(nil) reported an in-place patch")
+	}
+	if info.Liveness() == lv {
+		t.Error("stale liveness served after ApplyDelta(nil)")
+	}
+	read()
+
+	// Save on the entry's edges and restore on the edges into exits:
+	// every one of them is split, so the block count grows.
+	set := &core.Set{Reg: f.UsedCalleeSaved[0]}
+	for _, e := range f.Edges() {
+		l := core.Location{Kind: core.OnEdge, Edge: e}
+		switch {
+		case e.From == f.Entry:
+			set.Saves = append(set.Saves, l)
+		case e.To.IsExit():
+			set.Restores = append(set.Restores, l)
+		}
+	}
+	n := len(f.Blocks)
+	delta, err := core.ApplyWithDelta(f, []*core.Set{set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(delta.Splits) == 0 || len(f.Blocks) == n {
+		t.Fatalf("the edit split %d edges, %d blocks before and %d after", len(delta.Splits), n, len(f.Blocks))
+	}
+	if info.ApplyDelta(delta) {
+		t.Error("ApplyDelta reported an in-place patch")
+	}
+	if got, want := info.Liveness().Blocks(), len(f.Blocks); got != want {
+		t.Errorf("liveness covers %d blocks after the edit, function has %d", got, want)
+	}
+	if got, want := len(info.Dom().IDom), len(f.Blocks); got != want {
+		t.Errorf("dominator tree covers %d blocks after the edit, function has %d", got, want)
+	}
+	tree, err := info.PST()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(tree.Root.Blocks), len(f.Blocks); got != want {
+		t.Errorf("PST root covers %d blocks after the edit, function has %d", got, want)
+	}
+
+	c := info.Counts()
+	if c.DeltaFull != 2 || c.DeltaPatched != 0 {
+		t.Errorf("DeltaFull %d, DeltaPatched %d; want 2 and 0", c.DeltaFull, c.DeltaPatched)
+	}
+	if c.Liveness != before.Liveness+2 || c.PST != before.PST+2 || c.SplitDom != c.PST {
+		t.Errorf("reads after ApplyDelta did not rebuild: before %+v, after %+v", before, c)
+	}
+}
+
+// TestCachedPlacementMatchesUnshared: concurrent sharded placement over
+// a shared cache produces byte-identical placed IR to the unshared
+// serial pipeline. Run under -race, this also pins the thread-safety
+// of cache sharing.
+func TestCachedPlacementMatchesUnshared(t *testing.T) {
+	mk := func(seed uint64) *ir.Program {
+		prog := irgen.Generate(seed, irgen.Default())
+		if _, err := profile.Collect(prog, vm.Config{}, 40); err != nil {
+			return nil
+		}
+		if _, err := regalloc.AllocateProgram(prog, machine.PARISC(), 1, regalloc.Options{}); err != nil {
+			return nil
+		}
+		return prog
+	}
+	checked := 0
+	for seed := uint64(0); seed < 25; seed++ {
+		a, b := mk(seed), mk(seed)
+		if a == nil || b == nil {
+			continue
+		}
+		cache := analysis.NewCache()
+		if err := strategy.PlaceProgramFor(a, strategy.HierarchicalJump, nil, 4, cache); err != nil {
+			t.Fatalf("seed %d: cached placement: %v", seed, err)
+		}
+		if err := strategy.PlaceProgramFor(b, strategy.HierarchicalJump, nil, 1, nil); err != nil {
+			t.Fatalf("seed %d: unshared placement: %v", seed, err)
+		}
+		if irtext.Print(a) != irtext.Print(b) {
+			t.Errorf("seed %d: cached placement produced different IR than the unshared pipeline", seed)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no programs checked")
+	}
+}
+
+// TestCacheStats: the shared-cache hit/miss counters that spilltune
+// reports.
+func TestCacheStats(t *testing.T) {
+	f := demoFunc(t)
+	c := analysis.NewCache()
+	c.For(f)
+	c.For(f)
+	c.For(f)
+	if h, m := c.Stats(); h != 2 || m != 1 {
+		t.Errorf("Stats() = %d hits, %d misses; want 2, 1", h, m)
+	}
+	var nilCache *analysis.Cache
+	if h, m := nilCache.Stats(); h != 0 || m != 0 {
+		t.Error("nil cache must report zero stats")
 	}
 }

@@ -114,19 +114,7 @@ func (c *Cache) Drop(f *ir.Func) {
 	}
 }
 
-// DropAll removes every entry, e.g. when a batch tool is done with a
-// program and tears it down.
-func (c *Cache) DropAll() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.drops += len(c.m)
-	clear(c.m)
-}
-
-// Drops returns how many entries Drop and DropAll have removed.
+// Drops returns how many entries Drop has removed.
 func (c *Cache) Drops() int {
 	if c == nil {
 		return 0
@@ -145,23 +133,6 @@ func (c *Cache) Invalidate(f *ir.Func) {
 	info := c.m[f]
 	c.mu.Unlock()
 	if info != nil {
-		info.Invalidate()
-	}
-}
-
-// InvalidateAll drops the memoized results of every function, e.g.
-// after a whole-program mutation like register allocation.
-func (c *Cache) InvalidateAll() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	infos := make([]*Info, 0, len(c.m))
-	for _, info := range c.m {
-		infos = append(infos, info)
-	}
-	c.mu.Unlock()
-	for _, info := range infos {
 		info.Invalidate()
 	}
 }

@@ -325,8 +325,8 @@ func TestGateVMInstrDrift(t *testing.T) {
 	}
 }
 
-// workloadSuite trims the stand-in suite to two benchmarks so the
-// end-to-end analysis benchmark stays fast under `go test`.
+// workloadSuite trims the stand-in suite to two benchmarks so the VM
+// benchmark stays fast under `go test`.
 func workloadSuite(t *testing.T) []workload.BenchParams {
 	t.Helper()
 	var suite []workload.BenchParams
@@ -336,102 +336,4 @@ func workloadSuite(t *testing.T) []workload.BenchParams {
 		}
 	}
 	return suite
-}
-
-// analysisGate compares the cold-over-incremental speedup within 15%
-// and every count exactly.
-var analysisGate = Gate{
-	Host:  []string{"cold_ns", "shared_ns", "incremental_ns", "shared_speedup"},
-	Ratio: map[string]float64{"incremental_speedup": 15},
-}
-
-func analysisRecord(incSpeedup float64) *AnalysisBench {
-	return &AnalysisBench{
-		Benchmarks: []AnalysisRecord{
-			{Benchmark: "gzip", Functions: 40, ColdNs: 40_000_000, SharedNs: 9_000_000, IncrementalNs: int64(40_000_000 / incSpeedup)},
-			{Benchmark: "gcc", Functions: 19, ColdNs: 1_000_000, SharedNs: 100_000, IncrementalNs: 400_000},
-		},
-		ColdNs:             41_000_000,
-		SharedNs:           9_100_000,
-		IncrementalNs:      int64(40_000_000/incSpeedup) + 400_000,
-		SharedSpeedup:      41.0 / 9.1,
-		IncrementalSpeedup: incSpeedup,
-	}
-}
-
-// TestGateAnalysisSpeedup: the analysis gate trips when the incremental
-// re-placement speedup regresses past the threshold, and stays quiet
-// on a healthy record. There is no absolute floor: a record whose cold
-// side got faster commits a lower ratio and is gated against that.
-func TestGateAnalysisSpeedup(t *testing.T) {
-	committed := analysisRecord(8)
-	if findings := compare(t, analysisGate, committed, analysisRecord(7.5)); len(findings) != 0 {
-		t.Errorf("6%% ratio drop tripped a 15%% gate: %v", findings)
-	}
-	if findings := compare(t, analysisGate, committed, analysisRecord(5)); len(findings) == 0 {
-		t.Error("37% ratio drop passed a 15% gate")
-	}
-	if findings := compare(t, analysisGate, analysisRecord(2.5), analysisRecord(2.4)); len(findings) != 0 {
-		t.Errorf("a 2.4x speedup within 15%% of its committed 2.5x tripped the gate: %v", findings)
-	}
-	if findings := compare(t, analysisGate, committed, analysisRecord(8/1.2)); len(findings) == 0 {
-		t.Error("injected 20% analysis regression passed a 15% gate")
-	}
-}
-
-// TestGateAnalysisRebuildFallbacks: any incremental re-placement that
-// fell back to a full analysis rebuild is a finding — it means a
-// placement edit shape the delta patchers stopped recognizing.
-func TestGateAnalysisRebuildFallbacks(t *testing.T) {
-	fresh := analysisRecord(8)
-	fresh.Rebuilds = 1
-	if !hasFinding(compare(t, analysisGate, analysisRecord(8), fresh), "rebuilds", "fresh 1") {
-		t.Error("gate passed a record with full-rebuild fallbacks")
-	}
-}
-
-// TestGateAnalysisSuiteDrift: a fresh record whose benchmarks or
-// function populations differ from the committed record's is a
-// finding — including one that dropped a committed benchmark.
-func TestGateAnalysisSuiteDrift(t *testing.T) {
-	committed := analysisRecord(8)
-	fresh := analysisRecord(8)
-	fresh.Benchmarks[0].Functions++
-	if !hasFinding(compare(t, analysisGate, committed, fresh), "benchmarks[0].functions", "fresh 41") {
-		t.Error("gate passed a function-count drift")
-	}
-	fresh = analysisRecord(8)
-	fresh.Benchmarks[0].Benchmark = "vpr"
-	if !hasFinding(compare(t, analysisGate, committed, fresh), "benchmarks[0].benchmark", "fresh vpr") {
-		t.Error("gate passed an unknown benchmark")
-	}
-	fresh = analysisRecord(8)
-	fresh.Benchmarks = fresh.Benchmarks[:1]
-	if !hasFinding(compare(t, analysisGate, committed, fresh), "benchmarks[1]", "missing from the fresh run") {
-		t.Error("gate passed a fresh record that dropped a committed benchmark")
-	}
-}
-
-// TestBenchAnalysisEndToEnd: the analysis benchmark itself runs over a
-// small generated suite, measures a real incremental advantage, and
-// records zero full-rebuild fallbacks — the live half of the acceptance
-// criterion the JSON gate pins.
-func TestBenchAnalysisEndToEnd(t *testing.T) {
-	suite := workloadSuite(t)
-	b, err := BenchAnalysis(suite, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Rebuilds != 0 {
-		t.Errorf("incremental re-placement fell back to %d full rebuilds", b.Rebuilds)
-	}
-	if b.IncrementalSpeedup <= 1 {
-		t.Errorf("incremental re-placement slower than cold: %.2fx", b.IncrementalSpeedup)
-	}
-	if len(b.Benchmarks) != len(suite) {
-		t.Errorf("record covers %d benchmarks, suite has %d", len(b.Benchmarks), len(suite))
-	}
-	if findings := compare(t, analysisGate, b, b); len(findings) != 0 {
-		t.Errorf("self-comparison produced findings: %v", findings)
-	}
 }

@@ -51,7 +51,6 @@ func Table1(sw *Sweep) string {
 // Table2 formats the incremental compile time of shrink-wrapping and
 // the hierarchical algorithm relative to entry/exit placement,
 // mirroring the paper's Table 2 (paper average ratio: 5.44).
-// BenchAnalysis times re-placement after an edit.
 func Table2(sw *Sweep) string {
 	var b strings.Builder
 	b.WriteString("Table 2: incremental placement time vs entry/exit placement\n\n")

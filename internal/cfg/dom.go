@@ -20,12 +20,10 @@ type DomTree struct {
 	IDom []*ir.Block
 	// Children[b.ID] lists blocks immediately dominated by b.
 	Children [][]*ir.Block
-	root     *ir.Block
 	// level[b.ID] is the depth of b in the dominator tree. pre[b.ID]
 	// and last[b.ID] bound b's subtree in a depth-first numbering of
 	// the tree, so a dominates b iff pre[a] <= pre[b] <= last[a].
 	level, pre, last []int32
-	post             bool // true if this is a postdominator tree
 }
 
 // Dominators computes the dominator tree of f rooted at the entry.
@@ -113,7 +111,7 @@ func postorder(root *ir.Block, reverse bool, seen []bool, post []*ir.Block) []*i
 // walked in reverse (predecessors become successors).
 func buildDomTreeDir(f *ir.Func, root *ir.Block, order []*ir.Block, post bool) *DomTree {
 	n := len(f.Blocks)
-	t := &DomTree{IDom: make([]*ir.Block, n), root: root, post: post}
+	t := &DomTree{IDom: make([]*ir.Block, n)}
 	// rpoNum[b.ID] = position in order; lower = closer to root.
 	rpoNum := make([]int, n)
 	for i := range rpoNum {
@@ -175,7 +173,7 @@ func buildDomTreeDir(f *ir.Func, root *ir.Block, order []*ir.Block, post bool) *
 // exit blocks by making each exit a root.
 func buildMultiRootPostdom(f *ir.Func, exits []*ir.Block) *DomTree {
 	n := len(f.Blocks)
-	t := &DomTree{IDom: make([]*ir.Block, n), post: true}
+	t := &DomTree{IDom: make([]*ir.Block, n)}
 	if len(exits) == 0 {
 		t.finish(f)
 		return t

@@ -71,29 +71,16 @@ func FindLoops(f *ir.Func, dom *DomTree) *LoopForest {
 		}
 	}
 
-	lf := &LoopForest{}
-	for _, l := range byHeader {
-		lf.Loops = append(lf.Loops, l)
+	lf := &LoopForest{
+		DepthOf:     make([]int, len(f.Blocks)),
+		InnermostOf: make([]*Loop, len(f.Blocks)),
 	}
-	lf.assemble(f)
-	return lf
-}
-
-// assemble (re)derives every ordered and nested field of the forest
-// from the loops' membership maps: per-loop block lists, the
-// deterministic loop order, the nesting, the depths, and the per-block
-// arrays. FindLoops and the edge-split patch share it so a patched
-// forest is structurally identical to a rebuilt one.
-func (lf *LoopForest) assemble(f *ir.Func) {
-	lf.DepthOf = make([]int, len(f.Blocks))
-	lf.InnermostOf = make([]*Loop, len(f.Blocks))
-	for _, l := range lf.Loops {
-		l.Blocks = l.Blocks[:0]
+	for _, l := range byHeader {
 		for id := range l.in {
 			l.Blocks = append(l.Blocks, f.Blocks[id])
 		}
 		sort.Slice(l.Blocks, func(i, j int) bool { return l.Blocks[i].ID < l.Blocks[j].ID })
-		l.Parent = nil
+		lf.Loops = append(lf.Loops, l)
 	}
 	// Deterministic order: by header ID, ties by size (outer first).
 	sort.Slice(lf.Loops, func(i, j int) bool {
@@ -137,6 +124,7 @@ func (lf *LoopForest) assemble(f *ir.Func) {
 			}
 		}
 	}
+	return lf
 }
 
 // IsReducible reports whether every cycle in the CFG has a back edge

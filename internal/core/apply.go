@@ -20,34 +20,16 @@ func Apply(f *ir.Func, sets []*Set) error {
 	return err
 }
 
-// ApplyWithDelta is Apply plus a structured edit log describing what
-// changed: which blocks received in-block insertions, which edges were
-// split (and with what new blocks and edges), which registers the
-// inserted code touches, and the pre-edit block IDs. The returned
-// delta is never nil; if Apply failed partway, delta.Full is set and
-// the only safe reaction is full re-analysis.
+// ApplyWithDelta is Apply plus the log of the edges it split. The
+// returned delta is never nil; if Apply failed partway, it lists the
+// splits made before the failure.
 func ApplyWithDelta(f *ir.Func, sets []*Set) (*Delta, error) {
-	d := &Delta{Func: f, OldNumBlocks: len(f.Blocks), OldID: make(map[*ir.Block]int, len(f.Blocks))}
-	for _, b := range f.Blocks {
-		d.OldID[b] = b.ID
-	}
-	seen := make(map[ir.Reg]bool)
-	for _, s := range sets {
-		if !seen[s.Reg] {
-			seen[s.Reg] = true
-			d.Regs = append(d.Regs, s.Reg)
-		}
-	}
-	sortRegs(d.Regs)
-	if err := applyDelta(f, sets, d); err != nil {
-		d.Full = true
-		return d, err
-	}
-	return d, nil
+	d := &Delta{}
+	return d, apply(f, sets, d)
 }
 
-// applyDelta is the body of Apply, recording the edit log into d.
-func applyDelta(f *ir.Func, sets []*Set, d *Delta) error {
+// apply is the body of Apply, recording the edge splits into d.
+func apply(f *ir.Func, sets []*Set, d *Delta) error {
 	slots := saveSlots(f, sets)
 
 	type edgePlan struct {
@@ -113,17 +95,6 @@ func applyDelta(f *ir.Func, sets []*Set, d *Delta) error {
 	restoreInstr := func(r ir.Reg) *ir.Instr {
 		return &ir.Instr{Op: ir.OpRestore, Dst: r, Src1: ir.NoReg, Src2: ir.NoReg,
 			Imm: int64(slots[r]), Flags: ir.FlagSaveRestore}
-	}
-
-	// Record in-block insertion sites in layout order (the maps are
-	// unordered) so delta consumers see a deterministic log.
-	for _, b := range f.Blocks {
-		if heads[b] != nil {
-			d.HeadBlocks = append(d.HeadBlocks, b)
-		}
-		if tails[b] != nil {
-			d.TailBlocks = append(d.TailBlocks, b)
-		}
 	}
 
 	// In-block insertions. Deterministic order: by register number.
@@ -273,6 +244,6 @@ func splitEdge(f *ir.Func, e *ir.Edge, name string, body []*ir.Instr) (EdgeSplit
 	if !isJump {
 		k2 = ir.FallThrough
 	}
-	e2 := f.AddEdge(nb, to, k2, w)
-	return EdgeSplit{From: from, To: to, NewBlock: nb, OldEdge: e, FromEdge: e1, ToEdge: e2, WasJump: isJump}, nil
+	f.AddEdge(nb, to, k2, w)
+	return EdgeSplit{OldEdge: e, FromEdge: e1}, nil
 }

@@ -4,8 +4,8 @@ package dataflow_test
 // iterative bit-vector fixpoint it replaced, kept here as the
 // reference. Both must agree on every block's live-in and live-out set
 // on generated programs before and after allocation, on every testdata
-// program, after incremental patching, and on hand-built CFGs with an
-// unreachable block and an irreducible loop.
+// program, and on hand-built CFGs with an unreachable block and an
+// irreducible loop.
 
 import (
 	"fmt"
@@ -15,7 +15,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/irgen"
@@ -23,7 +22,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/profile"
 	"repro/internal/regalloc"
-	"repro/internal/strategy"
 	"repro/internal/vm"
 )
 
@@ -197,84 +195,6 @@ func TestLivenessMatchesReferenceTestdata(t *testing.T) {
 			checkReference(t, filepath.Base(file)+" "+f.Name, f, dataflow.ComputeLiveness(f))
 		}
 	}
-}
-
-// TestPatchedLivenessMatchesReference places allocated programs of
-// every family with every strategy, and with a crafted placement that
-// saves and restores the first callee-saved register on every jump
-// edge, then checks the patched liveness against the reference on the
-// edited function. Shrink-wrapping's seed sets and the crafted sets
-// split edges, so new blocks are covered.
-func TestPatchedLivenessMatchesReference(t *testing.T) {
-	seeds := uint64(150)
-	if testing.Short() {
-		seeds = 20
-	}
-	m := machine.PARISC()
-	splits := 0
-	for _, fam := range families {
-		for seed := uint64(1); seed <= seeds; seed++ {
-			base := profiled(t, seed, fam.cfg)
-			if _, err := regalloc.AllocateProgram(base, m, 1, regalloc.Options{}); err != nil {
-				t.Fatalf("%s seed %d: %v", fam.name, seed, err)
-			}
-			for k := 0; k <= len(strategy.All); k++ {
-				p := base.Clone()
-				for _, f := range p.FuncsInOrder() {
-					if len(f.UsedCalleeSaved) == 0 {
-						continue
-					}
-					tag := fmt.Sprintf("%s seed %d %s crafted", fam.name, seed, f.Name)
-					sets := jumpEdgeSets(f)
-					if k < len(strategy.All) {
-						tag = fmt.Sprintf("%s seed %d %s %v", fam.name, seed, f.Name, strategy.All[k])
-						var err error
-						if sets, err = strategy.ComputeCachedFor(f, strategy.All[k], nil, nil); err != nil {
-							t.Fatalf("%s: %v", tag, err)
-						}
-					}
-					lv := dataflow.ComputeLiveness(f)
-					d, err := core.ApplyWithDelta(f, sets)
-					if err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
-					newTo := make(map[*ir.Block]*ir.Block, len(d.Splits))
-					for _, sp := range d.Splits {
-						newTo[sp.NewBlock] = sp.To
-					}
-					splits += len(d.Splits)
-					if !lv.PatchApply(f, d.OldID, newTo, d.Regs) {
-						t.Fatalf("%s: PatchApply rejected the delta of a successful Apply", tag)
-					}
-					checkReference(t, tag+" patched", f, lv)
-				}
-			}
-		}
-	}
-	if splits == 0 {
-		t.Fatal("the corpus split no edge; the patch of new blocks went untested")
-	}
-	t.Logf("%d edge splits", splits)
-}
-
-// jumpEdgeSets saves f's first callee-saved register on its first jump
-// edge and restores it on every other one. Apply needs only
-// structurally valid locations, so the placement need not be correct
-// code.
-func jumpEdgeSets(f *ir.Func) []*core.Set {
-	s := &core.Set{Reg: f.UsedCalleeSaved[0]}
-	for _, e := range f.Edges() {
-		if e.Kind != ir.Jump {
-			continue
-		}
-		l := core.Location{Kind: core.OnEdge, Edge: e}
-		if len(s.Saves) == 0 {
-			s.Saves = append(s.Saves, l)
-		} else {
-			s.Restores = append(s.Restores, l)
-		}
-	}
-	return []*core.Set{s}
 }
 
 // TestLivenessHandBuiltCFGs covers the shapes generated programs

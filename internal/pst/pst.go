@@ -142,40 +142,10 @@ func BuildMode(f *ir.Func, mode Mode) (*PST, error) {
 	if len(f.Exits()) == 0 {
 		return nil, fmt.Errorf("pst.Build(%s): function has no exit block", f.Name)
 	}
-	return buildWith(f, mode, computeInternals(f))
-}
-
-// internals holds the expensive intermediate structures of one PST
-// construction: the augmented graph, the cycle-equivalence classes,
-// and the edge-split graph with its dominator and postdominator trees.
-// A Builder memoizes them across calls; they stay valid for as long as
-// the CFG shape (blocks and edges) is unchanged.
-type internals struct {
-	a       *augGraph
-	sigs    []sig
-	classes [][]int
-	split   *splitGraph
-	dom     *cfg.DomTree
-	pdom    *cfg.DomTree
-}
-
-func computeInternals(f *ir.Func) *internals {
 	a := buildAug(f)
-	sigs := cycleEquivalence(a)
+	classes := groupClasses(cycleEquivalence(a))
 	split := buildSplit(a)
-	return &internals{
-		a:       a,
-		sigs:    sigs,
-		classes: groupClasses(sigs),
-		split:   split,
-		dom:     cfg.Dominators(split.g),
-		pdom:    cfg.Postdominators(split.g),
-	}
-}
-
-// buildWith constructs the region tree from precomputed internals.
-func buildWith(f *ir.Func, mode Mode, in *internals) (*PST, error) {
-	a, split, dom, pdom := in.a, in.split, in.dom, in.pdom
+	dom, pdom := cfg.Dominators(split.g), cfg.Postdominators(split.g)
 
 	closeIdx := -1
 	for i, e := range a.edges {
@@ -196,8 +166,8 @@ func buildWith(f *ir.Func, mode Mode, in *internals) (*PST, error) {
 	makeSpan := func(fromIdx, toIdx int) *Region {
 		first := a.edges[fromIdx]
 		if len(slab) == 0 {
-			slab = make([]Region, len(in.classes))
-			bits = make([]uint64, words*len(in.classes))
+			slab = make([]Region, len(classes))
+			bits = make([]uint64, words*len(classes))
 		}
 		r := &slab[0]
 		slab = slab[1:]
@@ -246,7 +216,7 @@ func buildWith(f *ir.Func, mode Mode, in *internals) (*PST, error) {
 		}
 	}
 	var edges []int // the current class's chain, reused
-	for _, class := range in.classes {
+	for _, class := range classes {
 		// Drop the END->START edge from the chain; it orders last.
 		hasClose := false
 		edges = edges[:0]
@@ -303,13 +273,9 @@ func buildWith(f *ir.Func, mode Mode, in *internals) (*PST, error) {
 
 // assemble derives the nesting structure of a region set: it sorts the
 // regions deterministically, links parents and children, finds the
-// root, and sets depths. Build and the edge-split patch share it so a
-// patched tree is structurally identical to a rebuilt one. Regions'
-// Parent/Children links are reset and recomputed from membership.
+// root, and sets depths.
 func assemble(f *ir.Func, regions []*Region) (*Region, error) {
 	for _, r := range regions {
-		r.Parent = nil
-		r.Children = nil
 		slices.SortFunc(r.Blocks, func(x, y *ir.Block) int { return cmp.Compare(x.ID, y.ID) })
 	}
 	// Nesting: parent = smallest region strictly containing the child.

@@ -70,7 +70,7 @@ func (h *histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// RequestCounters counts requests by outcome.
+// RequestCounters counts requests by the status their clients got.
 type RequestCounters struct {
 	Total      int64 `json:"total"`
 	OK         int64 `json:"ok"`
@@ -78,7 +78,11 @@ type RequestCounters struct {
 	TooLarge   int64 `json:"too_large"`
 	Errors     int64 `json:"errors"`
 	// Panics counts the Errors answered 500 for a recovered panic.
-	Panics   int64 `json:"panics"`
+	Panics int64 `json:"panics"`
+	// TimedOut counts the requests the timeout handler answered 503,
+	// because the deadline passed or the client went away first. They
+	// are in neither latency histogram.
+	TimedOut int64 `json:"timed_out"`
 	InFlight int64 `json:"in_flight"`
 }
 
@@ -184,6 +188,14 @@ func (m *metrics) done(o placeOutcome, d time.Duration) {
 			m.requests.Panics++
 		}
 	}
+}
+
+// timedOut records a request the timeout handler answered.
+func (m *metrics) timedOut() {
+	m.mu.Lock()
+	m.requests.InFlight--
+	m.requests.TimedOut++
+	m.mu.Unlock()
 }
 
 func (m *metrics) win(strategy string) {

@@ -12,12 +12,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro"
@@ -210,17 +212,56 @@ func (s *Server) Handler() http.Handler {
 	if s.cfg.RequestTimeout > 0 {
 		place = http.TimeoutHandler(place, s.cfg.RequestTimeout, `{"error":"request timed out"}`)
 	}
-	mux.Handle("POST /v1/place", place)
+	mux.Handle("POST /v1/place", s.counted(place))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
 }
 
+// counted counts each /v1/place request once, by the status its client
+// got. The timeout handler answers 503 on its own when the deadline
+// passes or the client goes away, and discards what the handler writes
+// later; such a request counts as timed out, and the handler's own
+// outcome is ignored.
+func (s *Server) counted(place http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		s.metrics.begin()
+		a := &answer{ResponseWriter: w}
+		place.ServeHTTP(a, r.WithContext(context.WithValue(r.Context(), answerKey{}, a)))
+		if o := a.outcome.Load(); o != nil && o.status == a.status {
+			s.metrics.done(*o, time.Since(start))
+		} else {
+			s.metrics.timedOut()
+		}
+	})
+}
+
+// answer records what one /v1/place client got: the first status
+// written to it, and the outcome handlePlace answered with once it
+// returns, which a timed-out handler does after its client has had
+// the 503.
+type answer struct {
+	http.ResponseWriter
+	status  int
+	outcome atomic.Pointer[placeOutcome]
+}
+
+// answerKey is the request context key of the request's answer.
+type answerKey struct{}
+
+func (a *answer) WriteHeader(status int) {
+	if a.status == 0 {
+		a.status = status
+	}
+	a.ResponseWriter.WriteHeader(status)
+}
+
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.metrics.begin()
 	o := s.servePlace(w, r)
-	s.metrics.done(o, time.Since(start))
+	if a, ok := r.Context().Value(answerKey{}).(*answer); ok {
+		a.outcome.Store(&o)
+	}
 }
 
 // servePlace answers one /v1/place request and returns its outcome for

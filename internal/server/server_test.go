@@ -459,6 +459,93 @@ func TestMetricsAndHealthz(t *testing.T) {
 	}
 }
 
+// slowProgram's profile run, with slowArgs, executes about 15 million
+// instructions: long enough that a request for it outlives a 1 ms
+// deadline, or a client that half-closes its connection, by far.
+const slowProgram = `main main
+
+func main(v0) {
+entry:
+	v1 = const 0
+	v2 = const 0
+	jmp loop ; 0
+loop:
+	v1 = add v1, v2
+	v3 = const 1
+	v2 = add v2, v3
+	v4 = cmplt v2, v0
+	br v4, loop, exit ; 0 0
+exit:
+	ret v1
+}
+`
+
+var slowArgs = []int64{3_000_000}
+
+// TestMetricsCountAnswers: /metrics counts each request by the status
+// its client got. In both cases below the timeout handler answers 503
+// while the handler runs on to a 200 it cannot deliver: a request whose
+// profile run outlasts a 1 ms deadline, and a request whose client
+// half-closes its connection once the body is sent. Once the handlers
+// have finished, the counters match the clients' statuses one for one,
+// and the unanswered work is in neither latency histogram.
+func TestMetricsCountAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		send    func(ts *httptest.Server) int
+	}{
+		{"deadline", time.Millisecond, func(ts *httptest.Server) int {
+			resp, _ := post(t, ts, PlaceRequest{IR: slowProgram, Args: slowArgs})
+			return resp.StatusCode
+		}},
+		{"half-closed", 0, func(ts *httptest.Server) int {
+			body := string(marshalRequest(t, PlaceRequest{IR: slowProgram, Args: slowArgs}))
+			return postRaw(t, ts.Listener.Addr().String(), fmt.Sprintf("Content-Length: %d\r\n", len(body)), body)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{RequestTimeout: tc.timeout})
+			status := tc.send(ts)
+			if status != http.StatusServiceUnavailable {
+				t.Fatalf("client got %d, want the timeout handler's 503", status)
+			}
+			// The handler finishes its placement after the answer; wait
+			// until it has stored its response and nothing is in flight.
+			var sn *Snapshot
+			for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
+				var err error
+				if sn, err = metricsSnapshot(ts.Client(), ts.URL); err != nil {
+					t.Fatal(err)
+				}
+				if s.progCache.Len() > 0 && sn.Requests.InFlight == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("the handler did not finish: %+v", sn.Requests)
+				}
+			}
+			r := sn.Requests
+			counted := map[int]int64{200: r.OK, 400: r.BadRequest, 413: r.TooLarge, 500: r.Errors, 503: r.TimedOut}
+			for code, n := range counted {
+				got := int64(0)
+				if code == status {
+					got = 1
+				}
+				if n != got {
+					t.Errorf("/metrics counts %d requests answered %d, clients got %d", n, code, got)
+				}
+			}
+			if r.Total != 1 {
+				t.Errorf("/metrics counts %d requests, clients sent 1", r.Total)
+			}
+			if n := sn.Latency.Cold.Count + sn.Latency.Cached.Count; n != r.OK {
+				t.Errorf("latency histograms hold %d requests, %d were answered 200", n, r.OK)
+			}
+		})
+	}
+}
+
 // TestLoadgenSmoke drives the real loadgen against an in-process
 // server at a small scale and checks the deterministic counter
 // expectations the CI gate relies on.

@@ -144,10 +144,9 @@ func ComputeCachedFor(f *ir.Func, s Strategy, info *analysis.Info, d *machine.De
 // PlaceCachedFor computes the strategy's sets for f on machine d (nil
 // means the paper's unit-cost machine), validates them against info's
 // liveness, and applies them, inserting save/restore code and jump
-// blocks. A nil info builds private analyses. The returned delta
-// describes the edit; it has already patched info's memoized analyses
-// in place (or invalidated them, for an edit they cannot patch), so no
-// caller can read stale results afterwards.
+// blocks. A nil info builds private analyses. The returned delta lists
+// the edges the edit split. Applying invalidates info, so a later
+// reader rebuilds from the placed function.
 func PlaceCachedFor(f *ir.Func, s Strategy, info *analysis.Info, d *machine.Desc) (*core.Delta, error) {
 	if info == nil {
 		info = analysis.For(f)
@@ -159,8 +158,7 @@ func PlaceCachedFor(f *ir.Func, s Strategy, info *analysis.Info, d *machine.Desc
 	if err := core.ValidateSetsLive(f, sets, info.Liveness()); err != nil {
 		return nil, err
 	}
-	// Apply mutates f even on failure, and then reports a Full delta,
-	// which ApplyDelta turns into a full invalidation.
+	// Apply mutates f even on failure, so info is invalidated either way.
 	delta, err := core.ApplyWithDelta(f, sets)
 	info.ApplyDelta(delta)
 	return delta, err

@@ -4,7 +4,7 @@
 // profiling for a bounded step quantum; at the tier boundary the
 // measured edge counts are written back onto the CFG, layout.Align
 // re-chains blocks hottest-fall-through, the affected functions are
-// re-placed through the delta-aware analysis cache path, and execution
+// re-placed through the shared analysis cache, and execution
 // resumes on the freshly compiled tier-1 program with the remaining
 // step budget.
 //
@@ -62,8 +62,7 @@ type Config struct {
 	// means GOMAXPROCS.
 	Parallelism int
 	// Cache is the shared analysis cache the final program's placement
-	// runs through (the delta-aware strategy.PlaceCachedFor path). May
-	// be nil. The throwaway tier-0 clone always uses a private cache so
+	// runs through (strategy.PlaceProgramFor). May be nil. The throwaway tier-0 clone always uses a private cache so
 	// its short-lived functions never pin entries in a shared one.
 	Cache *analysis.Cache
 	// Engine selects the VM engine for both tiers. The zero value is
@@ -199,9 +198,9 @@ func Run(prog *ir.Program, cfg Config, args ...int64) (*Result, error) {
 }
 
 // alignAndPlace aligns every function, invalidating the shared cache
-// for reordered analyses, then places the program through the
-// delta-aware shared-cache path. When res is non-nil the alignment
-// change count is recorded on it.
+// for reordered analyses, then places the program through the shared
+// cache. When res is non-nil the alignment change count is recorded
+// on it.
 func alignAndPlace(prog *ir.Program, cfg Config, res *Result) error {
 	for _, f := range prog.FuncsInOrder() {
 		if alignFunc(f) && res != nil {

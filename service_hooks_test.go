@@ -109,7 +109,7 @@ func TestSharedAnalysisCacheLifetime(t *testing.T) {
 	if got := shared.Len(); got != 0 {
 		t.Fatalf("Len after both Close = %d, want 0", got)
 	}
-	// Close on a program-owned cache drops everything too, and is
+	// Close on a program-owned cache empties it too, and is
 	// idempotent.
 	c, _ := ParseProgram(demoSrc)
 	if err := c.Profile(100); err != nil {
@@ -121,8 +121,14 @@ func TestSharedAnalysisCacheLifetime(t *testing.T) {
 	if err := c.Place(HierarchicalJump); err != nil {
 		t.Fatal(err)
 	}
+	if c.cache.Len() == 0 {
+		t.Fatal("program-owned cache empty after the pipeline")
+	}
 	c.Close()
 	c.Close()
+	if got := c.cache.Len(); got != 0 {
+		t.Errorf("program-owned cache Len after Close = %d, want 0", got)
+	}
 	if len(c.IRFuncs()) != len(c.Functions()) {
 		t.Error("IRFuncs and Functions disagree on function count")
 	}

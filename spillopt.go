@@ -123,11 +123,6 @@ type Program struct {
 	// set a tight limit so a runaway program costs bounded CPU.
 	MaxSteps int64
 
-	// sharedCache marks a cache injected via UseAnalysisCache and
-	// owned by a longer-lived service; Close then drops only this
-	// program's entries instead of everything.
-	sharedCache bool
-
 	// Tiered pipeline state (UseTiering): the quantum, the strategy
 	// Place recorded, whether the tiered Run is still pending, and the
 	// last tiered result for TierReport.
@@ -319,9 +314,8 @@ func (p *Program) Allocate() error {
 	}
 	// Allocation rewrote instructions (spill code, physical registers),
 	// so every memoized analysis of this program is stale. Invalidation
-	// is per function: on a cache shared with other live programs
-	// (UseAnalysisCache), a blanket InvalidateAll would throw away
-	// their perfectly valid analyses.
+	// is per function: a cache shared with other live programs
+	// (UseAnalysisCache) keeps their analyses.
 	for _, f := range p.prog.FuncsInOrder() {
 		p.cache.Invalidate(f)
 	}
@@ -360,24 +354,6 @@ func (p *Program) Place(s Strategy) error {
 	return nil
 }
 
-// AnalysisStats reports the shared analysis layer's activity: cache
-// lookups, per-analysis build counts, and how placement edits were
-// absorbed — patched in place from a core.Delta, or by falling back to
-// a full invalidation. In a healthy pipeline DeltaFull stays 0: every
-// Place edit is a recognized shape the analyses patch incrementally.
-type AnalysisStats struct {
-	// Hits and Misses count per-function cache lookups (a miss creates
-	// the function's analysis handle).
-	Hits, Misses int
-	// Builds per analysis, summed over all functions. SplitDom counts
-	// the PST's internal split-graph dominator-tree computations, the
-	// expensive core the builder memoizes across rebuild requests.
-	Liveness, Dom, Loops, PST, SplitDom, Seed int
-	// DeltaPatched and DeltaFull count placement edits absorbed
-	// incrementally vs by full invalidation.
-	DeltaPatched, DeltaFull int
-}
-
 // UseAnalysisCache points the pipeline at a shared program-level
 // analysis cache owned by a long-lived caller (the placement service
 // shares one across every request it handles). It must be called
@@ -387,24 +363,17 @@ type AnalysisStats struct {
 // calls the cache's Drop — otherwise the cache pins every program
 // ever compiled (the leak Invalidate alone never fixes).
 func (p *Program) UseAnalysisCache(c *analysis.Cache) {
-	if c == nil {
-		return
+	if c != nil {
+		p.cache = c
 	}
-	p.cache = c
-	p.sharedCache = true
 }
 
-// Close releases the program's per-function entries from its analysis
-// cache so the functions (and everything their analyses pin) can be
-// collected. On a program-owned cache it drops everything; on a cache
-// injected with UseAnalysisCache it drops only this program's
-// functions. Close is idempotent and the Program remains usable — the
-// next analysis consumer just rebuilds.
+// Close drops the program's functions from its analysis cache, so the
+// functions (and everything their analyses pin) can be collected. On a
+// cache shared through UseAnalysisCache, other programs' entries stay.
+// Close is idempotent and the Program remains usable — the next
+// analysis consumer just rebuilds.
 func (p *Program) Close() {
-	if !p.sharedCache {
-		p.cache.DropAll()
-		return
-	}
 	for _, f := range p.prog.FuncsInOrder() {
 		p.cache.Drop(f)
 	}
@@ -415,18 +384,6 @@ func (p *Program) Close() {
 // the returned pointers are exactly the cache keys an eviction policy
 // must eventually Drop.
 func (p *Program) IRFuncs() []*ir.Func { return p.prog.FuncsInOrder() }
-
-// AnalysisStats returns the pipeline's analysis-layer counters so far.
-func (p *Program) AnalysisStats() AnalysisStats {
-	hits, misses := p.cache.Stats()
-	c := p.cache.Counts()
-	return AnalysisStats{
-		Hits: hits, Misses: misses,
-		Liveness: c.Liveness, Dom: c.Dom, Loops: c.Loops,
-		PST: c.PST, SplitDom: c.SplitDom, Seed: c.Seed,
-		DeltaPatched: c.DeltaPatched, DeltaFull: c.DeltaFull,
-	}
-}
 
 // Functions returns the program's function names in definition order.
 func (p *Program) Functions() []string {

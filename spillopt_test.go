@@ -110,30 +110,6 @@ func TestPipelineAllStrategies(t *testing.T) {
 	}
 }
 
-// TestAnalysisStatsAfterPipeline: the facade's analysis counters show
-// the placement edit being absorbed incrementally — every Place edit is
-// a recognized delta (DeltaFull stays 0), and the PST's split-graph
-// dominator trees are computed no more often than the PST itself.
-func TestAnalysisStatsAfterPipeline(t *testing.T) {
-	p, _ := pipeline(t, HierarchicalJump)
-	st := p.AnalysisStats()
-	if st.DeltaFull != 0 {
-		t.Errorf("placement fell back to %d full invalidations", st.DeltaFull)
-	}
-	if st.DeltaPatched == 0 {
-		t.Error("no placement edit was patched incrementally")
-	}
-	if st.Misses == 0 {
-		t.Error("no analysis handle was ever created")
-	}
-	if st.SplitDom > st.PST {
-		t.Errorf("split-dom computed %d times for %d PST builds — memoization lost", st.SplitDom, st.PST)
-	}
-	if st.Liveness == 0 || st.PST == 0 {
-		t.Errorf("placement built no analyses: %+v", st)
-	}
-}
-
 func TestPipelineOrderEnforced(t *testing.T) {
 	p, err := ParseProgram(demoSrc)
 	if err != nil {
