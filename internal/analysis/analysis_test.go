@@ -241,35 +241,11 @@ func TestDropShrinksLen(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaInvalidates: whatever delta ApplyDelta gets, nil
-// included, it leaves no stale analysis behind. After an edit that
-// splits edges, the next reads cover the edited function's blocks, and
-// Counts.DeltaFull counts every call.
-func TestApplyDeltaInvalidates(t *testing.T) {
-	f := demoFunc(t)
-	info := analysis.For(f)
-	read := func() {
-		t.Helper()
-		info.Liveness()
-		info.Loops()
-		if _, err := info.PST(); err != nil {
-			t.Fatal(err)
-		}
-		info.ShrinkwrapSeed()
-	}
-	read()
-	before := info.Counts()
-	lv := info.Liveness()
-	if info.ApplyDelta(nil) {
-		t.Error("ApplyDelta(nil) reported an in-place patch")
-	}
-	if info.Liveness() == lv {
-		t.Error("stale liveness served after ApplyDelta(nil)")
-	}
-	read()
-
-	// Save on the entry's edges and restore on the edges into exits:
-	// every one of them is split, so the block count grows.
+// splitEdges edits f with a save on every edge out of the entry and a
+// restore on every edge into an exit. Each of those edges is split, so
+// the function's block count grows; splitEdges fails the test if not.
+func splitEdges(t *testing.T, f *ir.Func) *core.Delta {
+	t.Helper()
 	set := &core.Set{Reg: f.UsedCalleeSaved[0]}
 	for _, e := range f.Edges() {
 		l := core.Location{Kind: core.OnEdge, Edge: e}
@@ -288,8 +264,71 @@ func TestApplyDeltaInvalidates(t *testing.T) {
 	if len(delta.Splits) == 0 || len(f.Blocks) == n {
 		t.Fatalf("the edit split %d edges, %d blocks before and %d after", len(delta.Splits), n, len(f.Blocks))
 	}
+	return delta
+}
+
+// TestApplyDeltaFallback: ApplyDelta reads no delta, so every one falls
+// back to full invalidation: nil, an empty delta, and one describing an
+// edit of another function. None is reported as patched, no stale
+// result is served afterwards, and Counts.DeltaFull counts each call.
+func TestApplyDeltaFallback(t *testing.T) {
+	f := demoFunc(t)
+	info := analysis.For(f)
+	read := func() {
+		t.Helper()
+		info.Liveness()
+		info.Loops()
+		if _, err := info.PST(); err != nil {
+			t.Fatal(err)
+		}
+		info.ShrinkwrapSeed()
+	}
+	deltas := []struct {
+		name  string
+		delta *core.Delta
+	}{
+		{"nil", nil},
+		{"empty", &core.Delta{}},
+		{"another function's", splitEdges(t, f.Clone())},
+	}
+	read()
+	before := info.Counts()
+	for _, d := range deltas {
+		lv := info.Liveness()
+		if info.ApplyDelta(d.delta) {
+			t.Errorf("the %s delta was reported as patched in place", d.name)
+		}
+		if info.Liveness() == lv {
+			t.Errorf("stale liveness served after the %s delta", d.name)
+		}
+		read()
+	}
+
+	c := info.Counts()
+	k := len(deltas)
+	if c.DeltaFull != before.DeltaFull+k || c.DeltaPatched != 0 {
+		t.Errorf("DeltaFull %d → %d, DeltaPatched %d; want %d more and 0", before.DeltaFull, c.DeltaFull, c.DeltaPatched, k)
+	}
+	if c.Liveness != before.Liveness+k || c.PST != before.PST+k || c.SplitDom != c.PST {
+		t.Errorf("reads after ApplyDelta did not rebuild: before %+v, after %+v", before, c)
+	}
+}
+
+// TestApplyDeltaUnrecognizedNoStaleServe: after an edit that changed
+// the function's shape, ApplyDelta invalidates, so the next reads of
+// liveness, dominators and the PST cover the edited function's blocks
+// and not the ones memoized before the edit.
+func TestApplyDeltaUnrecognizedNoStaleServe(t *testing.T) {
+	f := demoFunc(t)
+	info := analysis.For(f)
+	info.Liveness()
+	info.Dom()
+	if _, err := info.PST(); err != nil {
+		t.Fatal(err)
+	}
+	delta := splitEdges(t, f)
 	if info.ApplyDelta(delta) {
-		t.Error("ApplyDelta reported an in-place patch")
+		t.Fatal("ApplyDelta reported an in-place patch")
 	}
 	if got, want := info.Liveness().Blocks(), len(f.Blocks); got != want {
 		t.Errorf("liveness covers %d blocks after the edit, function has %d", got, want)
@@ -304,13 +343,8 @@ func TestApplyDeltaInvalidates(t *testing.T) {
 	if got, want := len(tree.Root.Blocks), len(f.Blocks); got != want {
 		t.Errorf("PST root covers %d blocks after the edit, function has %d", got, want)
 	}
-
-	c := info.Counts()
-	if c.DeltaFull != 2 || c.DeltaPatched != 0 {
-		t.Errorf("DeltaFull %d, DeltaPatched %d; want 2 and 0", c.DeltaFull, c.DeltaPatched)
-	}
-	if c.Liveness != before.Liveness+2 || c.PST != before.PST+2 || c.SplitDom != c.PST {
-		t.Errorf("reads after ApplyDelta did not rebuild: before %+v, after %+v", before, c)
+	if c := info.Counts(); c.DeltaFull != 1 || c.DeltaPatched != 0 {
+		t.Errorf("DeltaFull %d, DeltaPatched %d; want 1 and 0", c.DeltaFull, c.DeltaPatched)
 	}
 }
 
