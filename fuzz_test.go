@@ -14,6 +14,7 @@ package spillopt
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/irgen"
@@ -23,7 +24,8 @@ import (
 
 // FuzzParse: irtext.Parse must never panic, and any program it
 // accepts must print to a parse-print fixpoint (Print(Parse(s)) is
-// stable and reparses to the same text).
+// stable and reparses to the same text). A source it reports canonical
+// must be that text already: Print(Parse(s)) == s.
 func FuzzParse(f *testing.F) {
 	for _, name := range []string{"gcd.ir", "collatz.ir"} {
 		if b, err := os.ReadFile(filepath.Join("testdata", name)); err == nil {
@@ -42,12 +44,34 @@ func FuzzParse(f *testing.F) {
 	f.Add("func f() {\ne:\n\tv0 = const 1\n\tbr v0, a, a\na:\n\tret\n}\n")
 	f.Add("func f() {\ne:\n\tjmp a\n\tret\na:\n\tret\n}\n")
 	f.Add("func f() {\ne:\n\tjmp a ; 1 2\na:\n\tret\n}\n")
+	// Canonical text and spellings one step away from it, which parse
+	// to the same program but are not canonical.
+	const canon = "func f(v0) {\ne:\n\tr5 = const 5\n\tv1 = const 0\n\tjmp x ; 0\nx:\n\tret v1\n}\n\nfunc g() {\nb:\n\tret\n}\n"
+	f.Add(canon)
+	for _, edit := range [][2]string{
+		{"e:\n", "e:\n# a comment\n"},
+		{"\tret v1\n", "\tret v1 \n"},
+		{"\n", "\r\n"},
+		{"func f", "\nfunc f"},
+		{"}\n\nfunc g() {\nb:\n\tret\n}\n", "}\n\nfunc g() {\nb:\n\tret\n}"},
+		{"func f(v0) {", "func f(v0) entry=0 {"},
+		{"r5 =", "r05 ="},
+		{"const 5", "const +5"},
+		{"const 0", "const -0"},
+		{"jmp x ; 0", "jmp x"},
+		{"func f", "main f\n\nfunc f"},
+	} {
+		f.Add(strings.Replace(canon, edit[0], edit[1], 1))
+	}
 	f.Fuzz(func(t *testing.T, src string) {
-		p, err := irtext.Parse(src)
+		p, canonical, err := irtext.ParseCanonical(src)
 		if err != nil {
 			return
 		}
 		s1 := irtext.Print(p)
+		if canonical && s1 != src {
+			t.Fatalf("reported canonical, but Print differs:\n-- source --\n%q\n-- printed --\n%q", src, s1)
+		}
 		p2, err := irtext.Parse(s1)
 		if err != nil {
 			t.Fatalf("accepted program does not reparse: %v\n%s", err, s1)

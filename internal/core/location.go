@@ -96,12 +96,6 @@ func (l Location) String() string {
 	}
 }
 
-// samePoint reports whether two locations denote the same physical
-// program point.
-func (l Location) samePoint(o Location) bool {
-	return l.Kind == o.Kind && l.Block == o.Block && l.Edge == o.Edge
-}
-
 // Set is a save/restore set: the save and restore locations for one
 // callee-saved register that depend on each other for validity and
 // are independent of every other set.

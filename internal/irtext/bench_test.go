@@ -25,17 +25,30 @@ func BenchmarkPrint(b *testing.B) {
 // parsed keeps BenchmarkParse's result live.
 var parsed *ir.Program
 
-// BenchmarkParse parses one irgen.Default program (seed 1), as the
-// service does for every request that misses its raw-text cache.
+// BenchmarkParse parses one program (seed 1) of each generator family
+// the service benchmark sends: Default (cold-compile), Small
+// (hot-resubmit) and Hostile (exec-run). The service parses every
+// request that misses its raw-text cache.
 func BenchmarkParse(b *testing.B) {
-	src := irtext.Print(irgen.Generate(1, irgen.Default()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := irtext.Parse(src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		parsed = p
+	for _, fam := range []struct {
+		name string
+		cfg  irgen.Config
+	}{
+		{"Default", irgen.Default()},
+		{"Small", irgen.Small()},
+		{"Hostile", irgen.Hostile()},
+	} {
+		b.Run(fam.name, func(b *testing.B) {
+			src := irtext.Print(irgen.Generate(1, fam.cfg))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, err := irtext.Parse(src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				parsed = p
+			}
+		})
 	}
 }

@@ -19,15 +19,33 @@ import (
 // Preds lists are carved from one allocation each. Labels and branch
 // targets resolve through a per-function name map, so parse time is
 // linear in the number of blocks.
+//
+// A line written exactly as Print writes it is read in one scan of its
+// bytes (printed.go); any other line, such as a comment, other spacing
+// or a malformed line, goes through the general line handler, which
+// accepts the same language and reports the errors.
 func Parse(src string) (*ir.Program, error) {
-	p := &parser{prog: ir.NewProgram()}
+	prog, _, err := ParseCanonical(src)
+	return prog, err
+}
+
+// ParseCanonical is Parse that also reports whether src is canonical:
+// every line and the file's layout exactly as Print writes them, so
+// that Print(prog) == src byte for byte. A text that differs only in
+// comments, spacing, line endings or number spelling parses to the
+// same program but is not canonical. A false result never claims the
+// texts differ: spellings the one-scan path leaves to the general
+// handler (names outside [A-Za-z0-9_.], numbers of 19 digits, _ for a
+// register) may still print back unchanged.
+func ParseCanonical(src string) (prog *ir.Program, canonical bool, err error) {
+	p := &parser{prog: ir.NewProgram(), canonical: true}
 	if err := p.run(src); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if err := ir.VerifyProgram(p.prog); err != nil {
-		return nil, fmt.Errorf("irtext: parsed program invalid: %w", err)
+		return nil, false, fmt.Errorf("irtext: parsed program invalid: %w", err)
 	}
-	return p.prog, nil
+	return p.prog, p.canonical, nil
 }
 
 // Slab chunk sizes: how many values one allocation holds.
@@ -77,6 +95,16 @@ type parser struct {
 	starts  []int       // starts[i] indexes block i's first instruction in code
 	pending []pendingEdge
 	virtMax int
+	args    []ir.Reg // a call's arguments while its line is scanned
+
+	// Layout of the source so far, for ParseCanonical: whether every
+	// line was read as Print writes it, in an order Print writes, the
+	// kind of the last line, the functions closed, and whether a main
+	// directive opened the file.
+	canonical bool
+	last      lineKind
+	funcs     int
+	sawMain   bool
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -84,22 +112,44 @@ func (p *parser) errf(format string, args ...any) error {
 }
 
 func (p *parser) run(src string) error {
-	for rest := src; ; {
-		line := rest
-		i := strings.IndexByte(rest, '\n')
-		if i >= 0 {
-			line, rest = rest[:i], rest[i+1:]
-		}
+	for pos := 0; ; {
 		p.line++
+		if pos == len(src) {
+			break // the empty line after a final newline
+		}
+		next, kind, err := p.printedLine(src, pos)
+		if err != nil {
+			return err
+		}
+		if next >= 0 {
+			if printedNext[p.last]&(1<<kind) == 0 {
+				p.canonical = false
+			}
+			p.last, pos = kind, next
+			continue
+		}
+		p.canonical = false
+		line := src[pos:]
+		i := strings.IndexByte(line, '\n')
+		if i >= 0 {
+			line = line[:i]
+		}
 		if err := p.parseLine(line); err != nil {
 			return err
 		}
 		if i < 0 {
 			break
 		}
+		pos += i + 1
 	}
 	if p.f != nil {
 		return p.errf("unexpected end of input inside func %s", p.f.Name)
+	}
+	// Print writes one function per name, and a main directive only
+	// when main is not the first function.
+	if p.last != closeLine || p.funcs != len(p.prog.Order) ||
+		p.sawMain && p.prog.Main == p.prog.Order[0] {
+		p.canonical = false
 	}
 	return nil
 }
@@ -128,7 +178,14 @@ func (p *parser) parseLine(line string) error {
 		if _, dup := p.byName[name]; dup {
 			return p.errf("duplicate block %q", name)
 		}
-		p.newBlock(name)
+		// An empty name becomes b<ID>, as Func.NewBlock names it, and
+		// may repeat an earlier label; the first block of a name wins.
+		if name == "" {
+			name = "b" + strconv.Itoa(len(p.layout))
+		}
+		if b := p.newBlock(name); p.byName[name] == nil {
+			p.byName[name] = b
+		}
 	default:
 		if p.f == nil || p.cur == nil {
 			return p.errf("instruction outside block")
@@ -138,21 +195,15 @@ func (p *parser) parseLine(line string) error {
 	return nil
 }
 
-// newBlock starts a block at the end of the current function's layout.
-// An empty name becomes b<ID>, as Func.NewBlock names it.
-func (p *parser) newBlock(name string) {
-	id := len(p.layout)
-	if name == "" {
-		name = "b" + strconv.Itoa(id)
-	}
+// newBlock starts a block at the end of the current function's layout
+// and returns it; the caller enters it in the name map.
+func (p *parser) newBlock(name string) *ir.Block {
 	b := p.blocks.next(blockChunk)
-	b.ID, b.Name, b.Func = id, name, p.f
-	if _, ok := p.byName[name]; !ok {
-		p.byName[name] = b
-	}
+	b.ID, b.Name, b.Func = len(p.layout), name, p.f
 	p.layout = append(p.layout, b)
 	p.starts = append(p.starts, len(p.code))
 	p.cur = b
+	return b
 }
 
 func (p *parser) startFunc(line string) error {
@@ -169,11 +220,7 @@ func (p *parser) startFunc(line string) error {
 	if name == "" {
 		return p.errf("func missing name")
 	}
-	p.f = ir.NewFunc(name)
-	p.virtMax = 0
-	// A fresh map per function, because clearing a map costs its
-	// capacity, which the largest function so far would set.
-	p.byName = make(map[string]*ir.Block)
+	p.beginFunc(name)
 	if params := strings.TrimSpace(rest[open+1 : close_]); params != "" {
 		regs, err := p.regList(params)
 		if err != nil {
@@ -193,6 +240,23 @@ func (p *parser) startFunc(line string) error {
 		p.f.EntryCount = n
 	}
 	return nil
+}
+
+// reuseLabels is the most labels a function's name map may have held
+// for the next function to reuse it.
+const reuseLabels = 64
+
+// beginFunc starts a function named name.
+func (p *parser) beginFunc(name string) {
+	p.f = ir.NewFunc(name)
+	p.virtMax = 0
+	// Clearing a map costs its capacity, which the largest function it
+	// held set, so only a map that stayed small is reused.
+	if p.byName == nil || len(p.byName) > reuseLabels {
+		p.byName = make(map[string]*ir.Block)
+	} else {
+		clear(p.byName)
+	}
 }
 
 func (p *parser) endFunc() error {
@@ -218,6 +282,7 @@ func (p *parser) endFunc() error {
 	f.RenumberBlocks()
 	f.ClassifyEdges()
 	p.prog.Add(f)
+	p.funcs++
 	p.f, p.cur = nil, nil
 	p.layout, p.code, p.starts, p.pending = p.layout[:0], p.code[:0], p.starts[:0], p.pending[:0]
 	return nil
@@ -301,14 +366,6 @@ func (p *parser) regList(s string) ([]ir.Reg, error) {
 		regs = append(regs, r)
 	}
 	return regs, nil
-}
-
-var binOps = map[string]ir.Op{
-	"add": ir.OpAdd, "sub": ir.OpSub, "mul": ir.OpMul, "div": ir.OpDiv,
-	"rem": ir.OpRem, "and": ir.OpAnd, "or": ir.OpOr, "xor": ir.OpXor,
-	"shl": ir.OpShl, "shr": ir.OpShr,
-	"cmpeq": ir.OpCmpEQ, "cmpne": ir.OpCmpNE, "cmplt": ir.OpCmpLT,
-	"cmple": ir.OpCmpLE, "cmpgt": ir.OpCmpGT, "cmpge": ir.OpCmpGE,
 }
 
 // emit appends in, with the given flags, to the current block and
@@ -406,15 +463,13 @@ func (p *parser) instr(line string) error {
 			if op == "restore" {
 				o, slots = ir.OpRestore, &p.f.SaveSlots
 			}
-			if int(n)+1 > *slots {
-				*slots = int(n) + 1
-			}
+			growSlots(slots, n)
 			p.emit(ir.Instr{Op: o, Dst: dst, Src1: ir.NoReg, Src2: ir.NoReg, Imm: n}, flags)
 		case "call":
 			return p.call(dst, args, flags)
 		default:
-			o, ok := binOps[op]
-			if !ok {
+			o, ok := mnemonicOp(op)
+			if !ok || !o.IsBinary() {
 				return p.errf("unknown op %q", op)
 			}
 			if strings.Count(args, ",") != 1 {
@@ -469,9 +524,7 @@ func (p *parser) instr(line string) error {
 		if op == "save" {
 			o, slots = ir.OpSave, &p.f.SaveSlots
 		}
-		if int(n)+1 > *slots {
-			*slots = int(n) + 1
-		}
+		growSlots(slots, n)
 		p.emit(ir.Instr{Op: o, Dst: ir.NoReg, Src1: r, Src2: ir.NoReg, Imm: n}, flags)
 	case "call":
 		return p.call(ir.NoReg, args, flags)
@@ -509,6 +562,13 @@ func (p *parser) instr(line string) error {
 		return p.errf("unknown instruction %q", line)
 	}
 	return nil
+}
+
+// growSlots makes a frame's slot count cover slot n.
+func growSlots(slots *int, n int64) {
+	if int(n)+1 > *slots {
+		*slots = int(n) + 1
+	}
 }
 
 // call parses "name(a, b, ...)".

@@ -391,15 +391,17 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 	}
 
 	// Canonical tier: keyed on the re-printed text, so formatting
-	// variants of the same program share one entry. For already
-	// canonical submissions both tiers are one entry, and the text is
-	// not hashed twice.
+	// variants of the same program share one entry. A submission the
+	// parser found canonical is its own printed text, so both tiers are
+	// one entry and the text is neither printed nor hashed again.
 	pkey := rawKey
-	if text := prog.Text(); text != req.IR {
-		pkey = programKey(text, req)
-		if body, ok := s.progCache.Get(pkey); ok {
-			s.progCache.Put(rawKey, body, int64(len(body)))
-			return placeOutcome{status: http.StatusOK, body: body, cache: cacheProgram}
+	if !prog.Canonical() {
+		if text := prog.Text(); text != req.IR {
+			pkey = programKey(text, req)
+			if body, ok := s.progCache.Get(pkey); ok {
+				s.progCache.Put(rawKey, body, int64(len(body)))
+				return placeOutcome{status: http.StatusOK, body: body, cache: cacheProgram}
+			}
 		}
 	}
 

@@ -170,6 +170,44 @@ func TestReorderedProgramHitsFunctionCache(t *testing.T) {
 	}
 }
 
+// TestCanonicalKey: a submission the parser finds canonical is keyed
+// on its own text without printing it again, and that key must be the
+// one a reformatted submission of the same program reaches through
+// its printed text. On fresh servers, the variant after the canonical
+// text and the canonical text after the variant are each answered
+// from the program cache, byte for byte.
+func TestCanonicalKey(t *testing.T) {
+	src := testProgram(6)
+	prog, err := spillopt.ParseProgram(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !prog.Canonical() {
+		t.Fatal("a printed program did not parse as canonical")
+	}
+	// A comment line and doubled spaces: the same program, not
+	// canonical, and not equal to src, so the raw keys differ.
+	variant := "# a reformatted submission\n" + strings.ReplaceAll(src, ", ", ",  ")
+	if prog, err := spillopt.ParseProgram(variant); err != nil || prog.Canonical() {
+		t.Fatalf("variant: error %v, or parsed as canonical", err)
+	}
+	for _, order := range [][2]string{{src, variant}, {variant, src}} {
+		_, ts := newTestServer(t, Config{})
+		resp1, body1 := post(t, ts, PlaceRequest{IR: order[0], Args: []int64{5}})
+		if resp1.StatusCode != http.StatusOK || resp1.Header.Get("X-Cache") != cacheMiss {
+			t.Fatalf("first request: status %d, X-Cache %q: %s", resp1.StatusCode, resp1.Header.Get("X-Cache"), body1)
+		}
+		resp2, body2 := post(t, ts, PlaceRequest{IR: order[1], Args: []int64{5}})
+		if c := resp2.Header.Get("X-Cache"); resp2.StatusCode != http.StatusOK || c != cacheProgram {
+			t.Errorf("canonical first %v: second request status %d, X-Cache %q, want %q",
+				order[0] == src, resp2.StatusCode, c, cacheProgram)
+		}
+		if !bytes.Equal(body1, body2) {
+			t.Errorf("canonical first %v: bodies differ:\n%s\n%s", order[0] == src, body1, body2)
+		}
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {

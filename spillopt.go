@@ -144,17 +144,28 @@ type Program struct {
 	profiled  bool
 	allocated bool
 	placed    bool
+
+	// canonical: the parsed text was exactly Print of the program.
+	canonical bool
 }
 
 // ParseProgram reads a program in the textual IR format (see the
 // repository README for the syntax).
 func ParseProgram(src string) (*Program, error) {
-	p, err := irtext.Parse(src)
+	p, canonical, err := irtext.ParseCanonical(src)
 	if err != nil {
 		return nil, err
 	}
-	return &Program{prog: p, mach: machine.PARISC(), cache: analysis.NewCache()}, nil
+	return &Program{prog: p, mach: machine.PARISC(), cache: analysis.NewCache(), canonical: canonical}, nil
 }
+
+// Canonical reports whether the source ParseProgram read is canonical:
+// byte for byte the text Text returned before any stage changed the
+// program. It is a fact about the source, so it does not change when a
+// stage does. A text that differs only in comments or spacing is not
+// canonical; false does not claim the texts differ (see
+// irtext.ParseCanonical).
+func (p *Program) Canonical() bool { return p.canonical }
 
 // Machine returns the target description (PA-RISC-like: 24 allocatable
 // registers, 13 callee-saved) and its cost surface.
