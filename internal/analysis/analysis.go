@@ -37,10 +37,12 @@ import (
 // built over the Info's lifetime (cumulative across invalidations).
 // The tests use it to pin the "at most once per function" guarantee.
 //
-// SplitDom counts the split-graph dominator/postdominator tree pairs
-// the PST builds computed, one per PST build. DeltaFull counts
-// ApplyDelta calls, each of which invalidates; DeltaPatched stays 0,
-// because no edit is patched in place.
+// SplitDom stays 0: it counted the dominator and postdominator tree
+// pairs the PST builder computed over an edge-split copy of the
+// function, and the builder now needs neither. It is kept because the
+// benchmark's replica sums it. DeltaFull counts ApplyDelta calls, each
+// of which invalidates; DeltaPatched stays 0, because no edit is
+// patched in place.
 type Counts struct {
 	Liveness, Dom, Loops, PST, Seed, Busy int
 
@@ -123,7 +125,6 @@ func (i *Info) PST() (*pst.PST, error) {
 	defer i.mu.Unlock()
 	if !i.treeOK {
 		i.counts.PST++
-		i.counts.SplitDom++
 		i.tree, i.treeErr = pst.Build(i.f)
 		i.treeOK = true
 	}

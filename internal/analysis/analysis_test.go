@@ -309,7 +309,7 @@ func TestApplyDeltaFallback(t *testing.T) {
 	if c.DeltaFull != before.DeltaFull+k || c.DeltaPatched != 0 {
 		t.Errorf("DeltaFull %d → %d, DeltaPatched %d; want %d more and 0", before.DeltaFull, c.DeltaFull, c.DeltaPatched, k)
 	}
-	if c.Liveness != before.Liveness+k || c.PST != before.PST+k || c.SplitDom != c.PST {
+	if c.Liveness != before.Liveness+k || c.PST != before.PST+k {
 		t.Errorf("reads after ApplyDelta did not rebuild: before %+v, after %+v", before, c)
 	}
 }

@@ -3,6 +3,8 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 )
 
 // Verify checks structural consistency of the function's CFG and
@@ -33,18 +35,27 @@ func Verify(f *Func) error {
 		fail("entry block %s has predecessors", f.Entry.Name)
 	}
 
-	seen := make(map[string]bool, len(f.Blocks))
+	// One slice holds a hash table of block names, then the
+	// reachability walk's stack; one holds the duplicate-name marks,
+	// then the reached marks.
+	n := len(f.Blocks)
+	size := 1 << bits.Len(uint(2*n)) // a power of two above 2n
+	ints := make([]int32, size+n)
+	marks := make([]bool, 2*n)
+	dup, reached := marks[:n], marks[n:]
+	markDuplicateNames(f.Blocks, ints[:size], dup)
+	dense := true
 	for i, b := range f.Blocks {
 		if b.ID != i {
 			fail("block %s has ID %d at layout position %d (call RenumberBlocks)", b.Name, b.ID, i)
+			dense = false
 		}
 		if b.Func != f {
 			fail("block %s belongs to a different function", b.Name)
 		}
-		if seen[b.Name] {
+		if dup[i] {
 			fail("duplicate block name %s", b.Name)
 		}
-		seen[b.Name] = true
 
 		// Terminator discipline.
 		if len(b.Instrs) == 0 {
@@ -126,11 +137,83 @@ func Verify(f *Func) error {
 		}
 	}
 
-	// Reachability.
-	reached := make(map[*Block]bool, len(f.Blocks))
-	var stack []*Block
-	stack = append(stack, f.Entry)
-	reached[f.Entry] = true
+	// Reachability, marked by block ID when IDs are dense and the walk
+	// stays among f's blocks, else by block pointer.
+	if dense && reachByID(f, ints[size:], reached) {
+		for i, b := range f.Blocks {
+			if !reached[i] {
+				fail("block %s is unreachable from entry", b.Name)
+			}
+		}
+	} else {
+		reachedBy := reachByPointer(f)
+		for _, b := range f.Blocks {
+			if !reachedBy[b] {
+				fail("block %s is unreachable from entry", b.Name)
+			}
+		}
+	}
+
+	return errors.Join(errs...)
+}
+
+// nameSeed seeds the hash of markDuplicateNames' table; which seed
+// does not matter.
+var nameSeed = maphash.MakeSeed()
+
+// markDuplicateNames sets dup[i] when a block before blocks[i] in
+// layout order has its name. table is a zeroed open-addressing table
+// whose length is a power of two above 2*len(blocks); it keeps the
+// position plus one of each name's first block.
+func markDuplicateNames(blocks []*Block, table []int32, dup []bool) {
+	mask := uint64(len(table) - 1)
+	for i, b := range blocks {
+		for j := maphash.String(nameSeed, b.Name) & mask; ; j = (j + 1) & mask {
+			k := table[j]
+			if k == 0 {
+				table[j] = int32(i + 1)
+				break
+			}
+			if blocks[k-1].Name == b.Name {
+				dup[i] = true
+				break
+			}
+		}
+	}
+}
+
+// reachByID marks in reached, by ID, the blocks the entry reaches,
+// using stack (with room for every block) for the walk. It gives up
+// and reports false when it meets a block that is not f.Blocks[its
+// ID].
+func reachByID(f *Func, stack []int32, reached []bool) bool {
+	own := func(b *Block) bool { return uint(b.ID) < uint(len(f.Blocks)) && f.Blocks[b.ID] == b }
+	if !own(f.Entry) {
+		return false
+	}
+	reached[f.Entry.ID] = true
+	stack = append(stack[:0], int32(f.Entry.ID))
+	for len(stack) > 0 {
+		b := f.Blocks[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
+		for _, e := range b.Succs {
+			if !own(e.To) {
+				return false
+			}
+			if !reached[e.To.ID] {
+				reached[e.To.ID] = true
+				stack = append(stack, int32(e.To.ID))
+			}
+		}
+	}
+	return true
+}
+
+// reachByPointer returns the set of blocks the entry reaches, whatever
+// their IDs and wherever they live.
+func reachByPointer(f *Func) map[*Block]bool {
+	reached := map[*Block]bool{f.Entry: true}
+	stack := []*Block{f.Entry}
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -141,13 +224,7 @@ func Verify(f *Func) error {
 			}
 		}
 	}
-	for _, b := range f.Blocks {
-		if !reached[b] {
-			fail("block %s is unreachable from entry", b.Name)
-		}
-	}
-
-	return errors.Join(errs...)
+	return reached
 }
 
 func containsEdge(list []*Edge, e *Edge) bool {

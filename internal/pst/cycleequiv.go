@@ -5,11 +5,19 @@
 // SESE regions the paper's hierarchical spill code placement requires:
 // one region per cycle-equivalence class, spanning from the class's
 // dominating edge to its postdominating edge.
+//
+// A build augments the CFG with START, END and END->START (buildAug),
+// finds the cycle-equivalence classes with one undirected depth-first
+// search (cycleEquivalence), and then makes one directed depth-first
+// traversal from START (walk), which orders every class into its
+// dominance chain and gives every block its innermost region. No
+// dominator tree, postdominator tree or edge-split copy of the graph is
+// built; the tests hold the trees to those of the edge-split builder
+// this one replaced.
 package pst
 
 import (
-	"cmp"
-	"slices"
+	"math/bits"
 
 	"repro/internal/ir"
 )
@@ -182,97 +190,53 @@ func cycleEquivalence(g *augGraph) []sig {
 	return sigs
 }
 
-// splitGraph is the edge-split directed graph used to order edges of
-// one class by dominance and to decide region membership: every
-// augmented edge e: u->v (except END->START) becomes u -> node(e) -> v.
-// It is a bare ir.Func, so the cfg dominator code can run on it, built
-// from slabs: one array of unnamed blocks, one of edges, and one of
-// successor and predecessor lists.
-type splitGraph struct {
-	g *ir.Func
-	// nodes holds START, one node per real block in ID order, END, and
-	// one node per augmented edge in index order; END->START, the last
-	// augmented edge, has none.
-	nodes   []ir.Block
-	nblocks int
-	// ret is END's terminator, so cfg.Postdominators finds END as the
-	// graph's only exit.
-	ret  ir.Instr
-	code [1]*ir.Instr
-}
-
-// blockNode is the split-graph node of real block id.
-func (s *splitGraph) blockNode(id int) *ir.Block { return &s.nodes[1+id] }
-
-// edgeNode is the split-graph node of augmented edge i.
-func (s *splitGraph) edgeNode(i int) *ir.Block { return &s.nodes[s.nblocks+2+i] }
-
-// node is the split-graph node of augmented-graph node v.
-func (s *splitGraph) node(a *augGraph, v int) *ir.Block {
-	switch v {
-	case a.start:
-		return &s.nodes[0]
-	case a.end:
-		return &s.nodes[s.nblocks+1]
-	}
-	return s.blockNode(v)
-}
-
-func buildSplit(a *augGraph) *splitGraph {
-	nEdges := len(a.edges) - 1 // every augmented edge but END->START
-	s := &splitGraph{nodes: make([]ir.Block, a.n+2+nEdges), nblocks: a.n}
-	s.g = &ir.Func{Blocks: make([]*ir.Block, len(s.nodes))}
-	for i := range s.nodes {
-		s.nodes[i].ID, s.nodes[i].Func = i, s.g
-		s.g.Blocks[i] = &s.nodes[i]
-	}
-	s.g.Entry = &s.nodes[0]
-	s.ret = ir.Instr{Op: ir.OpRet, Dst: ir.NoReg, Src1: ir.NoReg, Src2: ir.NoReg}
-	s.code[0] = &s.ret
-	s.nodes[a.n+1].Instrs = s.code[:]
-
-	edges := make([]ir.Edge, 2*nEdges)
-	for i, e := range a.edges[:nEdges] {
-		en := s.edgeNode(i)
-		edges[2*i] = ir.Edge{From: s.node(a, e.from), To: en, Kind: ir.Jump}
-		edges[2*i+1] = ir.Edge{From: en, To: s.node(a, e.to), Kind: ir.Jump}
-	}
-	s.g.LinkEdges(edges)
-	return s
-}
-
-// groupClasses groups augmented edge indices by signature: sorting the
-// indices by (signature, index) makes each class a run in index order,
-// and the classes are then ordered by their first edge.
+// groupClasses groups augmented edge indices by signature: each class
+// lists its edges in index order, and the classes are ordered by their
+// first edge. An open-addressing table keyed by signature numbers the
+// classes in order of first edge; the edges are then laid out class by
+// class.
 func groupClasses(sigs []sig) [][]int {
-	idx := make([]int, len(sigs))
-	for i := range idx {
-		idx[i] = i
+	m := len(sigs)
+	size := 1 << bits.Len(uint(2*m)) // a power of two above 2m
+	ints := make([]int32, size+3*m+1)
+	table := ints[:size]         // class+1 of each signature, 0 if empty
+	first := ints[size : size+m] // each class's first edge
+	class := ints[size+m : size+2*m]
+	start := ints[size+2*m:] // each class's offset in idx, then its end
+	mask := uint64(size - 1)
+	n := int32(0)
+	for i, s := range sigs {
+		for j := s.a & mask; ; j = (j + 1) & mask {
+			k := table[j]
+			if k == 0 {
+				first[n] = int32(i)
+				n++
+				table[j], class[i] = n, n-1
+				break
+			}
+			if sigs[first[k-1]] == s {
+				class[i] = k - 1
+				break
+			}
+		}
 	}
-	slices.SortFunc(idx, func(x, y int) int {
-		if c := cmp.Compare(sigs[x].a, sigs[y].a); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(sigs[x].b, sigs[y].b); c != 0 {
-			return c
-		}
-		return cmp.Compare(x, y)
-	})
-	n := 0
-	for i := range idx {
-		if i == 0 || sigs[idx[i]] != sigs[idx[i-1]] {
-			n++
-		}
+	for _, c := range class {
+		start[c+1]++
 	}
-	classes := make([][]int, 0, n)
-	for start := 0; start < len(idx); {
-		end := start + 1
-		for end < len(idx) && sigs[idx[end]] == sigs[idx[start]] {
-			end++
-		}
-		classes = append(classes, idx[start:end:end])
-		start = end
+	for c := int32(1); c <= n; c++ {
+		start[c] += start[c-1]
 	}
-	slices.SortFunc(classes, func(x, y []int) int { return cmp.Compare(x[0], y[0]) })
+	idx := make([]int, m)
+	next := start[:n] // the next free slot of each class; ends at the next class's start
+	for i, c := range class {
+		idx[next[c]] = i
+		next[c]++
+	}
+	classes := make([][]int, n)
+	lo := int32(0)
+	for c := range classes {
+		classes[c] = idx[lo:next[c]:next[c]]
+		lo = next[c]
+	}
 	return classes
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/cfg"
 	"repro/internal/ir"
 )
 
@@ -139,136 +138,380 @@ func BuildMode(f *ir.Func, mode Mode) (*PST, error) {
 	if err := ir.Verify(f); err != nil {
 		return nil, fmt.Errorf("pst.Build: %w", err)
 	}
-	if len(f.Exits()) == 0 {
+	if !hasExit(f) {
 		return nil, fmt.Errorf("pst.Build(%s): function has no exit block", f.Name)
 	}
 	a := buildAug(f)
-	classes := groupClasses(cycleEquivalence(a))
-	split := buildSplit(a)
-	dom, pdom := cfg.Dominators(split.g), cfg.Postdominators(split.g)
-
-	closeIdx := -1
-	for i, e := range a.edges {
-		if e.isClose {
-			closeIdx = i
-		}
+	t := walk(a, groupClasses(cycleEquivalence(a)), mode)
+	if t.broken {
+		return nil, fmt.Errorf("pst.BuildMode(%s): cycle-equivalence class not chain-ordered (signature collision?)", f.Name)
 	}
-
-	// Regions, their bitsets and their block lists come from slabs
-	// sized for one region per class, refilled if Canonical mode needs
-	// more.
-	words := setWords(len(f.Blocks))
-	var slab []Region
-	var bits []uint64
-	var members []*ir.Block
-	// makeSpan builds the region between two chain positions; a to
-	// index of -1 means the virtual end (all procedure exits).
-	makeSpan := func(fromIdx, toIdx int) *Region {
-		first := a.edges[fromIdx]
-		if len(slab) == 0 {
-			slab = make([]Region, len(classes))
-			bits = make([]uint64, words*len(classes))
-		}
-		r := &slab[0]
-		slab = slab[1:]
-		r.in, bits = bits[:words:words], bits[words:]
-		if !first.isEntry {
-			r.EntryEdge = first.real
-		}
-		var xn *ir.Block
-		if toIdx >= 0 {
-			last := a.edges[toIdx]
-			if last.real != nil {
-				r.ExitEdge = last.real
-			} else {
-				r.ExitBlock = last.exitFrom
-			}
-			xn = split.edgeNode(toIdx)
-		}
-		// Membership: block x is in region (a,b) iff node(a)
-		// dominates x and node(b) postdominates x in the edge-split
-		// graph.
-		en := split.edgeNode(fromIdx)
-		n := 0
-		for _, b := range f.Blocks {
-			nb := split.blockNode(b.ID)
-			if dom.Dominates(en, nb) && (xn == nil || pdom.Dominates(xn, nb)) {
-				r.add(b.ID)
-				n++
-			}
-		}
-		if len(members) < n {
-			members = make([]*ir.Block, max(n, 4*len(f.Blocks)))
-		}
-		r.Blocks, members = members[:0:n], members[n:]
-		for _, b := range f.Blocks {
-			if r.has(b.ID) {
-				r.Blocks = append(r.Blocks, b)
-			}
-		}
-		return r
-	}
-
-	var regions []*Region
-	add := func(r *Region) {
-		if len(r.Blocks) > 0 {
-			regions = append(regions, r)
-		}
-	}
-	var edges []int // the current class's chain, reused
-	for _, class := range classes {
-		// Drop the END->START edge from the chain; it orders last.
-		hasClose := false
-		edges = edges[:0]
-		for _, i := range class {
-			if i == closeIdx {
-				hasClose = true
-				continue
-			}
-			edges = append(edges, i)
-		}
-		if len(edges) < 2 && !(hasClose && len(edges) >= 1) {
-			continue
-		}
-		// Order the class chain by dominance of the split nodes.
-		slices.SortFunc(edges, func(x, y int) int {
-			return cmp.Compare(dom.Level(split.edgeNode(x)), dom.Level(split.edgeNode(y)))
-		})
-		// Verify the chain is totally ordered (defensive: theory says
-		// it always is; a hash collision would break it).
-		for i := 0; i+1 < len(edges); i++ {
-			if !dom.Dominates(split.edgeNode(edges[i]), split.edgeNode(edges[i+1])) {
-				return nil, fmt.Errorf("pst.BuildMode(%s): cycle-equivalence class not chain-ordered (signature collision?)", f.Name)
-			}
-		}
-
-		switch mode {
-		case Maximal:
-			if hasClose {
-				add(makeSpan(edges[0], -1))
-			} else {
-				add(makeSpan(edges[0], edges[len(edges)-1]))
-			}
-		case Canonical:
-			for i := 0; i+1 < len(edges); i++ {
-				add(makeSpan(edges[i], edges[i+1]))
-			}
-			if hasClose {
-				// The pair ending at the virtual close edge, plus the
-				// whole-procedure root all canonical regions nest in.
-				add(makeSpan(edges[len(edges)-1], -1))
-				if len(edges) > 1 {
-					add(makeSpan(edges[0], -1))
-				}
-			}
-		}
-	}
-
+	regions := t.regions()
 	root, err := assemble(f, regions)
 	if err != nil {
 		return nil, err
 	}
 	return &PST{Func: f, Root: root, Regions: regions}, nil
+}
+
+func hasExit(f *ir.Func) bool {
+	for _, b := range f.Blocks {
+		if b.IsExit() {
+			return true
+		}
+	}
+	return false
+}
+
+// span is a region as the traversal finds it: its boundary as
+// augmented edge indices, where an exit of -1 is the virtual end (every
+// procedure exit); up, the span that was innermost where it opened;
+// its class; and, once the traversal is done, size, its number of
+// blocks, and region, its index among the non-empty spans.
+type span struct {
+	entry, exit  int32
+	up, class    int32
+	size, region int32
+}
+
+// chain is one cycle-equivalence class's progress through the
+// traversal. Its edges other than END->START are examined in chain
+// order, so the seen-th edge examined is the seen-th of the chain.
+type chain struct {
+	n, seen int32
+	open    int32 // span opened at the latest edge seen, until its exit edge; -1 if none
+	to      int32 // the latest edge's target if the traversal entered it there, else -1
+	close   bool  // the class holds END->START
+	// wrap lists the blocks every region of the class holds besides
+	// those on tree paths through it (see findWrap).
+	wrap []int32
+}
+
+// traversal is what walk found.
+type traversal struct {
+	a       *augGraph
+	classOf []int32
+	chains  []chain
+	spans   []span
+	// pre numbers the nodes in preorder, last is the highest number in
+	// a node's subtree, and in is the node's innermost span.
+	pre, last, in []int32
+	live          []bool // the nodes that reach END; nil when all do
+	broken        bool   // some class is not totally ordered by dominance
+	seen          []bool // scratch of findWrap's searches
+	stack         []int32
+}
+
+// walk makes one directed depth-first traversal of the augmented graph
+// from START and finds every region of the chosen mode.
+//
+// Chains: an edge that dominates another lies on the tree path to the
+// other's source, so the traversal examines a class's edges in chain
+// order. Examining a chain's first edge opens its region and examining
+// its last closes it (Maximal), or each edge closes one pair and opens
+// the next (Canonical); regions that end at the virtual end never
+// close.
+//
+// Members: a node entered through a tree edge takes the innermost
+// region open on its tree path, and a region holds its own nodes plus
+// those of the regions opened inside it. Two kinds of block need more,
+// because a region holds exactly the blocks its entry edge dominates
+// and its exit edge postdominates:
+//   - Blocks that reach no exit (an infinite loop) are postdominated by
+//     nothing, so they belong only to regions that end at the virtual
+//     end. The augmented graph is then not strongly connected, and a
+//     class need not be a chain. Low links detect such blocks during
+//     the traversal; only then does reassignDead search for them.
+//   - A region also holds the blocks past its exit that can neither be
+//     reached from START nor reach END except through it, such as the
+//     rest of a loop body after a mid-loop exit test (findWrap).
+//
+// Every chain is checked as the traversal goes, at constant cost per
+// edge: a class edge must be examined while the previous one's target
+// is on the tree path and was entered through it, which holds exactly
+// when the previous one dominates it. The check can fail only where
+// blocks reach no exit, or on a signature collision.
+func walk(a *augGraph, classes [][]int, mode Mode) traversal {
+	nNodes := a.n + 2
+	closeIdx := len(a.edges) - 1 // buildAug appends END->START last
+	ints := make([]int32, 4*nNodes+len(a.edges))
+	t := traversal{a: a, chains: make([]chain, len(classes))}
+	t.pre, t.last, t.in = ints[:nNodes], ints[nNodes:2*nNodes], ints[2*nNodes:3*nNodes]
+	low := ints[3*nNodes : 4*nNodes]
+	t.classOf = ints[4*nNodes:]
+	nspans := 0
+	for c, class := range classes {
+		ch := &t.chains[c]
+		ch.n, ch.open, ch.to = int32(len(class)), -1, -1
+		for _, i := range class {
+			t.classOf[i] = int32(c)
+			if i == closeIdx {
+				ch.close = true
+				ch.n--
+			}
+		}
+		switch {
+		case mode == Maximal && (ch.n >= 2 || ch.close):
+			nspans++
+		case mode == Canonical:
+			nspans += max(int(ch.n)-1, 0)
+			if ch.close {
+				nspans++ // the pair ending at the virtual end
+				if ch.n > 1 {
+					nspans++ // the root
+				}
+			}
+		}
+	}
+	t.spans = make([]span, 0, nspans)
+
+	// Per node: on the current tree path; entered by a cross or forward
+	// edge; known to reach END through nodes already finished; and the
+	// same for its whole subtree.
+	flags := make([]bool, 4*nNodes)
+	onPath, side := flags[:nNodes], flags[nNodes:2*nNodes]
+	reach, subReach := flags[2*nNodes:3*nNodes], flags[3*nNodes:]
+	pre, in := t.pre, t.in
+	for v := range pre {
+		pre[v] = -1
+	}
+	type frame struct{ v, next int32 }
+	stack := make([]frame, 1, nNodes)
+	stack[0] = frame{v: int32(a.start)}
+	pre[a.start], in[a.start] = 0, -1
+	onPath[a.start], subReach[a.start], reach[a.end] = true, true, true
+	visited := int32(1)
+	dead := false
+	for len(stack) > 0 {
+		fr := &stack[len(stack)-1]
+		v := fr.v
+		adj := a.adj[v]
+		for int(fr.next) < len(adj) && a.edges[adj[fr.next].edge].from != int(v) {
+			fr.next++
+		}
+		if int(fr.next) == len(adj) {
+			stack = stack[:len(stack)-1]
+			onPath[v] = false
+			t.last[v] = visited - 1
+			subReach[v] = subReach[v] && reach[v]
+			if len(stack) > 0 {
+				p := stack[len(stack)-1].v
+				reach[p] = reach[p] || reach[v]
+				subReach[p] = subReach[p] && subReach[v]
+				low[p] = min(low[p], low[v])
+				// v roots a strongly connected component without
+				// START: its blocks reach no exit.
+				dead = dead || low[v] == pre[v]
+			}
+			continue
+		}
+		i := adj[fr.next].edge
+		fr.next++
+		w := int32(a.edges[i].to)
+		tree := pre[w] < 0
+		if !tree {
+			low[v] = min(low[v], pre[w])
+			if !onPath[w] {
+				side[w] = true
+				reach[v] = reach[v] || reach[w]
+			}
+		}
+		if i == closeIdx {
+			continue
+		}
+		c := t.classOf[i]
+		ch := &t.chains[c]
+		ch.seen++
+		if ch.seen > 1 && (ch.to < 0 || !onPath[ch.to]) {
+			t.broken = true
+		}
+		ch.to = -1
+		if tree {
+			ch.to = w
+		}
+		cur := in[v]
+		switch j := ch.seen; mode {
+		case Maximal:
+			switch {
+			case j == 1 && (ch.n >= 2 || ch.close):
+				cur = t.open(int32(i), cur, c)
+			case j == ch.n && j >= 2 && !ch.close:
+				t.spans[ch.open].exit = int32(i)
+				cur = t.spans[ch.open].up
+			}
+		case Canonical:
+			if j > 1 {
+				t.spans[ch.open].exit = int32(i)
+				cur = t.spans[ch.open].up
+			}
+			if j == 1 && ch.close && ch.n > 1 {
+				cur = t.open(int32(i), cur, c) // the root
+			}
+			if j < ch.n || ch.close {
+				cur = t.open(int32(i), cur, c)
+			}
+		}
+		if tree {
+			pre[w], low[w], in[w] = visited, visited, cur
+			onPath[w], subReach[w] = true, true
+			visited++
+			stack = append(stack, frame{v: w})
+		}
+	}
+	if dead {
+		t.live = onPath // all false again: the traversal is over
+		t.reassignDead()
+	}
+	for c := range t.chains {
+		// Blocks past a class's last edge can belong to its regions
+		// only if that edge is a tree edge whose target nothing else
+		// enters from outside its subtree, and some block of the
+		// subtree is not known to reach END.
+		ch := &t.chains[c]
+		if y := ch.to; !ch.close && ch.n >= 2 && y >= 0 && !side[y] && !subReach[y] {
+			t.findWrap(int32(c))
+		}
+	}
+	return t
+}
+
+// open starts a span at augmented edge entry inside span up and makes
+// it class c's open span.
+func (t *traversal) open(entry, up, c int32) int32 {
+	s := int32(len(t.spans))
+	t.spans = append(t.spans, span{entry: entry, exit: -1, up: up, class: c})
+	t.chains[c].open = s
+	return s
+}
+
+// reassignDead finds the blocks that reach no exit and moves each from
+// the innermost region open on its tree path to the innermost of those
+// that end at the virtual end. Such a region's entry dominates every
+// node whose tree path passes it, so the block belongs to it.
+func (t *traversal) reassignDead() {
+	a, live := t.a, t.live
+	t.search(-1, a.end, true, live)
+	for x := 0; x < a.n; x++ {
+		if !live[x] {
+			s := t.in[x]
+			for t.spans[s].exit >= 0 {
+				s = t.spans[s].up
+			}
+			t.in[x] = s
+		}
+	}
+}
+
+// findWrap collects class c's wrap-around: the blocks past its last
+// edge y that neither START reaches nor reach END except through the
+// class's edges, and so are dominated by its first edge and
+// postdominated by its last. Their tree path has left the class's
+// regions, yet every region of the class holds them.
+func (t *traversal) findWrap(c int32) {
+	a := t.a
+	n := a.n + 2
+	if t.seen == nil {
+		t.seen = make([]bool, 2*n)
+		t.stack = make([]int32, 0, n)
+	}
+	clear(t.seen)
+	fromStart, toEnd := t.seen[:n], t.seen[n:]
+	t.search(c, a.start, false, fromStart)
+	t.search(c, a.end, true, toEnd)
+	ch := &t.chains[c]
+	lo, hi := t.pre[ch.to], t.last[ch.to]
+	for x := 0; x < a.n; x++ {
+		if p := t.pre[x]; p >= lo && p <= hi && !fromStart[x] && !toEnd[x] && (t.live == nil || t.live[x]) {
+			ch.wrap = append(ch.wrap, int32(x))
+		}
+	}
+}
+
+// search marks in seen the nodes reachable from root (or, if back,
+// those that reach root) by edges outside class c.
+func (t *traversal) search(c int32, root int, back bool, seen []bool) {
+	a := t.a
+	seen[root] = true
+	stack := append(t.stack[:0], int32(root))
+	for len(stack) > 0 {
+		v := int(stack[len(stack)-1])
+		stack = stack[:len(stack)-1]
+		for _, he := range a.adj[v] {
+			e := a.edges[he.edge]
+			if t.classOf[he.edge] == c || (back && e.to != v) || (!back && e.from != v) {
+				continue
+			}
+			if w := he.other; !seen[w] {
+				seen[w] = true
+				stack = append(stack, int32(w))
+			}
+		}
+	}
+	t.stack = stack
+}
+
+// regions turns the non-empty spans into Regions, their bitsets and
+// block lists carved from slabs. A list holds the class's wrap-around
+// first, then the blocks of its tree paths in ID order; assemble sorts
+// it.
+func (t *traversal) regions() []*Region {
+	a := t.a
+	f := a.f
+	for _, b := range f.Blocks {
+		t.spans[t.in[b.ID]].size++
+	}
+	for s := len(t.spans) - 1; s >= 0; s-- {
+		if sp := &t.spans[s]; sp.up >= 0 {
+			t.spans[sp.up].size += sp.size
+		}
+	}
+	m, total := 0, 0
+	for s := range t.spans {
+		sp := &t.spans[s]
+		sp.size += int32(len(t.chains[sp.class].wrap))
+		if sp.size > 0 {
+			m++
+			total += int(sp.size)
+		}
+	}
+	words := setWords(len(f.Blocks))
+	slab := make([]Region, m)
+	bits := make([]uint64, words*m)
+	members := make([]*ir.Block, total)
+	regions := make([]*Region, 0, m)
+	for s := range t.spans {
+		sp := &t.spans[s]
+		if sp.size == 0 {
+			continue
+		}
+		r := &slab[len(regions)]
+		sp.region = int32(len(regions))
+		regions = append(regions, r)
+		r.in, bits = bits[:words:words], bits[words:]
+		r.Blocks, members = members[:0:sp.size], members[sp.size:]
+		if first := a.edges[sp.entry]; !first.isEntry {
+			r.EntryEdge = first.real
+		}
+		if sp.exit >= 0 {
+			if last := a.edges[sp.exit]; last.real != nil {
+				r.ExitEdge = last.real
+			} else {
+				r.ExitBlock = last.exitFrom
+			}
+		}
+		for _, x := range t.chains[sp.class].wrap {
+			r.add(int(x))
+			r.Blocks = append(r.Blocks, f.Blocks[x])
+		}
+	}
+	for _, b := range f.Blocks {
+		for s := t.in[b.ID]; s >= 0; s = t.spans[s].up {
+			r := regions[t.spans[s].region]
+			r.add(b.ID)
+			r.Blocks = append(r.Blocks, b)
+		}
+	}
+	return regions
 }
 
 // assemble derives the nesting structure of a region set: it sorts the
