@@ -81,15 +81,10 @@ var records = []record{
 	}},
 
 	// A faster cold path lowers the cached speedup, so it has no
-	// absolute floor. The analysis cache's high-water mark and
-	// drop count depend on scheduling; every request drops its handles
-	// when it finishes, so the cache holds only those in flight, at
-	// most 8 per worker.
+	// absolute floor.
 	{"serve", bench.Gate{
-		Host:  []string{"cold_ns_per_req", "cached_ns_per_req", "analysis_len_max", "analysis_drops"},
+		Host:  []string{"cold_ns_per_req", "cached_ns_per_req"},
 		Ratio: map[string]float64{"cached_speedup": 40},
-		Min:   map[string]float64{"analysis_drops": 1},
-		Max:   map[string]float64{"analysis_len_max": 8 * serveWorkers},
 	}, func() (any, error) { return server.Bench(serveDistinct, serveDups, serveWorkers) }},
 
 	{"tiered", bench.Gate{

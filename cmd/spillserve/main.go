@@ -129,8 +129,7 @@ func runLoadgen(target string, distinct, dups, workers int, seed uint64) {
 		record.Requests, record.Distinct, record.Dups, record.Workers, record.Functions)
 	fmt.Printf("loadgen: cold %.0f ns/req, cached %.0f ns/req, speedup %.2fx\n",
 		record.ColdNsPerReq, record.CachedNsPerReq, record.CachedSpeedup)
-	fmt.Printf("loadgen: program hits %d, function hits %d, analysis len max %d (drops %d)\n",
-		record.ProgramHits, record.FunctionHits, record.AnalysisLenMax, record.AnalysisDrops)
+	fmt.Printf("loadgen: program hits %d, function hits %d\n", record.ProgramHits, record.FunctionHits)
 }
 
 func fatal(err error) {

@@ -1,12 +1,12 @@
 // Package analysis is the shared per-function analysis layer of the
-// placement pipeline. Every consumer of liveness, dominators, natural
-// loops, the program structure tree, or the shrink-wrap seed sets —
-// placement (internal/strategy, internal/shrinkwrap, internal/core),
-// profiling (internal/profile), the facade (spillopt), the evaluation
-// harness (internal/bench), and the differential oracle
-// (internal/irgen) — obtains them through an Info handle instead of
-// rebuilding them, so comparing all five strategies from one
-// allocation builds each analysis at most once per function.
+// placement pipeline. Every consumer of liveness, natural loops, the
+// program structure tree, or the shrink-wrap seed sets — placement
+// (internal/strategy, which hands them down to internal/shrinkwrap and
+// internal/core), tiered re-placement (internal/tier), the facade
+// (spillopt), the evaluation harness (internal/bench), and the
+// differential oracle (internal/irgen) — obtains them through an Info
+// handle instead of rebuilding them, so comparing all five strategies
+// from one allocation builds each analysis at most once per function.
 //
 // Contract:
 //
@@ -86,13 +86,6 @@ func (i *Info) livenessLocked() *dataflow.Liveness {
 		i.lv = dataflow.ComputeLiveness(i.f)
 	}
 	return i.lv
-}
-
-// Dom returns the dominator tree rooted at the entry.
-func (i *Info) Dom() *cfg.DomTree {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.domLocked()
 }
 
 func (i *Info) domLocked() *cfg.DomTree {

@@ -69,7 +69,6 @@ func TestMemoization(t *testing.T) {
 	f := demoFunc(t)
 	info := analysis.For(f)
 	lv := info.Liveness()
-	dom := info.Dom()
 	loops := info.Loops()
 	tree, err := info.PST()
 	if err != nil {
@@ -78,7 +77,7 @@ func TestMemoization(t *testing.T) {
 	seed := info.ShrinkwrapSeed()
 	busy := info.BusyBlocks(f.UsedCalleeSaved[0])
 
-	if info.Liveness() != lv || info.Dom() != dom || info.Loops() != loops {
+	if info.Liveness() != lv || info.Loops() != loops {
 		t.Error("accessors returned fresh objects on second call")
 	}
 	if tree2, _ := info.PST(); tree2 != tree {
@@ -197,50 +196,6 @@ func TestCache(t *testing.T) {
 	nilCache.Invalidate(f) // must not panic
 }
 
-// TestDropShrinksLen pins the fix for the long-lived-process leak:
-// Invalidate marks results stale but keeps the *ir.Func-keyed entry
-// (and so the function) alive forever, while Drop actually removes the
-// entry and Len() shrinks.
-func TestDropShrinksLen(t *testing.T) {
-	f := demoFunc(t)
-	g := ir.NewFunc("g")
-	c := analysis.NewCache()
-	c.For(f).Liveness()
-	c.For(g)
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-
-	// Invalidate never shrinks the cache — that is the leak.
-	c.Invalidate(f)
-	if c.Len() != 2 {
-		t.Fatalf("Len after Invalidate = %d, want 2 (entries kept)", c.Len())
-	}
-
-	c.Drop(f)
-	if c.Len() != 1 {
-		t.Errorf("Len after Drop = %d, want 1", c.Len())
-	}
-	if c.Drops() != 1 {
-		t.Errorf("Drops = %d, want 1", c.Drops())
-	}
-	c.Drop(f) // dropping an absent entry is a no-op
-	if c.Drops() != 1 {
-		t.Errorf("Drops after double Drop = %d, want 1", c.Drops())
-	}
-
-	// A dropped function gets a fresh handle on next use.
-	if c.For(f) == nil || c.Len() != 2 {
-		t.Errorf("Len after re-For = %d, want 2", c.Len())
-	}
-
-	var nilCache *analysis.Cache
-	nilCache.Drop(f) // must not panic
-	if nilCache.Drops() != 0 {
-		t.Error("nil cache Drops != 0")
-	}
-}
-
 // splitEdges edits f with a save on every edge out of the entry and a
 // restore on every edge into an exit. Each of those edges is split, so
 // the function's block count grows; splitEdges fails the test if not.
@@ -309,20 +264,21 @@ func TestApplyDeltaFallback(t *testing.T) {
 	if c.DeltaFull != before.DeltaFull+k || c.DeltaPatched != 0 {
 		t.Errorf("DeltaFull %d → %d, DeltaPatched %d; want %d more and 0", before.DeltaFull, c.DeltaFull, c.DeltaPatched, k)
 	}
-	if c.Liveness != before.Liveness+k || c.PST != before.PST+k {
+	if c.Liveness != before.Liveness+k || c.Dom != before.Dom+k || c.Loops != before.Loops+k || c.PST != before.PST+k {
 		t.Errorf("reads after ApplyDelta did not rebuild: before %+v, after %+v", before, c)
 	}
 }
 
 // TestApplyDeltaUnrecognizedNoStaleServe: after an edit that changed
 // the function's shape, ApplyDelta invalidates, so the next reads of
-// liveness, dominators and the PST cover the edited function's blocks
-// and not the ones memoized before the edit.
+// liveness, loops (and the dominators under them) and the PST cover
+// the edited function's blocks and not the ones memoized before the
+// edit.
 func TestApplyDeltaUnrecognizedNoStaleServe(t *testing.T) {
 	f := demoFunc(t)
 	info := analysis.For(f)
 	info.Liveness()
-	info.Dom()
+	info.Loops()
 	if _, err := info.PST(); err != nil {
 		t.Fatal(err)
 	}
@@ -333,8 +289,19 @@ func TestApplyDeltaUnrecognizedNoStaleServe(t *testing.T) {
 	if got, want := info.Liveness().Blocks(), len(f.Blocks); got != want {
 		t.Errorf("liveness covers %d blocks after the edit, function has %d", got, want)
 	}
-	if got, want := len(info.Dom().IDom), len(f.Blocks); got != want {
-		t.Errorf("dominator tree covers %d blocks after the edit, function has %d", got, want)
+	loops := info.Loops()
+	if got, want := len(loops.DepthOf), len(f.Blocks); got != want {
+		t.Errorf("loop forest covers %d blocks after the edit, function has %d", got, want)
+	}
+	// The edit renumbered the blocks, so a forest built before it would
+	// place some split block in the loop by its old ID.
+	if len(loops.Loops) != 1 {
+		t.Fatalf("%d loops after the edit, want main's one", len(loops.Loops))
+	}
+	for _, sp := range delta.Splits {
+		if b := sp.FromEdge.To; loops.Loops[0].Contains(b) {
+			t.Errorf("split block %s is in the loop headed by %s", b.Name, loops.Loops[0].Header.Name)
+		}
 	}
 	tree, err := info.PST()
 	if err != nil {
@@ -343,8 +310,12 @@ func TestApplyDeltaUnrecognizedNoStaleServe(t *testing.T) {
 	if got, want := len(tree.Root.Blocks), len(f.Blocks); got != want {
 		t.Errorf("PST root covers %d blocks after the edit, function has %d", got, want)
 	}
-	if c := info.Counts(); c.DeltaFull != 1 || c.DeltaPatched != 0 {
+	c := info.Counts()
+	if c.DeltaFull != 1 || c.DeltaPatched != 0 {
 		t.Errorf("DeltaFull %d, DeltaPatched %d; want 1 and 0", c.DeltaFull, c.DeltaPatched)
+	}
+	if c.Dom != 2 || c.Loops != 2 {
+		t.Errorf("Dom %d, Loops %d; want 2 and 2, one build each side of the edit", c.Dom, c.Loops)
 	}
 }
 
@@ -383,22 +354,5 @@ func TestCachedPlacementMatchesUnshared(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no programs checked")
-	}
-}
-
-// TestCacheStats: the shared-cache hit/miss counters that spilltune
-// reports.
-func TestCacheStats(t *testing.T) {
-	f := demoFunc(t)
-	c := analysis.NewCache()
-	c.For(f)
-	c.For(f)
-	c.For(f)
-	if h, m := c.Stats(); h != 2 || m != 1 {
-		t.Errorf("Stats() = %d hits, %d misses; want 2, 1", h, m)
-	}
-	var nilCache *analysis.Cache
-	if h, m := nilCache.Stats(); h != 0 || m != 0 {
-		t.Error("nil cache must report zero stats")
 	}
 }

@@ -10,12 +10,11 @@ import (
 // concurrent stages of the pipeline: the par.Do sharding hands each
 // worker the same Cache, and workers obtain (and invalidate) the Info
 // of the function they own. For is safe for concurrent use; the Infos
-// it returns carry their own locking.
+// it returns carry their own locking. Nothing removes an entry, so a
+// Cache lives no longer than the program whose functions it keys.
 type Cache struct {
-	mu           sync.Mutex
-	m            map[*ir.Func]*Info
-	hits, misses int
-	drops        int
+	mu sync.Mutex
+	m  map[*ir.Func]*Info
 }
 
 // NewCache returns an empty cache.
@@ -32,25 +31,10 @@ func (c *Cache) For(f *ir.Func) *Info {
 	defer c.mu.Unlock()
 	info := c.m[f]
 	if info == nil {
-		c.misses++
 		info = For(f)
 		c.m[f] = info
-	} else {
-		c.hits++
 	}
 	return info
-}
-
-// Stats returns how many For lookups found an existing Info (hits)
-// versus created one (misses). Tools that share one cache across
-// repeated runs report these to show the sharing actually happened.
-func (c *Cache) Stats() (hits, misses int) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // Counts sums the cumulative build counters of every memoized Info.
@@ -84,44 +68,6 @@ func (c *Cache) Counts() Counts {
 		total.DeltaFull += n.DeltaFull
 	}
 	return total
-}
-
-// Len returns the number of memoized per-function Infos.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// Drop removes f's entry from the cache entirely, so f (and the
-// analyses its Info pins) can be garbage collected. Invalidate marks
-// results stale but keeps the map entry alive — the right call between
-// pipeline stages over the same function, and a leak in a long-lived
-// process that keeps seeing new functions. Eviction policies and
-// program teardown use Drop; Drops counts the removals.
-func (c *Cache) Drop(f *ir.Func) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[f]; ok {
-		delete(c.m, f)
-		c.drops++
-	}
-}
-
-// Drops returns how many entries Drop has removed.
-func (c *Cache) Drops() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.drops
 }
 
 // Invalidate drops the memoized results for f, if any.

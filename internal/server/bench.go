@@ -39,12 +39,6 @@ type BenchRecord struct {
 	ProgramHits   int64 `json:"program_hits"`
 	ProgramMisses int64 `json:"program_misses"`
 	FunctionHits  int64 `json:"function_hits"`
-
-	// Analysis cache observability: the high-water mark must stay
-	// within the handles of requests in flight, and finished requests
-	// must have dropped theirs.
-	AnalysisLenMax int `json:"analysis_len_max"`
-	AnalysisDrops  int `json:"analysis_drops"`
 }
 
 // benchSuite names the standing corpus; a record for any other corpus
@@ -92,7 +86,5 @@ func NewRecord(res *LoadgenResult) *BenchRecord {
 		ProgramHits:    res.ProgramHits,
 		ProgramMisses:  res.ProgramMisses,
 		FunctionHits:   res.FunctionHits,
-		AnalysisLenMax: res.AnalysisLenMax,
-		AnalysisDrops:  res.AnalysisDrops,
 	}
 }

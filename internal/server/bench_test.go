@@ -18,15 +18,11 @@ func benchServeSmall(t *testing.T) *BenchRecord {
 	return b
 }
 
-// serveGate is BENCH_serve.json's gate at test scale: latencies and the
-// analysis cache's scheduling-dependent counters are host leaves, the
-// cached speedup may fall 15%, and the cache must drop handles and
-// hold at most 8 in-flight handles per worker.
+// serveGate is BENCH_serve.json's gate at test scale: latencies are
+// host leaves, and the cached speedup may fall 15%.
 var serveGate = bench.Gate{
-	Host:  []string{"cold_ns_per_req", "cached_ns_per_req", "analysis_len_max", "analysis_drops"},
+	Host:  []string{"cold_ns_per_req", "cached_ns_per_req"},
 	Ratio: map[string]float64{"cached_speedup": 15},
-	Min:   map[string]float64{"analysis_drops": 1},
-	Max:   map[string]float64{"analysis_len_max": 8 * 4},
 }
 
 // serveFindings compares two records as cmd/benchdiff does, through
@@ -89,18 +85,6 @@ func TestServeGateCatchesBrokenCaching(t *testing.T) {
 	broken.FunctionHits = 0
 	if findings := serveFindings(t, b, &broken); !containsSubstr(findings, "function_hits: fresh 0") {
 		t.Errorf("zero function hits not flagged: %v", findings)
-	}
-
-	broken = *b
-	broken.AnalysisLenMax = 6400
-	if findings := serveFindings(t, b, &broken); !containsSubstr(findings, "analysis_len_max: fresh 6400 is above the bound") {
-		t.Errorf("unbounded analysis cache not flagged: %v", findings)
-	}
-
-	broken = *b
-	broken.AnalysisDrops = 0
-	if findings := serveFindings(t, b, &broken); !containsSubstr(findings, "analysis_drops: fresh 0 is below the bound") {
-		t.Errorf("zero drops not flagged: %v", findings)
 	}
 }
 

@@ -79,11 +79,9 @@ type LoadgenResult struct {
 	// a deduplicated corpus and no other clients they are exact —
 	// ProgramHits (cached phase) = Distinct*Dups, FunctionHits
 	// (reorder phase) = Functions.
-	ProgramHits    int64 `json:"program_hits"`
-	ProgramMisses  int64 `json:"program_misses"`
-	FunctionHits   int64 `json:"function_hits"`
-	AnalysisLenMax int   `json:"analysis_len_max"`
-	AnalysisDrops  int   `json:"analysis_drops"`
+	ProgramHits   int64 `json:"program_hits"`
+	ProgramMisses int64 `json:"program_misses"`
+	FunctionHits  int64 `json:"function_hits"`
 }
 
 // Loadgen generates a deduplicated corpus of irgen programs and
@@ -120,7 +118,10 @@ func Loadgen(client *http.Client, baseURL string, opt LoadgenOptions) (*LoadgenR
 			return err
 		}
 		defer resp.Body.Close()
-		out, _ := io.ReadAll(resp.Body)
+		out, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return fmt.Errorf("status %d: reading body: %w", resp.StatusCode, err)
+		}
 		if resp.StatusCode != http.StatusOK {
 			return fmt.Errorf("status %d: %s", resp.StatusCode, out)
 		}
@@ -172,8 +173,6 @@ func Loadgen(client *http.Client, baseURL string, opt LoadgenOptions) (*LoadgenR
 	res.ProgramHits = s2.ProgramCache.Hits - s1.ProgramCache.Hits
 	res.ProgramMisses = s3.ProgramCache.Misses - s0.ProgramCache.Misses
 	res.FunctionHits = s3.FunctionCache.Hits - s2.FunctionCache.Hits
-	res.AnalysisLenMax = s3.AnalysisCache.LenMax
-	res.AnalysisDrops = s3.AnalysisCache.Drops - s0.AnalysisCache.Drops
 	return res, nil
 }
 

@@ -86,19 +86,13 @@ type RequestCounters struct {
 	InFlight int64 `json:"in_flight"`
 }
 
-// AnalysisCacheStats reports the shared analysis cache.
+// AnalysisCacheStats is kept for its one field, which the benchmark
+// reads.
 type AnalysisCacheStats struct {
-	// Len is the number of per-function analysis handles currently
-	// retained; LenMax its high-water mark over the process lifetime.
-	// Every request drops its handles when it finishes, so Len counts
-	// only the functions of requests still in flight: 0 at rest.
-	Len    int `json:"len"`
-	LenMax int `json:"len_max"`
-	// Hits/Misses count per-function lookups inside the pipeline;
-	// Drops counts handles finished requests removed.
-	Hits   int `json:"hits"`
-	Misses int `json:"misses"`
-	Drops  int `json:"drops"`
+	// Drops stays 0. It counted the analysis handles finished requests
+	// removed from a cache the server shared across requests; each
+	// request's program now owns its analyses, and nothing is dropped.
+	Drops int `json:"drops"`
 }
 
 // Snapshot is the /metrics payload: every live counter of the
@@ -115,8 +109,11 @@ type Snapshot struct {
 	} `json:"latency"`
 	// StrategyWins counts, per strategy, how many functions it won
 	// (lowest modeled cost) across strategy=best placements.
-	StrategyWins    map[string]int64 `json:"strategy_wins"`
-	PlacedFunctions int64            `json:"placed_functions"`
+	StrategyWins map[string]int64 `json:"strategy_wins"`
+	// PlacedFunctions counts the functions of the requests the full
+	// pipeline answered 200: a request that fails at any stage, or is
+	// answered from a cache, adds none.
+	PlacedFunctions int64 `json:"placed_functions"`
 	// EngineRuns counts run-mode requests per VM engine name, cache
 	// hits included.
 	EngineRuns map[string]int64 `json:"engine_runs"`
@@ -144,7 +141,6 @@ type metrics struct {
 	wins            map[string]int64
 	engineRuns      map[string]int64
 	tier            TierCounters
-	analysisLenMax  int
 	placedFunctions int64
 }
 
@@ -229,11 +225,8 @@ func (m *metrics) tierRun(boundary bool, replaced int) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) placed(functions int, analysisLen int) {
+func (m *metrics) placed(functions int) {
 	m.mu.Lock()
 	m.placedFunctions += int64(functions)
-	if analysisLen > m.analysisLenMax {
-		m.analysisLenMax = analysisLen
-	}
 	m.mu.Unlock()
 }

@@ -3,11 +3,12 @@
 // accepts a textual-IR program, runs profile → allocate → place →
 // report, and returns per-function placements with machine-priced
 // overhead breakdowns. Results are content-cached at two levels
-// (whole program and single function, see internal/contentcache), the
-// shared analysis cache holds only the requests in flight, and
-// /metrics exposes every live counter. /healthz is a benchdiff-style
-// self-check: it pushes a canned program through the real pipeline
-// and reports invariant violations as findings.
+// (whole program and single function, see internal/contentcache).
+// Analyses are not: each request's spillopt.Program builds its own,
+// and they go with it when the request ends. /metrics exposes every
+// live counter. /healthz is a benchdiff-style self-check: it pushes a
+// canned program through the real pipeline and reports invariant
+// violations as findings.
 package server
 
 import (
@@ -23,7 +24,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/analysis"
 	"repro/internal/contentcache"
 	"repro/internal/irgen"
 	"repro/internal/irtext"
@@ -170,17 +170,11 @@ const (
 	cacheFunction = "function"
 )
 
-// Server is the service state: the two content caches, the shared
-// analysis cache, and the metrics. It has no background goroutines;
-// lifecycle is the HTTP server's (see cmd/spillserve).
+// Server is the service state: the two content caches and the
+// metrics. It has no background goroutines; lifecycle is the HTTP
+// server's (see cmd/spillserve).
 type Server struct {
 	cfg Config
-
-	// ac is shared across every request's pipeline. Each request
-	// parses fresh functions, so no request can reuse another's
-	// handles: a request drops its own when it finishes, and at rest
-	// the cache is empty. It exists for its counters (/metrics).
-	ac *analysis.Cache
 
 	progCache *contentcache.Cache[string, []byte]
 	funcCache *contentcache.Cache[funcKey, FunctionEntry]
@@ -196,7 +190,7 @@ type Server struct {
 // New builds a Server with the given configuration.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg, ac: analysis.NewCache(), metrics: newMetrics()}
+	s := &Server{cfg: cfg, metrics: newMetrics()}
 	s.progCache = contentcache.New[string, []byte](cfg.ProgramCacheEntries, cfg.ProgramCacheBytes)
 	s.funcCache = contentcache.New[funcKey, FunctionEntry](cfg.FunctionCacheEntries, cfg.FunctionCacheBytes)
 	s.canned = irtext.Print(irgen.Generate(1, irgen.Small()))
@@ -405,8 +399,6 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 		}
 	}
 
-	prog.UseAnalysisCache(s.ac)
-	defer prog.Close()
 	prog.Parallelism = s.cfg.Parallelism
 	prog.MaxSteps = s.cfg.MaxVMSteps
 	if err := prog.UseEngine(req.Engine); err != nil {
@@ -445,9 +437,7 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 		}
 	}
 
-	// Full pipeline. However it exits, record the analysis cache's
-	// size before the deferred Close drops this request's handles.
-	defer func() { s.metrics.placed(len(funcs), s.ac.Len()) }()
+	// Full pipeline.
 	if err := prog.Allocate(); err != nil {
 		return fail(http.StatusBadRequest, err)
 	}
@@ -508,6 +498,7 @@ func (s *Server) place(req *PlaceRequest) placeOutcome {
 		}
 	}
 	s.putProgram(pkey, rawKey, body)
+	s.metrics.placed(len(funcs))
 	return placeOutcome{status: http.StatusOK, body: body, cache: cacheMiss}
 }
 
@@ -620,18 +611,9 @@ func (s *Server) snapshot() Snapshot {
 	sn.EngineRuns = maps.Clone(m.engineRuns)
 	sn.Tier = m.tier
 	sn.PlacedFunctions = m.placedFunctions
-	lenMax := m.analysisLenMax
 	m.mu.Unlock()
 	sn.ProgramCache = s.progCache.Stats()
 	sn.FunctionCache = s.funcCache.Stats()
-	hits, misses := s.ac.Stats()
-	sn.AnalysisCache = AnalysisCacheStats{
-		Len:    s.ac.Len(),
-		LenMax: lenMax,
-		Hits:   hits,
-		Misses: misses,
-		Drops:  s.ac.Drops(),
-	}
 	return sn
 }
 

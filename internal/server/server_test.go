@@ -378,7 +378,7 @@ func TestTierPlacement(t *testing.T) {
 // (run under -race): mixed distinct and duplicate programs, every
 // response 200, and every duplicate byte-identical.
 func TestConcurrentSubmissions(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t, Config{})
 	const clients, iters = 8, 6
 	bodies := make([][][]byte, clients)
 	var wg sync.WaitGroup
@@ -420,38 +420,43 @@ func TestConcurrentSubmissions(t *testing.T) {
 			bySeed[seed] = bodies[c][i]
 		}
 	}
-	// The analysis cache held only in-flight handles: empty at rest.
-	sn := s.snapshot()
-	if sn.AnalysisCache.LenMax > 8*clients {
-		t.Errorf("analysis cache LenMax %d exceeds 8 per client", sn.AnalysisCache.LenMax)
-	}
-	if sn.AnalysisCache.Len != 0 {
-		t.Errorf("analysis cache Len %d at rest, want 0", sn.AnalysisCache.Len)
-	}
-	if sn.AnalysisCache.Drops == 0 {
-		t.Error("no request dropped an analysis handle")
-	}
 }
 
-// TestAnalysisCacheBounded: a serial stream of distinct programs
-// cannot grow the shared analysis cache — every request drops its
-// handles when it finishes.
-func TestAnalysisCacheBounded(t *testing.T) {
+// TestPlacedFunctionsCountsAnswers: placed_functions counts the
+// functions of the requests the full pipeline answered 200. A program
+// that parses and profiles but fails allocation adds none, and neither
+// does a cached resubmission.
+func TestPlacedFunctionsCountsAnswers(t *testing.T) {
+	const fiveParams = `main main
+
+func f(v0, v1, v2, v3, v4) {
+entry:
+	ret v4
+}
+
+func main(v0) {
+entry:
+	v1 = call f(v0, v0, v0, v0, v0)
+	ret v1
+}
+`
 	s, ts := newTestServer(t, Config{})
-	for seed := uint64(20); seed < 35; seed++ {
-		resp, body := post(t, ts, PlaceRequest{IR: testProgram(seed), Args: []int64{5}})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("seed %d: status %d: %s", seed, resp.StatusCode, body)
-		}
-		if got := s.ac.Len(); got != 0 {
-			t.Fatalf("analysis cache Len %d after serial request, want 0", got)
-		}
+	resp, body := post(t, ts, PlaceRequest{IR: fiveParams, Args: []int64{1}})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "params") {
+		t.Fatalf("five-parameter callee: status %d: %s; want 400 from the allocator", resp.StatusCode, body)
 	}
-	if sn := s.snapshot(); sn.AnalysisCache.LenMax > 8 {
-		t.Errorf("analysis cache LenMax %d exceeds 8 for one client", sn.AnalysisCache.LenMax)
+	if n := s.snapshot().PlacedFunctions; n != 0 {
+		t.Errorf("placed_functions %d after a request that failed allocation, want 0", n)
 	}
-	if s.ac.Drops() == 0 {
-		t.Error("no drops after 15 distinct programs")
+	src := testProgram(3)
+	want := int64(len(irgen.Generate(3, irgen.Small()).Order))
+	for range 2 {
+		if resp, body := post(t, ts, PlaceRequest{IR: src, Args: []int64{5}}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		if n := s.snapshot().PlacedFunctions; n != want {
+			t.Errorf("placed_functions %d, want the placed program's %d functions", n, want)
+		}
 	}
 }
 
@@ -485,10 +490,6 @@ func TestMetricsAndHealthz(t *testing.T) {
 	// hit (the identical resubmission) and two misses minimum.
 	if sn.ProgramCache.Hits == 0 || sn.ProgramCache.Misses == 0 {
 		t.Errorf("healthz did not exercise the program cache: %+v", sn.ProgramCache)
-	}
-	// The self-check's requests dropped their analysis handles.
-	if sn.AnalysisCache.Drops == 0 || sn.AnalysisCache.Len != 0 {
-		t.Errorf("healthz left analysis handles behind: %+v", sn.AnalysisCache)
 	}
 	// healthz runs place() directly, not through HTTP, so request
 	// counters only reflect real requests.
@@ -606,15 +607,23 @@ func TestLoadgenSmoke(t *testing.T) {
 	if res.CachedSpeedup <= 1 {
 		t.Errorf("cached speedup = %.2f, want > 1", res.CachedSpeedup)
 	}
-	if res.AnalysisLenMax > 8*opt.Workers {
-		t.Errorf("analysis LenMax %d exceeds 8 per client", res.AnalysisLenMax)
-	}
-	sn, err := metricsSnapshot(ts.Client(), ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sn.AnalysisCache.Len != 0 {
-		t.Errorf("analysis cache Len %d at rest, want 0", sn.AnalysisCache.Len)
+}
+
+// TestLoadgenChecksBody: a 200 whose body ends before its declared
+// Content-Length fails the sweep instead of counting as an answer.
+func TestLoadgenChecksBody(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			w.Write([]byte("{}"))
+			return
+		}
+		w.Header().Set("Content-Length", "100")
+		w.Write([]byte(`{"ok":1}`))
+	}))
+	defer ts.Close()
+	_, err := Loadgen(ts.Client(), ts.URL, LoadgenOptions{Distinct: 2, Dups: 1, Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "reading body") {
+		t.Errorf("Loadgen against a server that cuts its bodies short: err = %v, want a body read error", err)
 	}
 }
 

@@ -4,7 +4,7 @@
 // profiling for a bounded step quantum; at the tier boundary the
 // measured edge counts are written back onto the CFG, layout.Align
 // re-chains blocks hottest-fall-through, the affected functions are
-// re-placed through the shared analysis cache, and execution
+// re-placed through the program's analysis cache, and execution
 // resumes on the freshly compiled tier-1 program with the remaining
 // step budget.
 //
@@ -61,9 +61,10 @@ type Config struct {
 	// Parallelism bounds the per-function placement worker pool; <= 0
 	// means GOMAXPROCS.
 	Parallelism int
-	// Cache is the shared analysis cache the final program's placement
-	// runs through (strategy.PlaceProgramFor). May be nil. The throwaway tier-0 clone always uses a private cache so
-	// its short-lived functions never pin entries in a shared one.
+	// Cache is the analysis cache of the program being run, through
+	// which its final placement runs (strategy.PlaceProgramFor). May
+	// be nil. The throwaway tier-0 clone always uses a cache of its
+	// own, so its short-lived functions pin no entry in this one.
 	Cache *analysis.Cache
 	// Engine selects the VM engine for both tiers. The zero value is
 	// the VM default, regcode, whose fast path counts edges, so
@@ -197,9 +198,8 @@ func Run(prog *ir.Program, cfg Config, args ...int64) (*Result, error) {
 	return res, nil
 }
 
-// alignAndPlace aligns every function, invalidating the shared cache
-// for reordered analyses, then places the program through the shared
-// cache. When res is non-nil the alignment change count is recorded
+// alignAndPlace aligns every function, invalidating cfg.Cache for
+// reordered analyses, then places the program through cfg.Cache. When res is non-nil the alignment change count is recorded
 // on it.
 func alignAndPlace(prog *ir.Program, cfg Config, res *Result) error {
 	for _, f := range prog.FuncsInOrder() {

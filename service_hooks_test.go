@@ -68,68 +68,40 @@ func TestParseStrategy(t *testing.T) {
 	}
 }
 
-// TestSharedAnalysisCacheLifetime: two programs share one injected
-// analysis cache; each Close removes exactly its own functions, so a
-// long-lived service's cache stays bounded (the leak fix end to end).
-func TestSharedAnalysisCacheLifetime(t *testing.T) {
-	shared := analysis.NewCache()
-	run := func() *Program {
-		p, err := ParseProgram(demoSrc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.UseAnalysisCache(shared)
-		if err := p.Profile(100); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Allocate(); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Place(HierarchicalJump); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	a := run()
-	lenA := shared.Len()
-	if lenA == 0 {
-		t.Fatal("shared cache empty after first pipeline")
-	}
-	b := run()
-	if shared.Len() <= lenA {
-		t.Fatalf("shared cache did not grow: %d then %d", lenA, shared.Len())
-	}
-	// a's functions are gone; only b's (an identical program, so the
-	// same entry count) remain.
-	a.Close()
-	if got := shared.Len(); got != lenA {
-		t.Fatalf("Len after first Close = %d, want %d", got, lenA)
-	}
-	b.Close()
-	if got := shared.Len(); got != 0 {
-		t.Fatalf("Len after both Close = %d, want 0", got)
-	}
-	// Close on a program-owned cache empties it too, and is
-	// idempotent.
-	c, _ := ParseProgram(demoSrc)
-	if err := c.Profile(100); err != nil {
+// TestUseAnalysisCache: a program given a cache builds its analyses
+// there, so the caller reads every build through the cache's Counts —
+// one liveness, PST and seed-set build per placed function, each
+// invalidated once by its placement.
+func TestUseAnalysisCache(t *testing.T) {
+	p, err := ParseProgram(demoSrc)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Allocate(); err != nil {
+	c := analysis.NewCache()
+	p.UseAnalysisCache(c)
+	if err := p.Profile(100); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Place(HierarchicalJump); err != nil {
+	if err := p.Allocate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.cache.Len() == 0 {
-		t.Fatal("program-owned cache empty after the pipeline")
+	if err := p.Place(HierarchicalJump); err != nil {
+		t.Fatal(err)
 	}
-	c.Close()
-	c.Close()
-	if got := c.cache.Len(); got != 0 {
-		t.Errorf("program-owned cache Len after Close = %d, want 0", got)
+	placed := 0
+	for _, f := range p.IRFuncs() {
+		if len(f.UsedCalleeSaved) > 0 {
+			placed++
+		}
 	}
-	if len(c.IRFuncs()) != len(c.Functions()) {
+	if placed == 0 {
+		t.Fatal("no function of the demo program needs placement")
+	}
+	n := c.Counts()
+	if n.Liveness != placed || n.PST != placed || n.Seed != placed || n.DeltaFull != placed {
+		t.Errorf("injected cache counts %+v, want %d builds of each and %d invalidations", n, placed, placed)
+	}
+	if len(p.IRFuncs()) != len(p.Functions()) {
 		t.Error("IRFuncs and Functions disagree on function count")
 	}
 }

@@ -324,9 +324,7 @@ func (p *Program) Allocate() error {
 		return err
 	}
 	// Allocation rewrote instructions (spill code, physical registers),
-	// so every memoized analysis of this program is stale. Invalidation
-	// is per function: a cache shared with other live programs
-	// (UseAnalysisCache) keeps their analyses.
+	// so every memoized analysis of this program is stale.
 	for _, f := range p.prog.FuncsInOrder() {
 		p.cache.Invalidate(f)
 	}
@@ -365,35 +363,19 @@ func (p *Program) Place(s Strategy) error {
 	return nil
 }
 
-// UseAnalysisCache points the pipeline at a shared program-level
-// analysis cache owned by a long-lived caller (the placement service
-// shares one across every request it handles). It must be called
-// before Profile/Allocate/Place so every stage sees one cache. The
-// caller owns the cache's lifetime: either call Close when done with
-// this Program, or run an eviction policy over IRFuncs keys that
-// calls the cache's Drop — otherwise the cache pins every program
-// ever compiled (the leak Invalidate alone never fixes).
+// UseAnalysisCache makes the pipeline build this program's analyses in
+// c instead of the cache ParseProgram allocated, so that the caller can
+// read the build counters (c.Counts). Call it before Allocate, so that
+// every stage sees one cache; a nil c is ignored.
 func (p *Program) UseAnalysisCache(c *analysis.Cache) {
 	if c != nil {
 		p.cache = c
 	}
 }
 
-// Close drops the program's functions from its analysis cache, so the
-// functions (and everything their analyses pin) can be collected. On a
-// cache shared through UseAnalysisCache, other programs' entries stay.
-// Close is idempotent and the Program remains usable — the next
-// analysis consumer just rebuilds.
-func (p *Program) Close() {
-	for _, f := range p.prog.FuncsInOrder() {
-		p.cache.Drop(f)
-	}
-}
-
-// IRFuncs exposes the program's functions (in definition order) to
-// in-process services that manage a shared analysis cache's lifetime:
-// the returned pointers are exactly the cache keys an eviction policy
-// must eventually Drop.
+// IRFuncs exposes the program's functions, in definition order, to
+// in-process callers such as the placement service, which hashes each
+// one for its function-level cache.
 func (p *Program) IRFuncs() []*ir.Func { return p.prog.FuncsInOrder() }
 
 // Functions returns the program's function names in definition order.
@@ -655,5 +637,6 @@ func (p *Program) Clone() *Program {
 		profiled:     p.profiled,
 		allocated:    p.allocated,
 		placed:       p.placed,
+		canonical:    p.canonical,
 	}
 }

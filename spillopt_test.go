@@ -191,6 +191,14 @@ func TestCloneIndependence(t *testing.T) {
 	if p.Text() == c.Text() {
 		t.Error("clones should diverge after different placements")
 	}
+	// Canonical is a fact about the source, so a clone keeps it.
+	q, err := ParseProgram(p.Text())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !q.Canonical() || !q.Clone().Canonical() {
+		t.Errorf("a program parsed from its printed text: Canonical %v, its clone's %v; want both true", q.Canonical(), q.Clone().Canonical())
+	}
 }
 
 func TestMachineInfo(t *testing.T) {
