@@ -92,6 +92,53 @@ func BenchmarkEngineTreeProfiling(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineServiceRun measures the placement service's final
+// run of an exec-run request: vm.New plus a Run of irgen.Hostile
+// programs (seeds 1–20, args seed%7) profiled, allocated and
+// hierarchically placed on the classic preset, with convention
+// checking on and edge collection off. One iteration is one program;
+// ns/instr is the Run time per executed IR instruction.
+func BenchmarkEngineServiceRun(b *testing.B) {
+	mach, err := machine.Preset("classic")
+	if err != nil {
+		b.Fatal(err)
+	}
+	type program struct {
+		prog *ir.Program
+		arg  int64
+	}
+	progs := make([]program, 20)
+	for i := range progs {
+		seed := uint64(i + 1)
+		p := program{irgen.Generate(seed, irgen.Hostile()), int64(seed % 7)}
+		if _, err := profile.Collect(p.prog, vm.Config{}, p.arg); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := regalloc.AllocateProgram(p.prog, mach, 1, regalloc.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		if err := strategy.PlaceProgramFor(p.prog, strategy.HierarchicalJump, mach, 1, nil); err != nil {
+			b.Fatal(err)
+		}
+		progs[i] = p
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var runNS time.Duration
+	var instrs int64
+	for i := 0; i < b.N; i++ {
+		p := progs[i%len(progs)]
+		m := vm.New(p.prog, vm.Config{Machine: mach})
+		start := time.Now()
+		if _, err := m.Run(p.arg); err != nil {
+			b.Fatal(err)
+		}
+		runNS += time.Since(start)
+		instrs += m.Stats.Instrs
+	}
+	b.ReportMetric(float64(runNS.Nanoseconds())/float64(instrs), "ns/instr")
+}
+
 // BenchmarkEngineServiceProfile measures what the placement service's
 // profiling step costs on short programs, where compiling dominates:
 // vm.New plus an edge-collecting Run of the default engine on 20

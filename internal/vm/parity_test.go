@@ -124,18 +124,35 @@ func TestEngineParityTestdata(t *testing.T) {
 	}
 }
 
+// TestEngineParityGenerated runs the battery on every generator
+// family: Default and Small alternate over the first seeds, then
+// Hostile, the family the placement service runs in exec-run, and
+// Crossover follow, whose const-fed arithmetic and compare-branches
+// exercise every immediate form.
 func TestEngineParityGenerated(t *testing.T) {
-	seeds := 200
-	if testing.Short() {
-		seeds = 25
+	families := []struct {
+		name  string
+		cfg   irgen.Config
+		seeds int
+	}{
+		{"default", irgen.Default(), 100},
+		{"small", irgen.Small(), 100},
+		{"hostile", irgen.Hostile(), 50},
+		{"crossover", irgen.Crossover(), 50},
 	}
-	for seed := 0; seed < seeds; seed++ {
-		cfg := irgen.Default()
-		if seed%2 == 1 {
-			cfg = irgen.Small()
+	for i, fam := range families {
+		seeds := fam.seeds
+		if testing.Short() {
+			seeds /= 5
 		}
-		prog := irgen.Generate(uint64(seed), cfg)
-		checkProgram(t, "seed"+strconv.Itoa(seed), prog, []int64{int64(seed % 17)})
+		for k := 0; k < seeds; k++ {
+			seed := k
+			if i < 2 {
+				seed = 2*k + i // Default on even seeds, Small on odd
+			}
+			prog := irgen.Generate(uint64(seed), fam.cfg)
+			checkProgram(t, fam.name+"/seed"+strconv.Itoa(seed), prog, []int64{int64(seed % 17)})
+		}
 	}
 }
 

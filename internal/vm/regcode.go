@@ -5,26 +5,36 @@ package vm
 // exactly once, at vm.New:
 //
 //   - Unified register bank. Each invocation executes against one flat
-//     []int64 holding a copy of the referenced physical registers, the
-//     virtual registers, the spill slots, and the save slots, in that
-//     order. The compiler assigns every operand its direct bank index,
-//     so the dispatch loop performs a single slice index per operand —
-//     no phys-vs-frame branch, no slot rebasing at run time. The
-//     physical prefix is copied in from the VM's global register file
-//     at entry and copied back out at every exit (and around calls),
-//     preserving the global-register semantics the tree interpreter
-//     implements directly.
+//     []int64 holding the physical registers, the virtual registers,
+//     the spill slots, and the save slots, in that order. The compiler
+//     assigns every operand its direct bank index, so the dispatch loop
+//     performs a single slice index per operand — no phys-vs-frame
+//     branch, no slot rebasing at run time. Every bank of a program
+//     has the same physical prefix, as long as the longest any of its
+//     functions (or the convention checker) needs, so a call hands the
+//     caller's prefix straight to the callee, which copies it in at
+//     entry and back into the caller's bank at return; only main's
+//     prefix comes from and goes to the VM's global register file.
 //
-//   - Pre-resolved operands. Overhead classes (spill load/store, save,
-//     restore, jump-block jump) are precomputed into a byte; branch
-//     targets are instruction indices; the CFG edge each branch
-//     traverses is a dense edge index, so edge profiling increments a
-//     slice instead of a map; callees are dense function indices.
+//   - Pre-resolved operands. Branch targets are instruction indices;
+//     the CFG edge each branch traverses is a dense edge index, so edge
+//     profiling increments a slice instead of a map; callees are dense
+//     function indices. An instruction with an overhead class (spill
+//     load/store, save, restore, jump-block jump) compiles to rOv,
+//     which counts the class and dispatches again on the plain opcode
+//     it carries, so no other instruction tests for a class.
 //
 //   - Superinstructions. The compiler fuses compare+branch and
 //     const+binop pairs, const+compare+branch and const+binop+spill.st
 //     triples, and the canonical 5-op loop latch (const increment,
-//     in-place add, const bound, compare, branch). Fused forms execute
+//     in-place add, const bound, compare, branch). The const+binop
+//     pair has one opcode per operator for x•K (and K•x when the
+//     operator commutes), and folds K•K at compile time;
+//     const+compare+branch has one opcode per relation comparing a
+//     register against the immediate, mirroring the relation for K•x.
+//     Only the rare remaining shapes (K−x, division, shifts, compares
+//     feeding no branch, the spill-store triple) go through the generic
+//     form that switches again on the operator. Fused forms execute
 //     every constituent's architectural effect literally, in order,
 //     through the bank, so aliased operands behave exactly as in the
 //     unfused sequence.
@@ -61,7 +71,8 @@ import (
 // Regcode opcode space. Plain instructions reuse their ir.Op value;
 // the compiled-only forms (traps, fusions) follow contiguously so the
 // dispatch switch covers a dense range and compiles to a single jump
-// table instead of a branch tree.
+// table instead of a branch tree. Fused forms are grouped by weight
+// (see rweight).
 const (
 	// Traps. They reproduce the tree interpreter's runtime errors for
 	// malformed programs lazily.
@@ -75,21 +86,37 @@ const (
 	rCmpLEBr
 	rCmpGTBr
 	rCmpGEBr
-	// Constant materialized straight into a binary operation:
-	// b = const register, imm = constant, dst/a from the binop,
-	// t1 = inner opcode, t2 = operand form (0: a•K, 1: K•a, 2: K•K).
+	// Constant materialized straight into a binary operation, the
+	// generic form: b = const register, imm = constant, dst/a from the
+	// binop, t1 = inner opcode, t2 = operand form (0: a•K, 1: K•a).
 	rConstBin
-	// const + compare + branch: the constant is materialized, the
-	// compare consumes it per the form in .x (0: x•K, 1: K•x, 2: K•K),
-	// and the branch dispatches on the result. dst = cmp result,
-	// a = other operand, b = const register, imm = constant,
-	// t1/t2 = targets, c = edge slots.
-	rConstCmpEQBr
-	rConstCmpNEBr
-	rConstCmpLTBr
-	rConstCmpLEBr
-	rConstCmpGTBr
-	rConstCmpGEBr
+	// const + binop specialized by operator: b = const imm; dst = a op
+	// imm. Operands as rConstBin, whose t1/t2 they keep for careful
+	// mode; K•a compiles here only when op commutes.
+	rAddK
+	rSubK
+	rMulK
+	rAndK
+	rOrK
+	rXorK
+	// const + binop with the constant in both operands, folded at
+	// compile time: b = const imm; dst = t1<<32 | uint32(t2).
+	rConst2
+	// const + compare + branch against the immediate: b = const imm;
+	// dst = a rel imm; branch on dst. K•x compiles with the relation
+	// mirrored, K•K with a = b (the const register, which holds imm by
+	// the time the compare reads it). t1/t2 = targets, c = edge slots.
+	rCmpEQKBr
+	rCmpNEKBr
+	rCmpLTKBr
+	rCmpLEKBr
+	rCmpGTKBr
+	rCmpGEKBr
+	// const + binop + spill.st: b = const imm; dst = t1<op,form t2> a;
+	// bank[c] = dst. The Ov variant's store carries the spill flag and
+	// bumps Stats.SpillStores when the third constituent executes.
+	rConstBinSpillSt
+	rConstBinSpillStOv
 	// The canonical 5-op loop latch:
 	//	b = const K1; a = add a, b; k = const K2; dst = cmp a, k;
 	//	br dst, t1, t2
@@ -101,12 +128,19 @@ const (
 	rLatchLE
 	rLatchGT
 	rLatchGE
-	// const + binop + spill.st: b = const imm; dst = t1<op,form t2> a;
-	// bank[c] = dst. The Ov variant's store carries the spill flag and
-	// bumps Stats.SpillStores when the third constituent executes.
-	rConstBinSpillSt
-	rConstBinSpillStOv
+	// A plain instruction with an overhead class: ov = the class, x =
+	// the plain opcode, every other field as that opcode compiles.
+	rOv
 )
+
+// kOps maps the operators with an immediate form to their opcodes.
+var kOps = [...]ir.Op{ir.OpAdd: rAddK, ir.OpSub: rSubK, ir.OpMul: rMulK,
+	ir.OpAnd: rAndK, ir.OpOr: rOrK, ir.OpXor: rXorK}
+
+// mirror maps a relation to the one that holds with its operands
+// swapped.
+var mirror = [...]ir.Op{ir.OpCmpEQ: ir.OpCmpEQ, ir.OpCmpNE: ir.OpCmpNE,
+	ir.OpCmpLT: ir.OpCmpGT, ir.OpCmpLE: ir.OpCmpGE, ir.OpCmpGT: ir.OpCmpLT, ir.OpCmpGE: ir.OpCmpLE}
 
 // packI32 packs two int32-range values into one imm, k1 high.
 func packI32(k1, k2 int64) int64 {
@@ -162,8 +196,8 @@ func ovClass(in *ir.Instr) uint8 {
 // back from the upfront charge.
 type rinst struct {
 	op   ir.Op
-	ov   uint8
-	x    int16 // small operand of a fused form
+	ov   uint8 // overhead class of rOv
+	x    int16 // small operand of a fused form; rOv's plain opcode
 	dst  int32
 	a    int32
 	b    int32
@@ -189,11 +223,10 @@ type rcFunc struct {
 	params []int32 // parameter bank indices
 	calls  []rcCall
 
-	// The bank layout: [0, physLen) is the physical-register prefix
-	// copied in/out of the VM's global file; virtuals, spill slots
-	// (from spillBase), and save slots (from saveBase) follow. bankLen
-	// is the full frame size.
-	physLen   int
+	// The bank layout: [0, rcProgram.physLen) is the physical-register
+	// prefix handed over at calls; virtuals, spill slots (from
+	// spillBase), and save slots (from saveBase) follow. bankLen is the
+	// full frame size.
 	spillBase int64
 	saveBase  int64
 	bankLen   int
@@ -222,6 +255,10 @@ func (fc *rcFunc) block(pc int32) string {
 type rcProgram struct {
 	funcs []rcFunc
 	main  int32
+	// physLen is the length of every bank's physical prefix: the
+	// highest physical register any function references, plus one, and
+	// at least the convention checker's range.
+	physLen int
 	// edges maps dense edge slots to CFG edges, for profiling. Every
 	// branch owns two consecutive slots (then, else) and every jump
 	// one; a slot is nil when its branch has no matching CFG edge,
@@ -250,7 +287,7 @@ func (c *rcProgram) edgeSlots(es ...*ir.Edge) int32 {
 // so the VM passes its csTo when a machine is configured.
 func compileRegProgram(p *ir.Program, physMin int) *rcProgram {
 	funcs := p.FuncsInOrder()
-	c := &rcProgram{main: -1, funcs: make([]rcFunc, len(funcs))}
+	c := &rcProgram{main: -1, funcs: make([]rcFunc, len(funcs)), physLen: physMin}
 	index := make(map[string]int32, len(funcs))
 	for i, f := range funcs {
 		index[f.Name] = int32(i)
@@ -268,9 +305,17 @@ func compileRegProgram(p *ir.Program, physMin int) *rcProgram {
 	nEdges := 0
 	for i, f := range funcs {
 		fc := &c.funcs[i]
-		kinds = c.sizeFunc(f, fc, physMin, kinds)
-		c.bankSum += fc.bankLen
+		kinds = c.sizeFunc(f, fc, kinds)
 		nEdges += fc.nEdges
+	}
+	// The shared prefix length is known only now: place every bank's
+	// frame after it.
+	for i := range c.funcs {
+		fc := &c.funcs[i]
+		fc.spillBase += int64(c.physLen)
+		fc.saveBase += int64(c.physLen)
+		fc.bankLen += c.physLen
+		c.bankSum += fc.bankLen
 	}
 	c.edges = make([]*ir.Edge, 0, nEdges)
 	var pos []int32
@@ -364,16 +409,19 @@ func matchFusion(ins []*ir.Instr, i int, slotLimit int64) fusion {
 }
 
 // sizeFunc is the counting pass. In one walk over the function it
-// sizes the bank — the physical prefix covers exactly the registers
-// the function (or the convention checker) can touch, virtual space
-// covers only referenced virtuals, and declared slot counts are grown
-// over out-of-range references, so frames never grow mid-run — and
-// runs the fusion matcher to count the instructions, call sites,
+// sizes the bank — it raises the program's physical prefix to cover
+// the registers the function can touch, virtual space covers only
+// referenced virtuals, and declared slot counts are grown over
+// out-of-range references, so frames never grow mid-run — and runs
+// the fusion matcher to count the instructions, call sites,
 // arguments, and edges emission produces, recording each block's
-// first instruction. It appends its fusion decisions to kinds.
-func (c *rcProgram) sizeFunc(f *ir.Func, fc *rcFunc, physMin int, kinds []fusion) []fusion {
+// first instruction. It appends its fusion decisions to kinds. The
+// frame offsets it leaves in fc are relative to the end of the
+// physical prefix, whose length is final only once every function
+// is sized.
+func (c *rcProgram) sizeFunc(f *ir.Func, fc *rcFunc, kinds []fusion) []fusion {
 	fc.name = f.Name
-	sz := bankSize{phys: physMin}
+	sz := bankSize{phys: c.physLen}
 	for _, r := range f.Params {
 		sz.track(r)
 	}
@@ -384,9 +432,9 @@ func (c *rcProgram) sizeFunc(f *ir.Func, fc *rcFunc, physMin int, kinds []fusion
 	fc.starts = make([]int32, nb)
 	spillSlots, saveSlots := f.SpillSlots, f.SaveSlots
 	nCalls, n := 0, 0
-	// The spill slot bank indices are only known after the walk, so it
-	// matches the spill-store triple on slots that fit an int32 alone
-	// and checks the largest one afterwards.
+	// The spill slot bank indices are only known once every function
+	// is sized, so the walk matches the spill-store triple on slots
+	// that fit an int32 alone and checks the largest one afterwards.
 	stMax := int64(-1)
 	k0 := len(kinds)
 	for k, b := range f.Blocks {
@@ -434,19 +482,22 @@ func (c *rcProgram) sizeFunc(f *ir.Func, fc *rcFunc, physMin int, kinds []fusion
 		fc.starts[nb-1] = int32(n)
 		n++
 	}
-	fc.physLen = sz.phys
-	fc.spillBase = int64(sz.phys + sz.virt)
+	c.physLen = sz.phys
+	fc.spillBase = int64(sz.virt)
 	fc.saveBase = fc.spillBase + int64(spillSlots)
-	fc.bankLen = sz.phys + sz.virt + spillSlots + saveSlots
-	if stMax > fc.slotLimit() {
-		// A triple's slot overflows its bank index: match again with
+	fc.bankLen = sz.virt + spillSlots + saveSlots
+	// No prefix is longer than the physical register space, so a slot
+	// within this limit keeps its bank index in an int32 whatever
+	// length the prefix ends up with.
+	if limit := math.MaxInt32 - int64(ir.VirtBase) - fc.spillBase; stMax > limit {
+		// A triple's slot may overflow its bank index: match again with
 		// the real limit.
 		kinds = kinds[:k0]
 		n = 0
 		for k, b := range f.Blocks {
 			fc.starts[k] = int32(n)
 			for i := 0; i < len(b.Instrs); n++ {
-				kind := matchFusion(b.Instrs, i, fc.slotLimit())
+				kind := matchFusion(b.Instrs, i, limit)
 				kinds = append(kinds, kind)
 				i += kind.width()
 			}
@@ -463,10 +514,10 @@ func (c *rcProgram) sizeFunc(f *ir.Func, fc *rcFunc, physMin int, kinds []fusion
 }
 
 // reg maps an IR register to its bank index.
-func (fc *rcFunc) reg(r ir.Reg) int32 {
+func (c *rcProgram) reg(r ir.Reg) int32 {
 	switch {
 	case r >= ir.VirtBase:
-		return int32(fc.physLen) + int32(r-ir.VirtBase)
+		return int32(c.physLen) + int32(r-ir.VirtBase)
 	case r >= 0:
 		return int32(r)
 	}
@@ -485,9 +536,6 @@ func (s *bankSize) track(r ir.Reg) {
 		s.phys = max(s.phys, int(r)+1)
 	}
 }
-
-// slotLimit is the highest spill slot whose bank index fits an int32.
-func (fc *rcFunc) slotLimit() int64 { return math.MaxInt32 - fc.spillBase }
 
 // blockIndex returns b's position in f.Blocks, or -1 if b is not one of
 // f's blocks. pos maps block IDs to positions in f; an entry is trusted
@@ -517,10 +565,9 @@ func blockIndex(f *ir.Func, b *ir.Block, pos []int32) int32 {
 // program's functions. emitFunc returns pos and the unread kinds.
 func (c *rcProgram) emitFunc(f *ir.Func, fc *rcFunc, index map[string]int32, pos []int32, kinds []fusion) ([]int32, []fusion) {
 	spillBase, saveBase := fc.spillBase, fc.saveBase
-	mr := fc.reg
 	fc.params = make([]int32, len(f.Params))
 	for i, r := range f.Params {
-		fc.params[i] = mr(r)
+		fc.params[i] = c.reg(r)
 	}
 
 	// Block IDs are normally dense layout positions; index them so
@@ -571,16 +618,22 @@ func (c *rcProgram) emitFunc(f *ir.Func, fc *rcFunc, index map[string]int32, pos
 			case fuseLatch:
 				add, c2, cmp := bi[i-4], bi[i-3], bi[i-2]
 				*d = rinst{op: rLatchEQ + (cmp.Op - ir.OpCmpEQ), x: int16(in.Imm),
-					dst: mr(cmp.Dst), a: mr(add.Dst), b: mr(in.Dst),
-					imm: packI32(int64(mr(c2.Dst)), c2.Imm)}
+					dst: c.reg(cmp.Dst), a: c.reg(add.Dst), b: c.reg(in.Dst),
+					imm: packI32(int64(c.reg(c2.Dst)), c2.Imm)}
 				branch(d, b, bi[i-1])
 				continue
 			case fuseConstCmpBr:
 				cmp := bi[i-2]
 				form, other := constForm(in.Dst, cmp.Src1, cmp.Src2)
-				*d = rinst{op: rConstCmpEQBr + (cmp.Op - ir.OpCmpEQ), x: int16(form),
-					dst: mr(cmp.Dst), a: mr(other), b: mr(in.Dst),
-					imm: in.Imm}
+				rel, a := cmp.Op, c.reg(other)
+				switch form {
+				case 1:
+					rel = mirror[rel]
+				case 2:
+					a = c.reg(in.Dst)
+				}
+				*d = rinst{op: rCmpEQKBr + (rel - ir.OpCmpEQ),
+					dst: c.reg(cmp.Dst), a: a, b: c.reg(in.Dst), imm: in.Imm}
 				branch(d, b, bi[i-1])
 				continue
 			case fuseConstBinSt:
@@ -591,26 +644,33 @@ func (c *rcProgram) emitFunc(f *ir.Func, fc *rcFunc, index map[string]int32, pos
 					op = rConstBinSpillStOv
 				}
 				*d = rinst{op: op,
-					dst: mr(bin.Dst), a: mr(other), b: mr(in.Dst),
+					dst: c.reg(bin.Dst), a: c.reg(other), b: c.reg(in.Dst),
 					c:  int32(spillBase + st.Imm),
 					t1: int32(bin.Op), t2: form, imm: in.Imm}
 				continue
 			case fuseCmpBr:
 				*d = rinst{op: rCmpEQBr + (in.Op - ir.OpCmpEQ),
-					dst: mr(in.Dst), a: mr(in.Src1), b: mr(in.Src2)}
+					dst: c.reg(in.Dst), a: c.reg(in.Src1), b: c.reg(in.Src2)}
 				branch(d, b, bi[i-1])
 				continue
 			case fuseConstBin:
 				next := bi[i-1]
 				form, other := constForm(in.Dst, next.Src1, next.Src2)
 				*d = rinst{op: rConstBin,
-					dst: mr(next.Dst), a: mr(other), b: mr(in.Dst),
+					dst: c.reg(next.Dst), a: c.reg(other), b: c.reg(in.Dst),
 					imm: in.Imm, t1: int32(next.Op), t2: form}
+				switch {
+				case form == 2:
+					k := rbin(next.Op, in.Imm, in.Imm)
+					d.op, d.t1, d.t2 = rConst2, int32(k>>32), int32(k)
+				case int(next.Op) < len(kOps) && kOps[next.Op] != 0 && (form == 0 || next.Op != ir.OpSub):
+					d.op = kOps[next.Op]
+				}
 				continue
 			}
 
-			*d = rinst{op: in.Op, ov: ovClass(in),
-				dst: mr(in.Dst), a: mr(in.Src1), b: mr(in.Src2),
+			*d = rinst{op: in.Op,
+				dst: c.reg(in.Dst), a: c.reg(in.Src1), b: c.reg(in.Src2),
 				imm: in.Imm, t1: -1, t2: -1}
 			switch {
 			case !in.Op.Valid():
@@ -628,7 +688,7 @@ func (c *rcProgram) emitFunc(f *ir.Func, fc *rcFunc, index map[string]int32, pos
 			case in.Op == ir.OpCall:
 				base := len(args)
 				for _, a := range in.Args {
-					args = append(args, mr(a))
+					args = append(args, c.reg(a))
 				}
 				callee := int32(-1)
 				if ci, ok := index[in.Callee]; ok {
@@ -647,6 +707,9 @@ func (c *rcProgram) emitFunc(f *ir.Func, fc *rcFunc, index map[string]int32, pos
 				d.t1 = t1
 				d.c = c.edgeSlots(b.SuccEdge(in.Then))
 			}
+			if ov := ovClass(in); ov != ovNone {
+				d.op, d.ov, d.x = rOv, ov, int16(d.op)
+			}
 		}
 		// A block without a terminator runs off its end; the trap
 		// reproduces the tree interpreter's error without counting an
@@ -663,13 +726,18 @@ func (c *rcProgram) emitFunc(f *ir.Func, fc *rcFunc, index map[string]int32, pos
 	}
 
 	// Quantum weights, last instruction first: a quantum-ending
-	// instruction starts a new suffix sum.
+	// instruction starts a new suffix sum. rOv weighs as its plain
+	// opcode.
 	var q int32
 	for i := len(ins) - 1; i >= 0; i-- {
-		if rquantumEnd(ins[i].op) {
+		op := ins[i].op
+		if op == rOv {
+			op = ir.Op(ins[i].x)
+		}
+		if rquantumEnd(op) {
 			q = 0
 		}
-		q += rweight(ins[i].op)
+		q += rweight(op)
 		ins[i].qlen = q
 	}
 	return pos, kinds
@@ -692,29 +760,26 @@ func constForm(cdst, src1, src2 ir.Reg) (int32, ir.Reg) {
 // rweight is an instruction's IR-instruction count for step
 // accounting: fused forms charge every constituent, traps charge like
 // the instruction they reproduce (rBadOp executes-then-errors, so 1;
-// rFellOff is synthetic, so 0).
+// rFellOff is synthetic, so 0). rOv is weighed by its plain opcode.
 func rweight(op ir.Op) int32 {
 	switch {
 	case op < rBadOp: // every plain instruction
 		return 1
 	case op == rFellOff:
 		return 0
+	case op >= rCmpEQBr && op <= rConst2:
+		return 2
+	case op >= rCmpEQKBr && op <= rConstBinSpillStOv:
+		return 3
 	case op >= rLatchEQ && op <= rLatchGE:
 		return 5
-	case op >= rConstCmpEQBr && op <= rConstCmpGEBr:
-		return 3
-	case op == rConstBinSpillSt || op == rConstBinSpillStOv:
-		return 3
-	case op >= rCmpEQBr && op <= rCmpGEBr:
-		return 2
-	case op == rConstBin:
-		return 2
 	}
 	return 1
 }
 
 // rquantumEnd reports whether op terminates a straight-line quantum:
-// anything that transfers control, flushes counters, or errors.
+// anything that transfers control, flushes counters, or errors. rOv is
+// judged by its plain opcode.
 func rquantumEnd(op ir.Op) bool {
 	if op < ir.OpCall {
 		return false
@@ -724,6 +789,9 @@ func rquantumEnd(op ir.Op) bool {
 		return true
 	}
 	return (op >= rCmpEQBr && op <= rCmpGEBr) ||
-		(op >= rConstCmpEQBr && op <= rConstCmpGEBr) ||
+		(op >= rCmpEQKBr && op <= rCmpGEKBr) ||
 		(op >= rLatchEQ && op <= rLatchGE)
 }
+
+// folded is rConst2's result, computed at compile time.
+func (in *rinst) folded() int64 { return int64(in.t1)<<32 | int64(uint32(in.t2)) }

@@ -10,45 +10,47 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/irtext"
 	"repro/internal/machine"
 )
 
-// runBoth executes prog on the regcode engine and the tree reference
-// with identical configs and returns both outcomes.
-func runBoth(t *testing.T, prog *ir.Program, cfg Config, args ...int64) (reg, tree struct {
+// outcome is everything observable about one engine's run, the
+// register file it leaves behind included.
+type outcome struct {
 	val   int64
 	err   string
 	stats Stats
-}) {
+	edges map[*ir.Edge]int64
+	phys  [64]int64
+}
+
+// runBoth executes prog on the regcode engine and the tree reference
+// with identical configs and returns both outcomes.
+func runBoth(t *testing.T, prog *ir.Program, cfg Config, args ...int64) (reg, tree outcome) {
 	t.Helper()
-	run := func(e Engine) (int64, string, Stats) {
+	run := func(e Engine) outcome {
 		c := cfg
 		c.Engine = e
 		m := New(prog, c)
 		val, err := m.Run(args...)
-		msg := ""
+		o := outcome{val: val, stats: m.Stats.Snapshot(), edges: m.EdgeCount, phys: m.phys}
 		if err != nil {
-			msg = err.Error()
+			o.err = err.Error()
 		}
-		return val, msg, m.Stats.Snapshot()
+		return o
 	}
-	reg.val, reg.err, reg.stats = run(EngineRegcode)
-	tree.val, tree.err, tree.stats = run(EngineTree)
-	return reg, tree
+	return run(EngineRegcode), run(EngineTree)
 }
 
 // assertSame fails unless the two outcomes match on every observable.
-func assertSame(t *testing.T, label string, reg, tree struct {
-	val   int64
-	err   string
-	stats Stats
-}) {
+func assertSame(t *testing.T, label string, reg, tree outcome) {
 	t.Helper()
 	if reg.err != tree.err {
 		t.Fatalf("%s: error mismatch:\n  regcode: %q\n  tree   : %q", label, reg.err, tree.err)
@@ -59,30 +61,43 @@ func assertSame(t *testing.T, label string, reg, tree struct {
 	if !reflect.DeepEqual(reg.stats, tree.stats) {
 		t.Fatalf("%s: stats mismatch:\n  regcode: %+v\n  tree   : %+v", label, reg.stats, tree.stats)
 	}
+	if !reflect.DeepEqual(reg.edges, tree.edges) {
+		t.Fatalf("%s: edge counts mismatch:\n  regcode: %v\n  tree   : %v", label, reg.edges, tree.edges)
+	}
+	if reg.phys != tree.phys {
+		t.Fatalf("%s: register file mismatch:\n  regcode: %v\n  tree   : %v", label, reg.phys, tree.phys)
+	}
 }
 
 // TestRegcodeUnknownOpcode: an invalid opcode compiles to a trap that
 // reports the tree engine's exact message and counts the faulting
-// instruction as executed, wherever in a quantum it sits.
+// instruction as executed, wherever in a quantum it sits — and counts
+// its overhead class first when it carries a flag, as the tree engine
+// does.
 func TestRegcodeUnknownOpcode(t *testing.T) {
-	bu := ir.NewBuilder("bad", 0)
-	bu.Block("entry")
-	bu.Const(1)
-	bu.Emit(&ir.Instr{Op: ir.Op(200), Dst: ir.NoReg, Src1: ir.NoReg, Src2: ir.NoReg})
-	bu.Ret(ir.NoReg)
-	p := ir.NewProgram()
-	p.Add(bu.Finish())
+	for _, flags := range []ir.InstrFlags{0, ir.FlagJumpBlock} {
+		bu := ir.NewBuilder("bad", 0)
+		bu.Block("entry")
+		bu.Const(1)
+		bu.Emit(&ir.Instr{Op: ir.Op(200), Dst: ir.NoReg, Src1: ir.NoReg, Src2: ir.NoReg, Flags: flags})
+		bu.Ret(ir.NoReg)
+		p := ir.NewProgram()
+		p.Add(bu.Finish())
 
-	reg, tree := runBoth(t, p, Config{})
-	assertSame(t, "bad-op", reg, tree)
-	if !strings.Contains(reg.err, "unknown opcode") || !strings.Contains(reg.err, "bad") {
-		t.Fatalf("unknown-opcode error lacks context: %q", reg.err)
-	}
-	// At the exact budget boundary the trap loses to the step limit —
-	// the trap would be the instruction past the budget.
-	for _, lim := range []int64{1, 2, 3} {
-		reg, tree := runBoth(t, p, Config{MaxSteps: lim})
-		assertSame(t, "bad-op-budget", reg, tree)
+		reg, tree := runBoth(t, p, Config{})
+		assertSame(t, "bad-op", reg, tree)
+		if !strings.Contains(reg.err, "unknown opcode") || !strings.Contains(reg.err, "bad") {
+			t.Fatalf("unknown-opcode error lacks context: %q", reg.err)
+		}
+		if reg.stats.JumpBlockJmps != int64(flags/ir.FlagJumpBlock) {
+			t.Fatalf("flags %d: %d jump-block jumps counted", flags, reg.stats.JumpBlockJmps)
+		}
+		// At the exact budget boundary the trap loses to the step limit —
+		// the trap would be the instruction past the budget.
+		for _, lim := range []int64{1, 2, 3} {
+			reg, tree := runBoth(t, p, Config{MaxSteps: lim})
+			assertSame(t, "bad-op-budget", reg, tree)
+		}
 	}
 }
 
@@ -225,96 +240,291 @@ func TestRegcodeConventionViolation(t *testing.T) {
 	}
 }
 
-// countFormTwo compiles prog for the regcode engine and counts the
-// fused const-feeding instructions whose form is 2 (const feeds both
-// operands, so the register operand field holds -1).
-func countFormTwo(prog *ir.Program) int {
-	v := New(prog, Config{Engine: EngineRegcode})
-	n := 0
-	for _, fc := range v.rcode.funcs {
-		for i := range fc.ins {
-			in := &fc.ins[i]
-			switch {
-			case (in.op == rConstBin || in.op == rConstBinSpillSt || in.op == rConstBinSpillStOv) && in.t2 == 2:
-				n++
-			case in.op >= rConstCmpEQBr && in.op <= rConstCmpGEBr && in.x == 2:
-				n++
+// compiled returns the regcode instructions of prog's main function.
+func compiled(prog *ir.Program) []rinst {
+	c := New(prog, Config{}).rcode
+	return c.funcs[c.main].ins
+}
+
+// buildMain builds a program of one function, main, with one
+// parameter and an entry block, whose body f emits.
+func buildMain(f func(bu *ir.Builder, x ir.Reg)) *ir.Program {
+	bu := ir.NewBuilder("main", 1)
+	bu.Block("entry")
+	f(bu, bu.F.Params[0])
+	p := ir.NewProgram()
+	p.Add(bu.Finish())
+	return p
+}
+
+// constFedOperands returns a const-fed consumer's sources for operand
+// form 0 (x•K), 1 (K•x) or 2 (K•K), and its destination: a fresh
+// register (alias 0), the const's (1), or x's (2).
+func constFedOperands(bu *ir.Builder, x, k ir.Reg, form, alias int) (dst, src1, src2 ir.Reg) {
+	src1, src2 = [3]ir.Reg{x, k, k}[form], [3]ir.Reg{k, x, k}[form]
+	return [3]ir.Reg{bu.F.NewVirt(), k, x}[alias], src1, src2
+}
+
+// TestRegcodeConstFormTwo: every const-fed pair and triple compiles
+// to its opcode — one per operator for x•K (and K•x when the operator
+// commutes), one per relation for the compare-branch (mirrored for
+// K•x), the compile-time fold for K•K, the generic form for the rest —
+// and agrees with the tree engine on values that overflow, divide by
+// zero, shift by 64 or more, and are negative, with the destination
+// aliasing either source, and at every step budget up to the
+// program's length, which halts careful mode on each constituent. A
+// K•K form has no other operand: the pair folds, the compare-branch
+// reads the const register, and the spill-store triple's register
+// field holds -1, which the dispatch loop must never read.
+func TestRegcodeConstFormTwo(t *testing.T) {
+	ks := []int64{0, 3, -5, 64, 65, math.MaxInt64, math.MinInt64}
+	xs := []int64{0, -7, 9, 64, math.MaxInt64, math.MinInt64}
+	forms := []string{"x•K", "K•x", "K•K"}
+	ops := []ir.Op{ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem, ir.OpAnd, ir.OpOr, ir.OpXor,
+		ir.OpShl, ir.OpShr, ir.OpCmpEQ, ir.OpCmpNE, ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE}
+	check := func(label string, p *ir.Program, cfg Config, steps int64) {
+		t.Helper()
+		for _, x := range xs {
+			reg, tree := runBoth(t, p, cfg, x)
+			assertSame(t, fmt.Sprintf("%s x=%d", label, x), reg, tree)
+		}
+		for lim := int64(1); lim <= steps; lim++ {
+			cfg.MaxSteps = lim
+			reg, tree := runBoth(t, p, cfg, -7)
+			assertSame(t, fmt.Sprintf("%s lim=%d", label, lim), reg, tree)
+		}
+	}
+
+	// const; binop: k = const K; d = op …; e = add d, k; ret e.
+	for _, op := range ops {
+		for form := range forms {
+			for alias := 0; alias < 3; alias++ {
+				for _, k := range ks {
+					p := buildMain(func(bu *ir.Builder, x ir.Reg) {
+						kr := bu.Const(k)
+						d, s1, s2 := constFedOperands(bu, x, kr, form, alias)
+						bu.BinInto(op, d, s1, s2)
+						bu.Ret(bu.Bin(ir.OpAdd, d, kr))
+					})
+					want := rConstBin
+					switch {
+					case form == 2:
+						want = rConst2
+					case int(op) < len(kOps) && kOps[op] != 0 && (form == 0 || op != ir.OpSub):
+						want = kOps[op]
+					}
+					label := fmt.Sprintf("%v %s alias=%d K=%d", op, forms[form], alias, k)
+					if got := compiled(p)[0]; got.op != want {
+						t.Fatalf("%s: compiled opcode %d, want %d", label, got.op, want)
+					} else if want == rConst2 && got.folded() != rbin(op, k, k) {
+						t.Fatalf("%s: folded %d, want %d", label, got.folded(), rbin(op, k, k))
+					}
+					check(label, p, Config{}, 4)
+				}
 			}
 		}
 	}
-	return n
+
+	// const; cmp; br: both arms read the condition and the const.
+	for rel := ir.OpCmpEQ; rel <= ir.OpCmpGE; rel++ {
+		for form := range forms {
+			for alias := 0; alias < 3; alias++ {
+				for _, k := range ks {
+					p := buildMain(func(bu *ir.Builder, x ir.Reg) {
+						kr := bu.Const(k)
+						d, s1, s2 := constFedOperands(bu, x, kr, form, alias)
+						bu.BinInto(rel, d, s1, s2)
+						yes, no := bu.F.NewBlock("yes"), bu.F.NewBlock("no")
+						bu.Br(d, yes, no, 0, 0)
+						bu.SetCurrent(yes)
+						bu.Ret(bu.Bin(ir.OpAdd, d, kr))
+						bu.SetCurrent(no)
+						bu.Ret(bu.Bin(ir.OpSub, d, kr))
+					})
+					want := rel
+					if form == 1 {
+						want = mirror[rel]
+					}
+					want += rCmpEQKBr - ir.OpCmpEQ
+					label := fmt.Sprintf("%v %s alias=%d K=%d", rel, forms[form], alias, k)
+					if got := compiled(p)[0]; got.op != want || (form == 2) != (got.a == got.b) {
+						t.Fatalf("%s: compiled opcode %d (a=%d, b=%d), want %d", label, got.op, got.a, got.b, want)
+					}
+					check(label, p, Config{CollectEdges: true}, 5)
+				}
+			}
+		}
+	}
+
+	// const; binop; spill.st with K•K, plain and flagged: returns 36
+	// through the slot.
+	for _, flags := range []ir.InstrFlags{0, ir.FlagSpill} {
+		p := buildMain(func(bu *ir.Builder, x ir.Reg) {
+			c := bu.Const(6)
+			d := bu.Bin(ir.OpMul, c, c)
+			bu.Emit(&ir.Instr{Op: ir.OpSpillStore, Dst: ir.NoReg, Src1: d, Src2: ir.NoReg, Imm: 3, Flags: flags})
+			v := bu.F.NewVirt()
+			bu.Emit(&ir.Instr{Op: ir.OpSpillLoad, Dst: v, Src1: ir.NoReg, Src2: ir.NoReg, Imm: 3, Flags: flags})
+			bu.Ret(v)
+		})
+		want := rConstBinSpillSt
+		if flags != 0 {
+			want = rConstBinSpillStOv
+		}
+		label := fmt.Sprintf("spill-store triple flags=%d", flags)
+		if got := compiled(p)[0]; got.op != want || got.t2 != 2 || got.a != -1 {
+			t.Fatalf("%s: compiled %+v, want opcode %d with form 2", label, got, want)
+		}
+		reg, _ := runBoth(t, p, Config{}, 0)
+		if reg.err != "" || reg.val != 36 {
+			t.Fatalf("%s = (%d, %q), want (36, no error)", label, reg.val, reg.err)
+		}
+		check(label, p, Config{}, 5)
+	}
 }
 
-// TestRegcodeConstFormTwo: a const feeding BOTH operands of its fused
-// consumer (form 2) stores -1 in the register-operand field, which the
-// dispatch loop must never read. Covers all three fused shapes —
-// const+binop, const+cmp+br, and const+binop+spill.st (plain and
-// overhead-flagged) — in the quantum loop and, via the step-limit
-// sweep, their careful-mode counterparts.
-func TestRegcodeConstFormTwo(t *testing.T) {
-	build := func(f func(bu *ir.Builder)) *ir.Program {
-		bu := ir.NewBuilder("main", 0)
-		bu.Block("entry")
-		f(bu)
+// TestRegcodeOverheadFlags: each flag parsed from text, on each of
+// jmp, add, const, spill.st and save (and call and ret, which end a
+// quantum mid-block and at its end), counts and halts as the tree
+// engine does, and compiles to rOv exactly when it gives the
+// instruction an overhead class (unless the class is a spill store
+// the const+binop+spill.st triple absorbs). No generated program
+// carries a jump-block flag, so only this test runs one on a jmp.
+func TestRegcodeOverheadFlags(t *testing.T) {
+	body := []string{
+		"const:v1 = const 5",
+		"add:v2 = add v0, v1",
+		"spill.st:spill.st 0, v2",
+		"save:save 0, r11",
+		"call:v5 = call id(v2)",
+		":v3 = spill.ld 0",
+		":r11 = restore 0",
+		"jmp:jmp next",
+		"next:",
+		":v4 = add v3, v5",
+		"ret:ret v4",
+	}
+	for _, op := range []string{"jmp", "add", "const", "spill.st", "save", "call", "ret"} {
+		for _, flag := range []string{"!jb", "!spill", "!sr"} {
+			var src strings.Builder
+			src.WriteString("func main(v0) {\nentry:\n")
+			for _, line := range body {
+				name, text, _ := strings.Cut(line, ":")
+				switch {
+				case name == "next":
+					src.WriteString("next:\n")
+					continue
+				case name == op:
+					text += " " + flag
+				}
+				src.WriteString("\t" + text + "\n")
+			}
+			src.WriteString("}\n\nfunc id(v0) {\nentry:\n\tret v0\n}\n")
+			p, err := irtext.Parse(src.String())
+			if err != nil {
+				t.Fatalf("%s %s: %v", op, flag, err)
+			}
+			label := op + " " + flag
+			var class uint8
+			for _, b := range p.Func("main").Blocks {
+				for _, in := range b.Instrs {
+					class = max(class, ovClass(in))
+				}
+			}
+			wantOv := class != ovNone && !(op == "spill.st" && class == ovSpillStore)
+			gotOv := false
+			for _, in := range compiled(p) {
+				if in.op == rOv {
+					gotOv = true
+					if ir.Op(in.x) >= rBadOp || in.ov != class {
+						t.Fatalf("%s: rOv carries opcode %d, class %d; want a plain opcode and class %d", label, in.x, in.ov, class)
+					}
+				}
+			}
+			if gotOv != wantOv {
+				t.Fatalf("%s: compiled rOv = %v, want %v", label, gotOv, wantOv)
+			}
+			for lim := int64(0); lim <= 12; lim++ {
+				reg, tree := runBoth(t, p, Config{MaxSteps: lim, CollectEdges: true}, 4)
+				assertSame(t, fmt.Sprintf("%s lim=%d", label, lim), reg, tree)
+			}
+		}
+	}
+}
+
+// TestRegcodeCallPrefix: a call hands the physical-register prefix
+// from the caller's bank to the callee's. A callee-saved violation two
+// calls deep reports the value main wrote before the first call, a
+// physical parameter counts among the callee's entry values, and a
+// depth or arity error after nested calls leaves the caller's
+// registers in the VM's file — in every case exactly as the tree
+// engine reports them and leaves the file.
+func TestRegcodeCallPrefix(t *testing.T) {
+	mach := machine.PARISC()
+	cs0, cs1 := mach.CalleeSaved()[0], mach.CalleeSaved()[1]
+	program := func(funcs ...*ir.Builder) *ir.Program {
 		p := ir.NewProgram()
-		p.Add(bu.Finish())
+		for _, bu := range funcs {
+			p.Add(bu.Finish())
+		}
+		p.Main = "main"
 		return p
 	}
-
-	progs := map[string]*ir.Program{
-		// c = const 5; d = add c, c → rConstBin form 2, returns 10.
-		"bin": build(func(bu *ir.Builder) {
-			c := bu.Const(5)
-			bu.Ret(bu.Bin(ir.OpAdd, c, c))
-		}),
-		// c = const 5; t = cmpeq c, c; br t → rConstCmpEQBr form 2.
-		"cmp-br": build(func(bu *ir.Builder) {
-			c := bu.Const(5)
-			cond := bu.Bin(ir.OpCmpEQ, c, c)
-			yes := bu.F.NewBlock("yes")
-			no := bu.F.NewBlock("no")
-			bu.Br(cond, yes, no, 0, 0)
-			bu.SetCurrent(yes)
-			one := bu.Const(1)
-			bu.Ret(one)
-			bu.SetCurrent(no)
-			bu.Ret(ir.NoReg)
-		}),
-		// c = const 6; d = mul c, c; spill.st 3, d → rConstBinSpillSt
-		// form 2, returns 36 through the slot.
-		"bin-spillst": build(func(bu *ir.Builder) {
-			c := bu.Const(6)
-			d := bu.Bin(ir.OpMul, c, c)
-			bu.Emit(&ir.Instr{Op: ir.OpSpillStore, Dst: ir.NoReg, Src1: d, Src2: ir.NoReg, Imm: 3})
-			v := bu.F.NewVirt()
-			bu.Emit(&ir.Instr{Op: ir.OpSpillLoad, Dst: v, Src1: ir.NoReg, Src2: ir.NoReg, Imm: 3})
-			bu.Ret(v)
-		}),
-		// Same shape with !sp overhead flags → rConstBinSpillStOv form 2.
-		"bin-spillst-ov": build(func(bu *ir.Builder) {
-			c := bu.Const(6)
-			d := bu.Bin(ir.OpMul, c, c)
-			bu.Emit(&ir.Instr{Op: ir.OpSpillStore, Dst: ir.NoReg, Src1: d, Src2: ir.NoReg, Imm: 3, Flags: ir.FlagSpill})
-			v := bu.F.NewVirt()
-			bu.Emit(&ir.Instr{Op: ir.OpSpillLoad, Dst: v, Src1: ir.NoReg, Src2: ir.NoReg, Imm: 3, Flags: ir.FlagSpill})
-			bu.Ret(v)
-		}),
+	fn := func(name string, params []ir.Reg, f func(bu *ir.Builder)) *ir.Builder {
+		bu := ir.NewBuilder(name, 0)
+		bu.F.Params = params
+		bu.Block("entry")
+		f(bu)
+		return bu
 	}
-
-	want := map[string]int64{"bin": 10, "cmp-br": 1, "bin-spillst": 36, "bin-spillst-ov": 36}
-	for name, p := range progs {
-		if n := countFormTwo(p); n == 0 {
-			t.Fatalf("%s: no form-2 fused instruction compiled — the shape no longer exercises the fusion", name)
-		}
-		reg, tree := runBoth(t, p, Config{})
-		assertSame(t, name, reg, tree)
-		if reg.err != "" || reg.val != want[name] {
-			t.Fatalf("%s = (%d, %q), want (%d, no error)", name, reg.val, reg.err, want[name])
-		}
-		// Every halt position, to drive the careful-mode counterparts.
-		for lim := int64(1); lim <= 12; lim++ {
-			reg, tree := runBoth(t, p, Config{MaxSteps: lim})
-			assertSame(t, fmt.Sprintf("%s lim=%d", name, lim), reg, tree)
+	call := func(bu *ir.Builder, callee string, args ...ir.Reg) {
+		bu.Emit(&ir.Instr{Op: ir.OpCall, Dst: ir.NoReg, Src1: ir.NoReg, Src2: ir.NoReg, Callee: callee, Args: args})
+	}
+	set := func(bu *ir.Builder, r ir.Reg, k int64) {
+		bu.Emit(&ir.Instr{Op: ir.OpConst, Dst: r, Src1: ir.NoReg, Src2: ir.NoReg, Imm: k})
+	}
+	cases := []struct {
+		name string
+		prog *ir.Program
+		err  string
+	}{
+		{"violation two calls deep", program(
+			fn("main", nil, func(bu *ir.Builder) { set(bu, cs0, 7); set(bu, cs1, 8); call(bu, "mid"); bu.Ret(ir.NoReg) }),
+			fn("mid", nil, func(bu *ir.Builder) { set(bu, ir.Phys(2), 3); call(bu, "leaf"); bu.Ret(ir.NoReg) }),
+			fn("leaf", nil, func(bu *ir.Builder) { set(bu, cs1, 99); bu.Ret(ir.NoReg) }),
+		), fmt.Sprintf("vm: leaf violated callee-saved convention: %v changed from 8 to 99", cs1)},
+		{"physical parameter", program(
+			fn("main", nil, func(bu *ir.Builder) {
+				set(bu, cs0, 3)
+				k := bu.Const(9)
+				call(bu, "mid", k)
+				bu.Ret(ir.NoReg)
+			}),
+			fn("mid", []ir.Reg{cs0}, func(bu *ir.Builder) { call(bu, "leaf"); bu.Ret(cs0) }),
+			fn("leaf", nil, func(bu *ir.Builder) { set(bu, ir.Phys(1), 4); bu.Ret(ir.NoReg) }),
+		), fmt.Sprintf("vm: main violated callee-saved convention: %v changed from 0 to 9", cs0)},
+		{"depth after nested calls", program(
+			fn("main", nil, func(bu *ir.Builder) { set(bu, ir.Phys(2), 1); call(bu, "f"); bu.Ret(ir.NoReg) }),
+			fn("f", nil, func(bu *ir.Builder) {
+				bu.BinInto(ir.OpAdd, ir.Phys(3), ir.Phys(3), ir.Phys(2))
+				call(bu, "f")
+				bu.Ret(ir.NoReg)
+			}),
+		), "vm: call depth exceeded in f"},
+		{"arity after nested calls", program(
+			fn("main", nil, func(bu *ir.Builder) { set(bu, ir.Phys(2), 1); call(bu, "mid"); bu.Ret(ir.NoReg) }),
+			fn("mid", nil, func(bu *ir.Builder) { set(bu, ir.Phys(4), 5); call(bu, "leaf", ir.Phys(4)); bu.Ret(ir.NoReg) }),
+			fn("leaf", nil, func(bu *ir.Builder) { bu.Ret(ir.NoReg) }),
+		), "vm: leaf called with 1 args, want 0"},
+	}
+	for _, tc := range cases {
+		for _, m := range []*machine.Desc{mach, nil} {
+			reg, tree := runBoth(t, tc.prog, Config{Machine: m})
+			label := fmt.Sprintf("%s machine=%v", tc.name, m != nil)
+			assertSame(t, label, reg, tree)
+			if m != nil && reg.err != tc.err {
+				t.Fatalf("%s: error %q, want %q", label, reg.err, tc.err)
+			}
 		}
 	}
 }

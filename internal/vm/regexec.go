@@ -4,17 +4,23 @@ package vm
 // the compilation model). The hot loop charges the step budget once
 // per straight-line quantum and performs zero per-instruction
 // accounting; every operand access is a single index into the
-// invocation's flat register bank. When a quantum might cross the
-// remaining budget, execution switches to rcareful, a per-instruction
-// interpreter that reproduces the tree engine's halt accounting
-// exactly — entering it guarantees the run ends inside that quantum,
-// so the careful path never needs call, return, or branch dispatch.
+// invocation's flat register bank, and every instruction but rOv and
+// the rare generic const forms takes a single switch. When a quantum
+// might cross the remaining budget, execution switches to rcareful, a
+// per-instruction interpreter that reproduces the tree engine's halt
+// accounting exactly — entering it guarantees the run ends inside
+// that quantum, so the careful path never needs call, return, or
+// branch dispatch.
 //
-// The bank's physical prefix is a copy of the VM's global register
-// file: copied in at entry, copied back out at returns and at every
-// error raised in this frame, and exchanged around calls. Frames whose
-// errors merely propagate from a callee do not copy out — the callee
-// already left the authoritative values in v.phys.
+// The bank's physical prefix is the register file while its frame
+// runs. A call hands the caller's prefix to the callee, which copies
+// it in at entry; at return the callee checks its callee-saved range
+// against the caller's prefix, which still holds the values of entry,
+// and copies its own prefix back over it. main's caller prefix is the
+// VM's global register file, v.phys. A frame that raises an error
+// copies its prefix into v.phys; frames whose errors merely propagate
+// from a callee leave it alone, and a depth or arity error leaves the
+// caller's values there.
 
 import (
 	"fmt"
@@ -71,7 +77,7 @@ func (v *VM) runRegcode(args []int64) (int64, error) {
 	if v.cfg.CollectEdges && v.edgeDense == nil {
 		v.edgeDense = make([]int64, len(c.edges))
 	}
-	val, err := v.rexec(c.main, args, 0)
+	val, err := v.rexec(c.main, args, v.phys[:c.physLen], 0)
 	v.flushDense()
 	return val, err
 }
@@ -124,12 +130,17 @@ func (v *VM) countOverhead(ov uint8) {
 	}
 }
 
-// rleave releases an invocation's arena frame and convention snapshot.
-func (v *VM) rleave(mc, moff, snapBase int) {
-	v.arena.release(mc, moff)
-	if snapBase >= 0 {
-		v.snap = v.snap[:snapBase]
+// convention reports the first callee-saved register a returning
+// frame's bank holds a value in other than at entry, which the
+// caller's prefix still holds.
+func (v *VM) convention(fc *rcFunc, bank, caller []int64) error {
+	for k := v.csFrom; k < v.csTo; k++ {
+		if bank[k] != caller[k] {
+			return fmt.Errorf("vm: %s violated callee-saved convention: %v changed from %d to %d",
+				fc.name, ir.Phys(k), caller[k], bank[k])
+		}
 	}
+	return nil
 }
 
 // rbin evaluates a two-source ALU operation, compares included, for
@@ -177,9 +188,10 @@ func rbin(op ir.Op, x, y int64) int64 {
 }
 
 // constOperands resolves a const-feeding fused form to the operand
-// pair: 0 = other•K, 1 = K•other, 2 = K•K. The other-operand register
-// is read lazily because form 2 (const feeds both sources) has no
-// other operand and the compiler stores -1 in the register field.
+// pair: 0 = other•K, 1 = K•other, 2 = K•K (the spill-store triple's;
+// the pair folds it). The other-operand register is read lazily
+// because form 2 (const feeds both sources) has no other operand and
+// the compiler stores -1 in the register field.
 func constOperands(form int32, bank []int64, a int32, k int64) (int64, int64) {
 	switch form {
 	case 0:
@@ -190,30 +202,33 @@ func constOperands(form int32, bank []int64, a int32, k int64) (int64, int64) {
 	return k, k
 }
 
-// rexec runs one function invocation to completion.
-func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
+// rexec runs one function invocation to completion. caller is the
+// caller's physical-register prefix (v.phys for main).
+func (v *VM) rexec(fi int32, args, caller []int64, depth int) (int64, error) {
 	c := v.rcode
 	fc := &c.funcs[fi]
 	if depth > maxCallDepth {
+		copy(v.phys[:], caller)
 		return 0, fmt.Errorf("vm: call depth exceeded in %s", fc.name)
 	}
 	if len(args) != len(fc.params) {
+		copy(v.phys[:], caller)
 		return 0, fmt.Errorf("vm: %s called with %d args, want %d", fc.name, len(args), len(fc.params))
 	}
 	v.callDense[fi]++
 
 	mc, moff := v.arena.mark()
 	bank := v.arena.alloc(fc.bankLen)
-	pl := fc.physLen
-	copy(bank, v.phys[:pl])
+	pl := len(caller)
+	copy(bank, caller)
 	clear(bank[pl:])
 	for i, p := range fc.params {
 		bank[p] = args[i]
-	}
-	snapBase := -1
-	if v.csRegs != nil {
-		snapBase = len(v.snap)
-		v.snap = append(v.snap, bank[v.csFrom:v.csTo]...)
+		if int(p) < pl {
+			// A physical parameter is written at entry, so the
+			// convention check must see it among the entry values.
+			caller[p] = args[i]
+		}
 	}
 
 	ins := fc.ins
@@ -233,11 +248,9 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 
 	for {
 		in := &ins[pc]
-		if in.ov != ovNone {
-			v.countOverhead(in.ov)
-		}
-
-		switch in.op {
+		op := in.op
+	dispatch:
+		switch op {
 		case ir.OpNop:
 		case ir.OpConst:
 			bank[in.dst] = in.imm
@@ -323,17 +336,15 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 			}
 			v.flushSeg(n, loads, stores)
 			n, loads, stores = 0, 0, 0
-			copy(v.phys[:pl], bank[:pl])
 			var r int64
-			r, err = v.rexec(cs.callee, v.argScratch[ab:], depth+1)
+			r, err = v.rexec(cs.callee, v.argScratch[ab:], bank[:pl], depth+1)
 			v.argScratch = v.argScratch[:ab]
 			if err != nil {
-				// The erroring frame copied the authoritative register
-				// values out already; propagate without clobbering them.
-				v.rleave(mc, moff, snapBase)
+				// The erroring frame left the register values in v.phys
+				// already; propagate without clobbering them.
+				v.arena.release(mc, moff)
 				return 0, err
 			}
-			copy(bank[:pl], v.phys[:pl])
 			budget = v.cfg.MaxSteps - v.steps
 			if in.dst >= 0 {
 				bank[in.dst] = r
@@ -351,20 +362,13 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 				rv = bank[in.a]
 			}
 			v.flushSeg(n, loads, stores)
-			copy(v.phys[:pl], bank[:pl])
-			if snapBase >= 0 {
-				prev := v.snap[snapBase:]
-				cur := v.phys[v.csFrom:v.csTo]
-				for i := range cur {
-					if cur[i] != prev[i] {
-						err := fmt.Errorf("vm: %s violated callee-saved convention: %v changed from %d to %d",
-							fc.name, v.csRegs[i], prev[i], cur[i])
-						v.rleave(mc, moff, snapBase)
-						return 0, err
-					}
-				}
+			if err = v.convention(fc, bank, caller); err != nil {
+				copy(v.phys[:], bank[:pl])
+				v.arena.release(mc, moff)
+				return 0, err
 			}
-			v.rleave(mc, moff, snapBase)
+			copy(caller, bank)
+			v.arena.release(mc, moff)
 			return rv, nil
 		case ir.OpBr:
 			if bank[in.a] != 0 {
@@ -413,6 +417,27 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 		case rCmpGEBr:
 			cond = b2i(bank[in.a] >= bank[in.b])
 			goto fusedBr
+		case rAddK:
+			bank[in.b] = in.imm
+			bank[in.dst] = bank[in.a] + in.imm
+		case rSubK:
+			bank[in.b] = in.imm
+			bank[in.dst] = bank[in.a] - in.imm
+		case rMulK:
+			bank[in.b] = in.imm
+			bank[in.dst] = bank[in.a] * in.imm
+		case rAndK:
+			bank[in.b] = in.imm
+			bank[in.dst] = bank[in.a] & in.imm
+		case rOrK:
+			bank[in.b] = in.imm
+			bank[in.dst] = bank[in.a] | in.imm
+		case rXorK:
+			bank[in.b] = in.imm
+			bank[in.dst] = bank[in.a] ^ in.imm
+		case rConst2:
+			bank[in.b] = in.imm
+			bank[in.dst] = in.folded()
 		case rConstBin, rConstBinSpillSt, rConstBinSpillStOv:
 			bank[in.b] = in.imm
 			x, y := constOperands(in.t2, bank, in.a, in.imm)
@@ -456,42 +481,36 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 				r = b2i(x >= y)
 			}
 			bank[in.dst] = r
-			if in.op != rConstBin {
+			if op != rConstBin {
 				stores++
-				if in.op == rConstBinSpillStOv {
+				if op == rConstBinSpillStOv {
 					v.Stats.SpillStores++
 				}
 				bank[in.c] = r
 			}
-		case rConstCmpEQBr:
+		case rCmpEQKBr:
 			bank[in.b] = in.imm
-			x, y := constOperands(int32(in.x), bank, in.a, in.imm)
-			cond = b2i(x == y)
+			cond = b2i(bank[in.a] == in.imm)
 			goto fusedBr
-		case rConstCmpNEBr:
+		case rCmpNEKBr:
 			bank[in.b] = in.imm
-			x, y := constOperands(int32(in.x), bank, in.a, in.imm)
-			cond = b2i(x != y)
+			cond = b2i(bank[in.a] != in.imm)
 			goto fusedBr
-		case rConstCmpLTBr:
+		case rCmpLTKBr:
 			bank[in.b] = in.imm
-			x, y := constOperands(int32(in.x), bank, in.a, in.imm)
-			cond = b2i(x < y)
+			cond = b2i(bank[in.a] < in.imm)
 			goto fusedBr
-		case rConstCmpLEBr:
+		case rCmpLEKBr:
 			bank[in.b] = in.imm
-			x, y := constOperands(int32(in.x), bank, in.a, in.imm)
-			cond = b2i(x <= y)
+			cond = b2i(bank[in.a] <= in.imm)
 			goto fusedBr
-		case rConstCmpGTBr:
+		case rCmpGTKBr:
 			bank[in.b] = in.imm
-			x, y := constOperands(int32(in.x), bank, in.a, in.imm)
-			cond = b2i(x > y)
+			cond = b2i(bank[in.a] > in.imm)
 			goto fusedBr
-		case rConstCmpGEBr:
+		case rCmpGEKBr:
 			bank[in.b] = in.imm
-			x, y := constOperands(int32(in.x), bank, in.a, in.imm)
-			cond = b2i(x >= y)
+			cond = b2i(bank[in.a] >= in.imm)
 			goto fusedBr
 		case rLatchEQ:
 			k1 := int64(in.x)
@@ -541,6 +560,10 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 			bank[int32(in.imm>>32)] = k2
 			cond = b2i(bank[in.a] >= k2)
 			goto fusedBr
+		case rOv:
+			v.countOverhead(in.ov)
+			op = ir.Op(in.x)
+			goto dispatch
 		case rFellOff:
 			// Synthetic: qlen never counted it, so n is already right.
 			err = fmt.Errorf("vm: %s: block %s fell off the end", fc.name, fc.block(int32(pc)))
@@ -579,14 +602,14 @@ func (v *VM) rexec(fi int32, args []int64, depth int) (int64, error) {
 	// in and the register values copied out.
 fail:
 	v.flushSeg(n, loads, stores)
-	copy(v.phys[:pl], bank[:pl])
-	v.rleave(mc, moff, snapBase)
+	copy(v.phys[:], bank[:pl])
+	v.arena.release(mc, moff)
 	return 0, err
 
 careful:
 	val, err := v.rcareful(fc, bank, pc, n, loads, stores, budget)
-	copy(v.phys[:pl], bank[:pl])
-	v.rleave(mc, moff, snapBase)
+	copy(v.phys[:], bank[:pl])
+	v.arena.release(mc, moff)
 	return val, err
 }
 
@@ -608,11 +631,9 @@ func (v *VM) rcareful(fc *rcFunc, bank []int64, pc int, n, loads, stores, budget
 		if n > budget && in.op != rFellOff {
 			goto halt
 		}
-		if in.ov != ovNone {
-			v.countOverhead(in.ov)
-		}
-
-		switch in.op {
+		op := in.op
+	dispatch:
+		switch op {
 		case ir.OpNop:
 		case ir.OpConst:
 			bank[in.dst] = in.imm
@@ -620,7 +641,7 @@ func (v *VM) rcareful(fc *rcFunc, bank []int64, pc int, n, loads, stores, budget
 			bank[in.dst] = bank[in.a]
 		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
 			ir.OpCmpEQ, ir.OpCmpNE, ir.OpCmpLT, ir.OpCmpLE, ir.OpCmpGT, ir.OpCmpGE:
-			bank[in.dst] = rbin(in.op, bank[in.a], bank[in.b])
+			bank[in.dst] = rbin(op, bank[in.a], bank[in.b])
 		case ir.OpNeg:
 			bank[in.dst] = -bank[in.a]
 		case ir.OpNot:
@@ -648,13 +669,13 @@ func (v *VM) rcareful(fc *rcFunc, bank []int64, pc int, n, loads, stores, budget
 			stores++
 			bank[in.imm] = bank[in.a]
 		case rCmpEQBr, rCmpNEBr, rCmpLTBr, rCmpLEBr, rCmpGTBr, rCmpGEBr:
-			bank[in.dst] = rbin(ir.OpCmpEQ+in.op-rCmpEQBr, bank[in.a], bank[in.b])
+			bank[in.dst] = rbin(ir.OpCmpEQ+op-rCmpEQBr, bank[in.a], bank[in.b])
 			n++
 			if n > budget {
 				goto halt
 			}
 			panic("vm: regcode careful mode survived a fused branch")
-		case rConstBin:
+		case rConstBin, rAddK, rSubK, rMulK, rAndK, rOrK, rXorK:
 			bank[in.b] = in.imm
 			n++
 			if n > budget {
@@ -662,14 +683,20 @@ func (v *VM) rcareful(fc *rcFunc, bank []int64, pc int, n, loads, stores, budget
 			}
 			x, y := constOperands(in.t2, bank, in.a, in.imm)
 			bank[in.dst] = rbin(ir.Op(in.t1), x, y)
-		case rConstCmpEQBr, rConstCmpNEBr, rConstCmpLTBr, rConstCmpLEBr, rConstCmpGTBr, rConstCmpGEBr:
+		case rConst2:
 			bank[in.b] = in.imm
 			n++
 			if n > budget {
 				goto halt
 			}
-			x, y := constOperands(int32(in.x), bank, in.a, in.imm)
-			bank[in.dst] = rbin(ir.OpCmpEQ+in.op-rConstCmpEQBr, x, y)
+			bank[in.dst] = in.folded()
+		case rCmpEQKBr, rCmpNEKBr, rCmpLTKBr, rCmpLEKBr, rCmpGTKBr, rCmpGEKBr:
+			bank[in.b] = in.imm
+			n++
+			if n > budget {
+				goto halt
+			}
+			bank[in.dst] = rbin(ir.OpCmpEQ+op-rCmpEQKBr, bank[in.a], in.imm)
 			n++
 			if n > budget {
 				goto halt
@@ -692,7 +719,7 @@ func (v *VM) rcareful(fc *rcFunc, bank []int64, pc int, n, loads, stores, budget
 			if n > budget {
 				goto halt
 			}
-			bank[in.dst] = rbin(ir.OpCmpEQ+in.op-rLatchEQ, bank[in.a], bank[k])
+			bank[in.dst] = rbin(ir.OpCmpEQ+op-rLatchEQ, bank[in.a], bank[k])
 			n++
 			if n > budget {
 				goto halt
@@ -712,10 +739,14 @@ func (v *VM) rcareful(fc *rcFunc, bank []int64, pc int, n, loads, stores, budget
 				goto halt
 			}
 			stores++
-			if in.op == rConstBinSpillStOv {
+			if op == rConstBinSpillStOv {
 				v.Stats.SpillStores++
 			}
 			bank[in.c] = res
+		case rOv:
+			v.countOverhead(in.ov)
+			op = ir.Op(in.x)
+			goto dispatch
 		case rFellOff:
 			n-- // synthetic: not an executed instruction
 			err = fmt.Errorf("vm: %s: block %s fell off the end", fc.name, fc.block(int32(pc)))

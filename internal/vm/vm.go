@@ -10,12 +10,16 @@
 //   - EngineRegcode (the default) compiles each function once, at New,
 //     into register-transfer code: physical registers, virtuals, and
 //     frame slots share one flat per-invocation register bank so every
-//     operand access is a single slice index; branch targets, callees,
-//     and profiled edges are resolved to dense indices; superinstruction
-//     fusion covers whole loop-header shapes; step accounting is
-//     batched per straight-line quantum; and frames come from a
-//     chunked arena, so steady-state execution allocates nothing (see
-//     regcode.go, regexec.go).
+//     operand access is a single slice index, and a call hands the
+//     caller's physical-register prefix straight to the callee's bank;
+//     branch targets, callees, and profiled edges are resolved to
+//     dense indices; superinstruction fusion covers whole loop-header
+//     shapes, with const-fed operations specialized by operator and
+//     relation so the hot instructions take a single switch; overhead
+//     classes are an opcode of their own rather than a test on every
+//     instruction; step accounting is batched per straight-line
+//     quantum; and frames come from a chunked arena, so steady-state
+//     execution allocates nothing (see regcode.go, regexec.go).
 //   - EngineTree is the original tree-walking interpreter over
 //     *ir.Block pointers (tree.go). It is kept as the differential
 //     reference; the parity tests prove both engines agree exactly on
@@ -183,14 +187,12 @@ type VM struct {
 	// mutate the program after that and the VM keeps executing the
 	// shape it compiled — create a new VM instead.
 	rcode      *rcProgram
-	arena      rcArena  // frame arena
-	callDense  []int64  // per-function call counts, flushed into Stats.Calls
-	edgeDense  []int64  // per-edge traversal counts, flushed into EdgeCount
-	csRegs     []ir.Reg // the machine's callee-saved registers, precomputed
-	csFrom     int      // callee-saved registers are the contiguous
-	csTo       int      // range [csFrom, csTo) of the physical file
-	snap       []int64  // convention-check snapshot stack, one segment per live call
-	argScratch []int64  // call argument evaluation stack, one segment per live call
+	arena      rcArena // frame arena
+	callDense  []int64 // per-function call counts, flushed into Stats.Calls
+	edgeDense  []int64 // per-edge traversal counts, flushed into EdgeCount
+	csFrom     int     // the checked callee-saved registers are the
+	csTo       int     // range [csFrom, csTo) of the physical file
+	argScratch []int64 // call argument evaluation stack, one segment per live call
 
 	Stats     Stats
 	EdgeCount map[*ir.Edge]int64
@@ -206,7 +208,6 @@ func New(prog *ir.Program, cfg Config) *VM {
 	}
 	v := &VM{prog: prog, cfg: cfg}
 	if cfg.Machine != nil {
-		v.csRegs = cfg.Machine.CalleeSaved()
 		v.csFrom = cfg.Machine.CalleeSavedFrom
 		v.csTo = cfg.Machine.NumRegs
 	}
