@@ -114,17 +114,14 @@ func FuzzPlacement(f *testing.F) {
 // callee-saved convention checking, and through the full tiered
 // pipeline (an arbitrary quantum forces tier boundaries at arbitrary
 // points, and the recompiled tier-1 program must agree byte for byte
-// and observation for observation). The seed's high word picks the
-// generator family, so Hostile, the family the service runs, is in
-// play, and the committed corpus's low seeds keep running Small.
+// and observation for observation).
 func FuzzEngineParity(f *testing.F) {
-	for _, seed := range []uint64{0, 1, 7, 42, 1 << 33, 1<<32 | 5, 3<<32 | 5} {
+	for _, seed := range []uint64{0, 1, 7, 42, 1 << 33} {
 		f.Add(seed, int64(3), int64(257))
 	}
-	families := []irgen.Config{irgen.Small(), irgen.Default(), irgen.Hostile(), irgen.Crossover()}
 	f.Fuzz(func(t *testing.T, seed uint64, arg, budget int64) {
 		budget = budget&(1<<22-1) + 1
-		prog := irgen.Generate(seed, families[(seed>>32)%uint64(len(families))])
+		prog := irgen.Generate(seed, irgen.Small())
 		for _, m := range irgen.EngineParitySweep(prog, vm.EngineRegcode, []int64{arg & 1023}, []int64{budget}) {
 			t.Errorf("seed %d arg %d: %s", seed, arg, m)
 		}

@@ -29,9 +29,9 @@ package vm
 //     triples, and the canonical 5-op loop latch (const increment,
 //     in-place add, const bound, compare, branch). The const+binop
 //     pair has one opcode per operator for x•K (and K•x when the
-//     operator commutes), and folds K•K at compile time;
-//     const+compare+branch has one opcode per relation comparing a
-//     register against the immediate, mirroring the relation for K•x.
+//     operator commutes); const+compare+branch has one opcode per
+//     relation comparing a register against the immediate, mirroring
+//     the relation for K•x. K•K is x•K whose x is the const register.
 //     Only the rare remaining shapes (K−x, division, shifts, compares
 //     feeding no branch, the spill-store triple) go through the generic
 //     form that switches again on the operator. Fused forms execute
@@ -99,13 +99,9 @@ const (
 	rAndK
 	rOrK
 	rXorK
-	// const + binop with the constant in both operands, folded at
-	// compile time: b = const imm; dst = t1<<32 | uint32(t2).
-	rConst2
 	// const + compare + branch against the immediate: b = const imm;
 	// dst = a rel imm; branch on dst. K•x compiles with the relation
-	// mirrored, K•K with a = b (the const register, which holds imm by
-	// the time the compare reads it). t1/t2 = targets, c = edge slots.
+	// mirrored. t1/t2 = targets, c = edge slots.
 	rCmpEQKBr
 	rCmpNEKBr
 	rCmpLTKBr
@@ -625,15 +621,12 @@ func (c *rcProgram) emitFunc(f *ir.Func, fc *rcFunc, index map[string]int32, pos
 			case fuseConstCmpBr:
 				cmp := bi[i-2]
 				form, other := constForm(in.Dst, cmp.Src1, cmp.Src2)
-				rel, a := cmp.Op, c.reg(other)
-				switch form {
-				case 1:
+				rel := cmp.Op
+				if form == 1 {
 					rel = mirror[rel]
-				case 2:
-					a = c.reg(in.Dst)
 				}
 				*d = rinst{op: rCmpEQKBr + (rel - ir.OpCmpEQ),
-					dst: c.reg(cmp.Dst), a: a, b: c.reg(in.Dst), imm: in.Imm}
+					dst: c.reg(cmp.Dst), a: c.reg(other), b: c.reg(in.Dst), imm: in.Imm}
 				branch(d, b, bi[i-1])
 				continue
 			case fuseConstBinSt:
@@ -659,11 +652,7 @@ func (c *rcProgram) emitFunc(f *ir.Func, fc *rcFunc, index map[string]int32, pos
 				*d = rinst{op: rConstBin,
 					dst: c.reg(next.Dst), a: c.reg(other), b: c.reg(in.Dst),
 					imm: in.Imm, t1: int32(next.Op), t2: form}
-				switch {
-				case form == 2:
-					k := rbin(next.Op, in.Imm, in.Imm)
-					d.op, d.t1, d.t2 = rConst2, int32(k>>32), int32(k)
-				case int(next.Op) < len(kOps) && kOps[next.Op] != 0 && (form == 0 || next.Op != ir.OpSub):
+				if int(next.Op) < len(kOps) && kOps[next.Op] != 0 && (form == 0 || next.Op != ir.OpSub) {
 					d.op = kOps[next.Op]
 				}
 				continue
@@ -744,11 +733,12 @@ func (c *rcProgram) emitFunc(f *ir.Func, fc *rcFunc, index map[string]int32, pos
 }
 
 // constForm classifies how a const feeds a two-source consumer:
-// 0 = other•const, 1 = const•other, 2 = const•const, -1 = no feed.
+// 0 = other•const, 1 = const•other, -1 = no feed. When the const feeds
+// both sources, the other operand is the const register itself (form
+// 0): every fused form writes the const first, so reading its register
+// then yields the constant.
 func constForm(cdst, src1, src2 ir.Reg) (int32, ir.Reg) {
 	switch {
-	case src1 == cdst && src2 == cdst:
-		return 2, ir.NoReg
 	case src2 == cdst:
 		return 0, src1
 	case src1 == cdst:
@@ -767,7 +757,7 @@ func rweight(op ir.Op) int32 {
 		return 1
 	case op == rFellOff:
 		return 0
-	case op >= rCmpEQBr && op <= rConst2:
+	case op >= rCmpEQBr && op <= rXorK:
 		return 2
 	case op >= rCmpEQKBr && op <= rConstBinSpillStOv:
 		return 3
@@ -792,6 +782,3 @@ func rquantumEnd(op ir.Op) bool {
 		(op >= rCmpEQKBr && op <= rCmpGEKBr) ||
 		(op >= rLatchEQ && op <= rLatchGE)
 }
-
-// folded is rConst2's result, computed at compile time.
-func (in *rinst) folded() int64 { return int64(in.t1)<<32 | int64(uint32(in.t2)) }

@@ -259,23 +259,22 @@ func buildMain(f func(bu *ir.Builder, x ir.Reg)) *ir.Program {
 
 // constFedOperands returns a const-fed consumer's sources for operand
 // form 0 (x•K), 1 (K•x) or 2 (K•K), and its destination: a fresh
-// register (alias 0), the const's (1), or x's (2).
+// register (alias 0), the const's (1), x's (2), or a physical register
+// (3), which the register file left behind shows after a halt.
 func constFedOperands(bu *ir.Builder, x, k ir.Reg, form, alias int) (dst, src1, src2 ir.Reg) {
 	src1, src2 = [3]ir.Reg{x, k, k}[form], [3]ir.Reg{k, x, k}[form]
-	return [3]ir.Reg{bu.F.NewVirt(), k, x}[alias], src1, src2
+	return [4]ir.Reg{bu.F.NewVirt(), k, x, ir.Phys(2)}[alias], src1, src2
 }
 
 // TestRegcodeConstFormTwo: every const-fed pair and triple compiles
 // to its opcode — one per operator for x•K (and K•x when the operator
 // commutes), one per relation for the compare-branch (mirrored for
-// K•x), the compile-time fold for K•K, the generic form for the rest —
-// and agrees with the tree engine on values that overflow, divide by
-// zero, shift by 64 or more, and are negative, with the destination
-// aliasing either source, and at every step budget up to the
-// program's length, which halts careful mode on each constituent. A
-// K•K form has no other operand: the pair folds, the compare-branch
-// reads the const register, and the spill-store triple's register
-// field holds -1, which the dispatch loop must never read.
+// K•x), the generic form for the rest — and agrees with the tree
+// engine on values that overflow, divide by zero, shift by 64 or more,
+// and are negative, with the destination aliasing either source or
+// physical, and at every step budget up to the program's length, which
+// halts careful mode on each constituent. A K•K form compiles as x•K whose other
+// operand is the const register, which holds K by the time it is read.
 func TestRegcodeConstFormTwo(t *testing.T) {
 	ks := []int64{0, 3, -5, 64, 65, math.MaxInt64, math.MinInt64}
 	xs := []int64{0, -7, 9, 64, math.MaxInt64, math.MinInt64}
@@ -298,7 +297,7 @@ func TestRegcodeConstFormTwo(t *testing.T) {
 	// const; binop: k = const K; d = op …; e = add d, k; ret e.
 	for _, op := range ops {
 		for form := range forms {
-			for alias := 0; alias < 3; alias++ {
+			for alias := 0; alias < 4; alias++ {
 				for _, k := range ks {
 					p := buildMain(func(bu *ir.Builder, x ir.Reg) {
 						kr := bu.Const(k)
@@ -307,17 +306,12 @@ func TestRegcodeConstFormTwo(t *testing.T) {
 						bu.Ret(bu.Bin(ir.OpAdd, d, kr))
 					})
 					want := rConstBin
-					switch {
-					case form == 2:
-						want = rConst2
-					case int(op) < len(kOps) && kOps[op] != 0 && (form == 0 || op != ir.OpSub):
+					if int(op) < len(kOps) && kOps[op] != 0 && (form != 1 || op != ir.OpSub) {
 						want = kOps[op]
 					}
 					label := fmt.Sprintf("%v %s alias=%d K=%d", op, forms[form], alias, k)
-					if got := compiled(p)[0]; got.op != want {
-						t.Fatalf("%s: compiled opcode %d, want %d", label, got.op, want)
-					} else if want == rConst2 && got.folded() != rbin(op, k, k) {
-						t.Fatalf("%s: folded %d, want %d", label, got.folded(), rbin(op, k, k))
+					if got := compiled(p)[0]; got.op != want || (form == 2) != (got.a == got.b) {
+						t.Fatalf("%s: compiled opcode %d (a=%d, b=%d), want %d", label, got.op, got.a, got.b, want)
 					}
 					check(label, p, Config{}, 4)
 				}
@@ -328,7 +322,7 @@ func TestRegcodeConstFormTwo(t *testing.T) {
 	// const; cmp; br: both arms read the condition and the const.
 	for rel := ir.OpCmpEQ; rel <= ir.OpCmpGE; rel++ {
 		for form := range forms {
-			for alias := 0; alias < 3; alias++ {
+			for alias := 0; alias < 4; alias++ {
 				for _, k := range ks {
 					p := buildMain(func(bu *ir.Builder, x ir.Reg) {
 						kr := bu.Const(k)
@@ -372,8 +366,8 @@ func TestRegcodeConstFormTwo(t *testing.T) {
 			want = rConstBinSpillStOv
 		}
 		label := fmt.Sprintf("spill-store triple flags=%d", flags)
-		if got := compiled(p)[0]; got.op != want || got.t2 != 2 || got.a != -1 {
-			t.Fatalf("%s: compiled %+v, want opcode %d with form 2", label, got, want)
+		if got := compiled(p)[0]; got.op != want || got.a != got.b {
+			t.Fatalf("%s: compiled %+v, want opcode %d reading the const register", label, got, want)
 		}
 		reg, _ := runBoth(t, p, Config{}, 0)
 		if reg.err != "" || reg.val != 36 {

@@ -144,7 +144,10 @@ func (v *VM) convention(fc *rcFunc, bank, caller []int64) error {
 }
 
 // rbin evaluates a two-source ALU operation, compares included, for
-// careful mode; the dispatch loop inlines the same cases.
+// careful mode. The dispatch loop inlines the same cases, the generic
+// const-fused forms' too: rare as those are, a call on their path makes
+// the compiler store the program counter to the stack at every
+// dispatch.
 func rbin(op ir.Op, x, y int64) int64 {
 	switch op {
 	case ir.OpAdd:
@@ -188,18 +191,12 @@ func rbin(op ir.Op, x, y int64) int64 {
 }
 
 // constOperands resolves a const-feeding fused form to the operand
-// pair: 0 = other•K, 1 = K•other, 2 = K•K (the spill-store triple's;
-// the pair folds it). The other-operand register is read lazily
-// because form 2 (const feeds both sources) has no other operand and
-// the compiler stores -1 in the register field.
+// pair: 0 = other•K, 1 = K•other.
 func constOperands(form int32, bank []int64, a int32, k int64) (int64, int64) {
-	switch form {
-	case 0:
-		return bank[a], k
-	case 1:
+	if form == 1 {
 		return k, bank[a]
 	}
-	return k, k
+	return bank[a], k
 }
 
 // rexec runs one function invocation to completion. caller is the
@@ -435,9 +432,6 @@ func (v *VM) rexec(fi int32, args, caller []int64, depth int) (int64, error) {
 		case rXorK:
 			bank[in.b] = in.imm
 			bank[in.dst] = bank[in.a] ^ in.imm
-		case rConst2:
-			bank[in.b] = in.imm
-			bank[in.dst] = in.folded()
 		case rConstBin, rConstBinSpillSt, rConstBinSpillStOv:
 			bank[in.b] = in.imm
 			x, y := constOperands(in.t2, bank, in.a, in.imm)
@@ -683,13 +677,6 @@ func (v *VM) rcareful(fc *rcFunc, bank []int64, pc int, n, loads, stores, budget
 			}
 			x, y := constOperands(in.t2, bank, in.a, in.imm)
 			bank[in.dst] = rbin(ir.Op(in.t1), x, y)
-		case rConst2:
-			bank[in.b] = in.imm
-			n++
-			if n > budget {
-				goto halt
-			}
-			bank[in.dst] = in.folded()
 		case rCmpEQKBr, rCmpNEKBr, rCmpLTKBr, rCmpLEKBr, rCmpGTKBr, rCmpGEKBr:
 			bank[in.b] = in.imm
 			n++
